@@ -575,18 +575,22 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
     model, n_prefix, mc = plan.model, plan.n_prefix_sites, plan.mc
     assert model is not None and mc is not None
 
-    if plan.command == "dos":
-        for j, eps in enumerate(cfg.eps_values):
-            ests = smoothed_dos_curve(model, n_prefix, cfg.energies, eps, mc)
-            add_curve(j, [(e, eps, 0, est) for e, est in zip(cfg.energies, ests)])
-    elif plan.command == "dos-deriv":
-        for j, eps in enumerate(cfg.eps_values):
+    if plan.command in ("dos", "dos-deriv"):
+        # one pass over the samples for the whole grid: a column of eps
+        # against the row of energies, estimates returned eps-major
+        n_e = len(cfg.energies)
+        eps_column = np.asarray(cfg.eps_values)[:, None]
+        if plan.command == "dos":
+            ell = 0
+            ests = smoothed_dos_curve(model, n_prefix, cfg.energies, eps_column, mc)
+        else:
+            ell = cfg.ell
             ests = dos_derivative_curve(
-                model, n_prefix, cfg.energies, eps, cfg.ell, mc, method="score"
+                model, n_prefix, cfg.energies, eps_column, ell, mc, method="score"
             )
-            add_curve(
-                j, [(e, eps, cfg.ell, est) for e, est in zip(cfg.energies, ests)]
-            )
+        for j, eps in enumerate(cfg.eps_values):
+            curve = ests[j * n_e : (j + 1) * n_e]
+            add_curve(j, [(e, eps, ell, est) for e, est in zip(cfg.energies, curve)])
     elif plan.command == "ids":
         ests = ids_curve(model, n_prefix, cfg.energies, mc)
         add_curve(0, [(e, 0.0, 0, est) for e, est in zip(cfg.energies, ests)])

@@ -26,6 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .lattice import ModelSpec
+from .spectral import eigen_weights
 
 _SCORE_MAX_ORDER = 2
 _TILTED_MAX_BLOCKS = 6
@@ -199,16 +200,29 @@ class _Volume:
         return h
 
     def eigen_weights(self, om_prefix: np.ndarray):
-        evals, evecs = np.linalg.eigh(self.hamiltonian(om_prefix))
-        w = np.sum(np.abs(evecs[self.block0, :]) ** 2, axis=0)
-        return evals, w
+        return eigen_weights(self.hamiltonian(om_prefix), self.block0)
+
+
+def _spectral_parameters(energies, eps) -> np.ndarray:
+    """E + i*eps with eps a scalar or an array broadcast against energies."""
+    eps = np.asarray(eps, dtype=float)
+    if not np.all(eps > 0.0):
+        raise ValueError("imaginary shifts must be positive")
+    return np.asarray(energies, dtype=float) + 1j * eps
 
 
 def _weighted_resolvent_power(evals, weights, zs, power: int):
-    """sum_j w_j / (lambda_j - z)^power for each z."""
-    return np.sum(
-        weights[:, None] / (evals[:, None] - zs[None, :]) ** power, axis=0
-    )
+    """sum_j w_j / (lambda_j - z)^power for each z of zs, flattened.
+
+    numpy adds a lone column pairwise but several columns row by row, so
+    each row (last axis) of a 2-d zs is summed the way a call with that row
+    alone would sum it: the bytes of a row do not depend on how many rows
+    share the call.
+    """
+    terms = weights[:, None] / (evals[:, None] - zs.reshape(1, -1)) ** power
+    if zs.shape[-1] == 1:
+        return np.ascontiguousarray(terms.T).sum(axis=1)
+    return terms.sum(axis=0)
 
 
 def _score_sum(model: ModelSpec, om_full: np.ndarray, n_blocks: int, ell: int):
@@ -247,10 +261,12 @@ def _check_score_preconditions(model: ModelSpec, ell: int, n_blocks: int):
                 f"derivative order {ell} exceeds the continuity order "
                 f"{dens.continuity_order} of the block-{b} density"
             )
-        if dens.p < 2:
+        # the order-ell weight grows like x^-ell at the support edge, so its
+        # second moment against c_p x^p (1-x)^p is finite only for p > 2*ell - 1
+        if dens.p < 2 * ell:
             raise ValueError(
-                "score weights have infinite variance for p < 2; "
-                f"block {b} has p={dens.p}"
+                f"score weights of order {ell} have infinite variance unless "
+                f"p >= 2*ell = {2 * ell}; block {b} has p={dens.p}"
             )
 
 
@@ -261,14 +277,20 @@ def smoothed_dos_curve(
     model: ModelSpec,
     n_prefix_sites: int,
     energies: Sequence[float],
-    eps: float,
+    eps: float | np.ndarray,
     mc: McConfig,
 ) -> list[Estimate]:
-    """(1/pi) E[Im tr(P_0 (h - E - i eps)^{-1})] on an energy grid."""
-    if not eps > 0.0:
-        raise ValueError("imaginary shift must be positive")
+    """(1/pi) E[Im tr(P_0 (h - E - i eps)^{-1})] on an energy grid.
+
+    eps is a scalar or an array that broadcasts against energies, e.g. a
+    column of eps values against a row of energies; estimates come in the
+    flattened (C) order of the broadcast grid.  Every grid point uses the
+    same eigen-data of each sample, so a grid of several eps costs one eigh
+    per sample, and each row of the grid gets the bytes a call with that row
+    alone would give.  Every eps must be positive.
+    """
+    zs = _spectral_parameters(energies, eps)
     vol = _Volume(model, n_prefix_sites)
-    zs = np.asarray(energies, dtype=float) + 1j * eps
 
     def one(i: int):
         om = draw_disorder(model, mc.master_seed, i)
@@ -326,13 +348,17 @@ def dos_derivative_curve(
     model: ModelSpec,
     n_prefix_sites: int,
     energies: Sequence[float],
-    eps: float,
+    eps: float | np.ndarray,
     ell: int,
     mc: McConfig,
     method: str = "score",
     score_blocks: int | None = None,
 ) -> list[Estimate]:
     """d^ell/dE^ell E[tr(P_0 (h - E - i eps)^{-1})] on an energy grid.
+
+    eps is a scalar or an array that broadcasts against energies, as in
+    smoothed_dos_curve: all (E, eps) elements share each sample's draw,
+    eigen-data and score weight.
 
     method "score" multiplies the trace by the sampled log-density weights
     (antithetic in omega -> 1 - omega, which cancels the odd part of the
@@ -341,12 +367,10 @@ def dos_derivative_curve(
     extend the weight sum over extra blocks beyond the volume; the extra
     coordinates integrate out, so the mean is unchanged.
     """
-    if not eps > 0.0:
-        raise ValueError("imaginary shift must be positive")
+    zs = _spectral_parameters(energies, eps)
     if ell < 0:
         raise ValueError("derivative order must be non-negative")
     vol = _Volume(model, n_prefix_sites)
-    zs = np.asarray(energies, dtype=float) + 1j * eps
     lam_pow = model.coupling ** (-ell)
 
     if method == "score":

@@ -205,6 +205,31 @@ def test_run_one_curve_per_eps(tmp_path):
     assert (float(eps0), float(eps1)) == (0.4, 0.2)
 
 
+@pytest.mark.parametrize("command,ell", [("dos", 0), ("dos-deriv", 1)])
+def test_run_makes_one_estimator_call_for_all_eps(tmp_path, monkeypatch, command, ell):
+    import doslab.cli as cli_mod
+
+    calls = []
+    for name in ("smoothed_dos_curve", "dos_derivative_curve"):
+        real = getattr(cli_mod, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, name, counted)
+    cfgp = toy_config(tmp_path, command, eps_values="0.4, 0.2, 0.1", ell=ell)
+    code, _, err = run_quiet(None, cfgp)
+    assert code == 0, err
+    want = "smoothed_dos_curve" if command == "dos" else "dos_derivative_curve"
+    assert calls == [want]
+    for j, eps in enumerate((0.4, 0.2, 0.1)):
+        rows = (tmp_path / "out" / f"{command}_curve{j}.csv").read_text().splitlines()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [-0.5, 0.0, 0.5]
+        assert {float(r.split(",")[1]) for r in rows[1:]} == {eps}
+        assert {int(r.split(",")[2]) for r in rows[1:]} == {ell}
+
+
 def test_run_ids_has_zero_epsilon_column(tmp_path):
     cfgp = toy_config(tmp_path, "ids")
     code, _, err = run_quiet(None, cfgp)
@@ -301,6 +326,17 @@ def test_run_deriv_order_beyond_smoothness_exits_2(tmp_path):
     code, _, err = run_quiet(None, cfgp)
     assert code == 2
     assert "run.ell" in err
+
+
+def test_run_deriv_score_variance_guard_exits_2(tmp_path):
+    cfgp = toy_config(tmp_path, "dos-deriv", ell="2")
+    with open(cfgp) as fh:
+        body = fh.read().replace("p = 2", "p = 3")  # smooth enough, too heavy-tailed
+    write_config(tmp_path / "p3.ini", body)
+    code, _, err = run_quiet(None, str(tmp_path / "p3.ini"))
+    assert code == 2
+    assert "run.ell" in err
+    assert "p >= 2*ell" in err
 
 
 # -- verify command ---------------------------------------------------------------

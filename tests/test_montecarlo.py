@@ -222,6 +222,61 @@ def test_score_route_preconditions():
         estimate_smoothed_dos(model, 5, 0.0, -0.1, mc)
 
 
+def test_score_route_variance_guard_boundary():
+    # the order-ell weight has a finite second moment only for p >= 2*ell
+    mc = McConfig(n_samples=8, master_seed=0)
+    p3 = chain_model(2, coupling=1.0, p=3)
+    with pytest.raises(ValueError, match=r"p >= 2\*ell = 4"):
+        estimate_dos_derivative(p3, 5, 0.0, 0.5, ell=2, mc=mc)
+    with pytest.raises(ValueError, match=r"p >= 2\*ell = 4"):
+        telescope_series_diagnostic(p3, range(2, 4), 2, 0.0, 0.5, mc)
+    ok = estimate_dos_derivative(p3, 5, 0.0, 0.5, ell=1, mc=mc)
+    assert np.isfinite(complex(ok.mean))
+    p4 = chain_model(2, coupling=1.0, p=4)
+    ok = estimate_dos_derivative(p4, 5, 0.0, 0.5, ell=2, mc=mc)
+    assert np.isfinite(complex(ok.mean))
+
+
+EPS_GRID = (0.4, 0.15, 0.05)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("energies", [[-0.7, 0.0, 0.4, 1.1], [0.3]])
+@pytest.mark.parametrize("route", ["dos", "score-1", "score-2", "resolvent-1"])
+def test_eps_grid_in_one_pass_equals_per_eps_calls(route, energies, workers):
+    # a column of eps against a row of energies must give, bit for bit, the
+    # estimates of one call per eps; 13 sites, because numpy sums 8 or more
+    # terms of a lone column pairwise
+    mc = McConfig(n_samples=24, master_seed=17, workers=workers)
+    if route == "dos":
+        model = chain_model(6, coupling=2.0)
+
+        def curve(eps):
+            return smoothed_dos_curve(model, 13, energies, eps, mc)
+
+    else:
+        method, ell = route.split("-")
+        ell = int(ell)
+        model = chain_model(6, coupling=2.0, p=2 * ell)
+
+        def curve(eps):
+            return dos_derivative_curve(
+                model, 13, energies, eps, ell, mc, method=method
+            )
+
+    grid = curve(np.array(EPS_GRID)[:, None])
+    assert len(grid) == len(EPS_GRID) * len(energies)
+    for j, eps in enumerate(EPS_GRID):
+        row = grid[j * len(energies) : (j + 1) * len(energies)]
+        single = curve(eps)
+        assert [e.mean for e in row] == [e.mean for e in single], eps
+        assert [e.stderr for e in row] == [e.stderr for e in single], eps
+    with pytest.raises(ValueError, match="imaginary"):
+        curve(np.array([[0.2], [0.0], [0.1]]))
+    with pytest.raises(ValueError, match="imaginary"):
+        curve(np.array([[0.2], [-0.1]]))
+
+
 def test_tilted_route_agrees_with_resolvent_route():
     model = chain_model(2, coupling=1.5, p=3)
     mc = McConfig(n_samples=3000, master_seed=19)
