@@ -32,7 +32,7 @@ from .montecarlo import (
     telescope_series_diagnostic,
     telescoping_term,
 )
-from .spectral import ComplexShift, KernelBlock, dissipative_exp, resolvent_columns
+from .spectral import ComplexShift, resolvent_columns
 from .verify import (
     BumpPair,
     CheckReport,
@@ -58,7 +58,6 @@ __all__ = [
     "DecayFit",
     "Estimate",
     "FreeOperatorSpec",
-    "KernelBlock",
     "McConfig",
     "ModelSpec",
     "ProjectionFamily",
@@ -69,7 +68,6 @@ __all__ = [
     "TiltedSampler",
     "assemble_hamiltonian",
     "build_box_enumeration",
-    "dissipative_exp",
     "estimate_dos_derivative",
     "estimate_fractional_moment",
     "estimate_ids",

@@ -458,27 +458,14 @@ def _prepare(command: str, cfg: ExperimentConfig) -> _Plan:
         )
 
     model, n_prefix = _build_model(cfg)
-    try:
-        mc = McConfig(
-            n_samples=cfg.n_samples,
-            master_seed=cfg.master_seed,
-            energies=cfg.energies,
-            eps_values=cfg.eps_values,
-            s=cfg.s,
-            ell=cfg.ell,
-            workers=cfg.workers,
-            preset="telescope" if command == "telescope" else "",
-        )
-    except ValueError as exc:
-        raise ConfigError("run", str(exc)) from None
+    mc = McConfig(cfg.n_samples, cfg.master_seed, workers=cfg.workers)
     plan = _Plan(command, cfg, model, n_prefix, mc)
 
     if command == "dos-deriv":
         from .montecarlo import _check_score_preconditions
 
-        n_blocks = model.projections.blocks_for_prefix(n_prefix)
         try:
-            _check_score_preconditions(model, cfg.ell, n_blocks)
+            _check_score_preconditions(model.density, cfg.ell)
         except ValueError as exc:
             raise ConfigError("run.ell", str(exc)) from None
     elif command == "fracmom":
@@ -712,7 +699,9 @@ def run(
         artifacts = getattr(exc, "artifacts", {})
         diagnostics = getattr(exc, "diagnostics", {})
         failure = exc
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+    except (
+        RuntimeError, np.linalg.LinAlgError, FloatingPointError, OverflowError
+    ) as exc:
         print(f"numerical failure: {exc}", file=err)
         return EXIT_NUMERICAL
     wall = time.perf_counter() - started
@@ -779,10 +768,11 @@ def reproduce(manifest_path: str, out=None, err=None) -> int:
 
     try:
         artifacts, _ = _execute(plan)
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=err)
-        return EXIT_NUMERICAL
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+    except (
+        RuntimeError, np.linalg.LinAlgError, FloatingPointError, OverflowError
+    ) as exc:
+        # RuntimeError covers NumericalFailure, solver residual guards and
+        # disorder.SamplingError
         print(f"numerical failure: {exc}", file=err)
         return EXIT_NUMERICAL
 

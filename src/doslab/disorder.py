@@ -111,6 +111,23 @@ class SingleSiteDensity:
         xa = np.asarray(x, dtype=float)
         return -self.p / xa**2 - self.p / (1.0 - xa) ** 2
 
+    def score_factor(self, x, ell: int):
+        """Order-ell score weight of the product law at x, summed over the last axis.
+
+        With S1 = sum (log rho)'(x_b) and S2 = sum (log rho)''(x_b) the weight
+        is 1, S1 or S1^2 + S2 for ell = 0, 1, 2: the ell-th derivative of the
+        product density along the all-ones direction, over the density.
+        """
+        xa = np.asarray(x, dtype=float)
+        if ell == 0:
+            return np.ones(xa.shape[:-1])
+        if ell not in (1, 2):
+            raise ValueError(f"score factors are defined for ell in 0..2, got {ell}")
+        s1 = self.log_derivative(xa).sum(axis=-1)
+        if ell == 1:
+            return s1
+        return s1 * s1 + self.log_curvature(xa).sum(axis=-1)
+
     # -- derivative norms ------------------------------------------------------
 
     def derivative_coefficients(self, order: int) -> np.ndarray:
@@ -242,28 +259,3 @@ def _rejection(target, bound: float, rng: np.random.Generator, n: int) -> np.nda
         out[filled : filled + take] = acc[:take]
         filled += take
     return out
-
-
-# -- flat operation aliases ----------------------------------------------------
-
-
-def density_eval(rho: SingleSiteDensity, j: int, x):
-    """j-th derivative of the density at x (zero outside the support)."""
-    return rho.eval(x, j)
-
-
-def sample(rho: SingleSiteDensity, rng: np.random.Generator, size: int | None = None):
-    return rho.sample(rng, size)
-
-
-def sample_tilted(
-    rho: SingleSiteDensity, j: int, rng: np.random.Generator, size: int | None = None
-):
-    """Draw from the order-j tilted law; returns (value, sign, weight)."""
-    sampler = rho.tilted(j)
-    value, sign = sampler.sample(rng, size)
-    return value, sign, sampler.weight
-
-
-def l1_norm_of_derivative(rho: SingleSiteDensity, j: int) -> float:
-    return rho.l1_norm(j)

@@ -17,8 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .disorder import SingleSiteDensity
-
-_DENSE_DIMENSION_CAP = 4096
+from .spectral import _DENSE_DIMENSION_CAP
 
 
 class SiteSpace:
@@ -28,8 +27,7 @@ class SiteSpace:
     alpha is the declared growth exponent: the distance from x_0 to the
     complement of the first N sites should grow like N**alpha.  growth_constant
     is the measured constant r_G = min_N dist(x_0, complement) / N**alpha over
-    the constructed range.  General graphs carry experimental=True: they run
-    through the same interfaces but no accuracy claims are attached.
+    the constructed range.
     """
 
     def __init__(
@@ -39,7 +37,6 @@ class SiteSpace:
         alpha: float | None,
         dimension: int | None = None,
         half_width: int | None = None,
-        experimental: bool = False,
         coords: np.ndarray | None = None,
     ):
         self.sites = list(sites)
@@ -49,7 +46,6 @@ class SiteSpace:
         self.alpha = alpha
         self.dimension = dimension
         self.half_width = half_width
-        self.experimental = experimental
         self.coords = coords
         self._index = {s: i for i, s in enumerate(self.sites)}
         self.growth_constant: float | None = None
@@ -107,45 +103,8 @@ def build_box_enumeration(dimension: int, half_width: int) -> SiteSpace:
         alpha=1.0 / d,
         dimension=d,
         half_width=L,
-        experimental=False,
         coords=coords,
     )
-
-
-def build_graph_enumeration(
-    edges: Sequence[tuple[int, int]],
-    n_sites: int,
-    root: int = 0,
-    alpha: float | None = None,
-) -> SiteSpace:
-    """Breadth-first enumeration of a connected graph from a root site.
-
-    Experimental surface: the unit-increment property is still verified, but
-    no growth exponent is assumed unless the caller declares one.
-    """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import shortest_path
-
-    if n_sites < 1 or n_sites > _DENSE_DIMENSION_CAP:
-        raise ValueError(f"site count {n_sites} outside [1, {_DENSE_DIMENSION_CAP}]")
-    e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    adj = coo_matrix(
-        (np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n_sites, n_sites)
-    )
-    dist = shortest_path(adj, method="D", directed=False, unweighted=True)
-    if not np.all(np.isfinite(dist)):
-        raise ValueError("graph is not connected")
-    dist = dist.astype(np.int64)
-    order = np.lexsort((np.arange(n_sites), dist[root]))
-    labels = [int(k) for k in order]
-    pos = {lab: i for i, lab in enumerate(labels)}
-
-    def metric(i: int, j: int) -> int:
-        return int(dist[labels[i], labels[j]])
-
-    space = SiteSpace(labels, metric, alpha=alpha, experimental=True)
-    space._graph_positions = pos  # noqa: SLF001 - internal back-reference
-    return space
 
 
 def _check_unit_increment(space: SiteSpace) -> None:
@@ -301,7 +260,8 @@ class FreeOperatorSpec:
         """Hopping between lattice neighbors (coordinate difference one step).
 
         phase(site_a, site_b) adds a Peierls factor exp(i*phase) on top of the
-        common amplitude.  Graph spaces hop along their edges instead.
+        common amplitude.  Spaces without coordinates hop between sites at
+        distance one.
         """
         n = len(space)
         hopping: dict[tuple[int, int], complex] = {}
@@ -348,17 +308,14 @@ class FreeOperatorSpec:
 class ModelSpec:
     """Random operator h = h0 + coupling * sum_n omega_n P_n on a site space.
 
-    density is the common law of the i.i.d. block couplings omega_n; a list
-    gives one law per block.
+    density is the common law of the i.i.d. block couplings omega_n.
     """
 
     site_space: SiteSpace
     projections: ProjectionFamily
     free: FreeOperatorSpec
     coupling: float
-    density: SingleSiteDensity | Sequence[SingleSiteDensity] = field(
-        default_factory=lambda: SingleSiteDensity(2)
-    )
+    density: SingleSiteDensity = field(default_factory=lambda: SingleSiteDensity(2))
 
     def __post_init__(self):
         if not self.coupling > 0.0:
@@ -369,22 +326,11 @@ class ModelSpec:
         if self.free.diagonal.shape[0] != n:
             raise ValueError("free operator does not cover the site space")
         if not isinstance(self.density, SingleSiteDensity):
-            self.density = list(self.density)
-            if len(self.density) != len(self.projections):
-                raise ValueError("need one density per block")
+            raise ValueError("density must be one SingleSiteDensity shared by all blocks")
 
     @property
     def n_blocks(self) -> int:
         return len(self.projections)
-
-    def block_density(self, n: int) -> SingleSiteDensity:
-        if isinstance(self.density, SingleSiteDensity):
-            return self.density
-        return self.density[n]
-
-    def uniform_density(self) -> SingleSiteDensity | None:
-        """The shared density, or None when blocks carry different laws."""
-        return self.density if isinstance(self.density, SingleSiteDensity) else None
 
     def block_distance(self, n: int, k: int) -> int:
         """Metric distance between two blocks (minimum over their sites)."""

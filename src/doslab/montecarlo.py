@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
+from .disorder import SingleSiteDensity
 from .lattice import ModelSpec
-from .spectral import eigen_weights
+from .spectral import eigen_weights, resolvent_columns
 
 _SCORE_MAX_ORDER = 2
 _TILTED_MAX_BLOCKS = 6
@@ -70,17 +70,15 @@ class Estimate:
 class McConfig:
     """Sampling plan shared by the estimators.
 
-    The telescope preset additionally pins the fractional exponent below 1/2,
-    which is what the two-resolvent bound behind the telescoping argument
-    needs.
+    No estimator reads s or preset: they only let a caller keep its
+    fractional exponent next to the plan.  The telescope preset pins s below
+    1/2, which is what the two-resolvent bound behind the telescoping
+    argument needs.
     """
 
     n_samples: int
     master_seed: int
-    energies: tuple[float, ...] = ()
-    eps_values: tuple[float, ...] = (0.5, 0.2, 0.1, 0.05)
     s: float = 1.0 / 3.0
-    ell: int = 0
     workers: int = 1
     preset: str = ""
 
@@ -91,10 +89,6 @@ class McConfig:
             raise ValueError("need at least one worker")
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"fractional exponent s={self.s} outside (0, 1)")
-        if self.ell < 0:
-            raise ValueError("derivative order must be non-negative")
-        if any(e <= 0.0 for e in self.eps_values):
-            raise ValueError("imaginary shifts must be positive")
         if self.preset == "telescope" and not self.s < 0.5:
             raise ValueError(
                 f"telescope preset needs s < 1/2, got s={self.s}"
@@ -141,13 +135,7 @@ def draw_disorder(model: ModelSpec, master_seed: int, index: int) -> np.ndarray:
     Always the full model, never a prefix: volume restrictions slice this
     vector, so a block's coupling is the same in every volume that contains it.
     """
-    rng = _sample_rng(master_seed, index)
-    shared = model.uniform_density()
-    if shared is not None:
-        return shared.sample(rng, size=model.n_blocks)
-    return np.array(
-        [model.block_density(b).sample(rng) for b in range(model.n_blocks)]
-    )
+    return model.density.sample(_sample_rng(master_seed, index), size=model.n_blocks)
 
 
 def _run_samples(n_samples, workers, width, fn, dtype=np.complex128) -> np.ndarray:
@@ -225,49 +213,25 @@ def _weighted_resolvent_power(evals, weights, zs, power: int):
     return terms.sum(axis=0)
 
 
-def _score_sum(model: ModelSpec, om_full: np.ndarray, n_blocks: int, ell: int):
-    """Sum over the first n_blocks coordinates of the log-density weights."""
-    if ell == 0:
-        return 1.0
-    x = om_full[:n_blocks]
-    shared = model.uniform_density()
-    if shared is not None:
-        ld = shared.log_derivative(x)
-        if ell == 1:
-            return float(ld.sum())
-        s1 = float(ld.sum())
-        return s1 * s1 + float(shared.log_curvature(x).sum())
-    ld = np.array(
-        [model.block_density(b).log_derivative(x[b]) for b in range(n_blocks)]
-    )
-    if ell == 1:
-        return float(ld.sum())
-    s1 = float(ld.sum())
-    lc = sum(model.block_density(b).log_curvature(x[b]) for b in range(n_blocks))
-    return s1 * s1 + float(lc)
-
-
-def _check_score_preconditions(model: ModelSpec, ell: int, n_blocks: int):
+def _check_score_preconditions(density: SingleSiteDensity, ell: int):
     if ell == 0:
         return
     if ell > _SCORE_MAX_ORDER:
         raise ValueError(
             f"score route supports derivative orders up to {_SCORE_MAX_ORDER}, got {ell}"
         )
-    for b in range(n_blocks):
-        dens = model.block_density(b)
-        if ell > dens.continuity_order:
-            raise ValueError(
-                f"derivative order {ell} exceeds the continuity order "
-                f"{dens.continuity_order} of the block-{b} density"
-            )
-        # the order-ell weight grows like x^-ell at the support edge, so its
-        # second moment against c_p x^p (1-x)^p is finite only for p > 2*ell - 1
-        if dens.p < 2 * ell:
-            raise ValueError(
-                f"score weights of order {ell} have infinite variance unless "
-                f"p >= 2*ell = {2 * ell}; block {b} has p={dens.p}"
-            )
+    if ell > density.continuity_order:
+        raise ValueError(
+            f"derivative order {ell} exceeds the continuity order "
+            f"{density.continuity_order} of the single-site density"
+        )
+    # the order-ell weight grows like x^-ell at the support edge, so its
+    # second moment against c_p x^p (1-x)^p is finite only for p > 2*ell - 1
+    if density.p < 2 * ell:
+        raise ValueError(
+            f"score weights of order {ell} have infinite variance unless "
+            f"p >= 2*ell = {2 * ell}; the density has p={density.p}"
+        )
 
 
 # -- density of states ----------------------------------------------------------
@@ -312,36 +276,24 @@ def ids_curve(
     n_prefix_sites: int,
     energies: Sequence[float],
     mc: McConfig,
-    normalized: bool = False,
 ) -> list[Estimate]:
-    """E[tr(P_0 E_h((-inf, E]))] on an energy grid; ties at E are counted.
-
-    normalized divides by tr(P_0), turning the value into an occupation
-    fraction of the probe block.
-    """
+    """E[tr(P_0 E_h((-inf, E]))] on an energy grid; ties at E are counted."""
     vol = _Volume(model, n_prefix_sites)
     es = np.asarray(energies, dtype=float)
-    scale = 1.0 / len(vol.block0) if normalized else 1.0
 
     def one(i: int):
         om = draw_disorder(model, mc.master_seed, i)
         evals, w = vol.eigen_weights(om[: vol.n_blocks])
-        return scale * np.sum(
-            w[:, None] * (evals[:, None] <= es[None, :]), axis=0
-        )
+        return np.sum(w[:, None] * (evals[:, None] <= es[None, :]), axis=0)
 
     values = _run_samples(mc.n_samples, mc.workers, es.size, one, dtype=np.float64)
     return [Estimate.from_samples(values[:, k], mc.master_seed) for k in range(es.size)]
 
 
 def estimate_ids(
-    model: ModelSpec,
-    n_prefix_sites: int,
-    energy: float,
-    mc: McConfig,
-    normalized: bool = False,
+    model: ModelSpec, n_prefix_sites: int, energy: float, mc: McConfig
 ) -> Estimate:
-    return ids_curve(model, n_prefix_sites, [energy], mc, normalized)[0]
+    return ids_curve(model, n_prefix_sites, [energy], mc)[0]
 
 
 def dos_derivative_curve(
@@ -352,7 +304,6 @@ def dos_derivative_curve(
     ell: int,
     mc: McConfig,
     method: str = "score",
-    score_blocks: int | None = None,
 ) -> list[Estimate]:
     """d^ell/dE^ell E[tr(P_0 (h - E - i eps)^{-1})] on an energy grid.
 
@@ -363,9 +314,7 @@ def dos_derivative_curve(
     method "score" multiplies the trace by the sampled log-density weights
     (antithetic in omega -> 1 - omega, which cancels the odd part of the
     weight); method "resolvent" evaluates ell! tr(P_0 G^{ell+1}) per sample,
-    which is the same derivative without reweighting.  score_blocks may
-    extend the weight sum over extra blocks beyond the volume; the extra
-    coordinates integrate out, so the mean is unchanged.
+    which is the same derivative without reweighting.
     """
     zs = _spectral_parameters(energies, eps)
     if ell < 0:
@@ -374,24 +323,20 @@ def dos_derivative_curve(
     lam_pow = model.coupling ** (-ell)
 
     if method == "score":
-        _check_score_preconditions(model, ell, vol.n_blocks)
-        n_score = vol.n_blocks if score_blocks is None else int(score_blocks)
-        if not vol.n_blocks <= n_score <= model.n_blocks:
-            raise ValueError(
-                f"score_blocks must lie in [{vol.n_blocks}, {model.n_blocks}]"
-            )
+        _check_score_preconditions(model.density, ell)
+        score = model.density.score_factor
 
         def one(i: int):
-            om = draw_disorder(model, mc.master_seed, i)
-            evals, w = vol.eigen_weights(om[: vol.n_blocks])
+            om = draw_disorder(model, mc.master_seed, i)[: vol.n_blocks]
+            evals, w = vol.eigen_weights(om)
             tr = _weighted_resolvent_power(evals, w, zs, 1)
             if ell == 0:
                 return tr
-            row = tr * (_score_sum(model, om, n_score, ell) * lam_pow)
+            row = tr * (score(om, ell) * lam_pow)
             om_m = 1.0 - om  # the bump laws are symmetric about 1/2
-            evals_m, w_m = vol.eigen_weights(om_m[: vol.n_blocks])
+            evals_m, w_m = vol.eigen_weights(om_m)
             tr_m = _weighted_resolvent_power(evals_m, w_m, zs, 1)
-            row_m = tr_m * (_score_sum(model, om_m, n_score, ell) * lam_pow)
+            row_m = tr_m * (score(om_m, ell) * lam_pow)
             return 0.5 * (row + row_m)
 
     elif method == "resolvent":
@@ -419,10 +364,9 @@ def estimate_dos_derivative(
     ell: int,
     mc: McConfig,
     method: str = "score",
-    score_blocks: int | None = None,
 ) -> Estimate:
     return dos_derivative_curve(
-        model, n_prefix_sites, [energy], eps, ell, mc, method, score_blocks
+        model, n_prefix_sites, [energy], eps, ell, mc, method
     )[0]
 
 
@@ -459,11 +403,7 @@ def estimate_dos_derivative_tilted(
         raise ValueError(
             "orders above 2 in the tilted route need experimental_high_order=True"
         )
-    for b in range(vol.n_blocks):
-        if ell > model.block_density(b).continuity_order:
-            raise ValueError(
-                f"derivative order {ell} exceeds the continuity order of block {b}"
-            )
+    density = model.density
     z = complex(energy, eps)
     multis = [
         k
@@ -474,12 +414,8 @@ def estimate_dos_derivative_tilted(
         math.factorial(ell) / math.prod(math.factorial(kb) for kb in k)
         for k in multis
     ]
-    samplers = {
-        (b, o): model.block_density(b).tilted(o)
-        for b in range(vol.n_blocks)
-        for o in range(1, ell + 1)
-        if o <= model.block_density(b).continuity_order
-    }
+    # tilted(o) rejects orders above the density's continuity order
+    samplers = {o: density.tilted(o) for o in range(1, ell + 1)}
     lam_pow = model.coupling ** (-ell)
 
     def one(i: int):
@@ -490,9 +426,9 @@ def estimate_dos_derivative_tilted(
             factor = 1.0
             for b, order in enumerate(k):
                 if order == 0:
-                    om[b] = model.block_density(b).sample(rng)
+                    om[b] = density.sample(rng)
                 else:
-                    smp = samplers[(b, order)]
+                    smp = samplers[order]
                     x, sgn = smp.sample(rng)
                     om[b] = x
                     factor *= sgn * smp.weight
@@ -522,11 +458,8 @@ def fractional_moment_profile(
     One factorization per sample serves every target, so the per-distance
     estimates share their disorder realizations.
     """
-    from .spectral import _as_z
-
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional exponent s={s} outside (0, 1)")
-    zc = _as_z(z)
     vol = _Volume(model, n_prefix_sites)
     targets = [int(t) for t in target_blocks]
     for t in [source_block, *targets]:
@@ -534,16 +467,10 @@ def fractional_moment_profile(
             raise ValueError(f"block {t} outside the prefix volume")
     src_sites = model.projections.sites_of_block(source_block)
     tgt_sites = [model.projections.sites_of_block(t) for t in targets]
-    n = vol.n_sites
-    rhs = np.zeros((n, len(src_sites)), dtype=np.complex128)
-    rhs[src_sites, np.arange(len(src_sites))] = 1.0
 
     def one(i: int):
         om = draw_disorder(model, mc.master_seed, i)
-        h = vol.hamiltonian(om[: vol.n_blocks]).astype(np.complex128)
-        h[np.arange(n), np.arange(n)] -= zc
-        lu, piv = sla.lu_factor(h, check_finite=False)
-        cols = sla.lu_solve((lu, piv), rhs, check_finite=False)
+        cols = resolvent_columns(vol.hamiltonian(om[: vol.n_blocks]), z, src_sites)
         out = np.empty(len(targets))
         for j, idx in enumerate(tgt_sites):
             block = cols[idx, :]
@@ -666,14 +593,14 @@ def telescope_series_diagnostic(
             f"k_range {ks[0]}..{ks[-1]} needs volumes of {ks[-1] + 1} blocks, "
             f"model has {model.n_blocks}"
         )
-    if ell > 0:
-        _check_score_preconditions(model, ell, ks[-1] + 1)
+    _check_score_preconditions(model.density, ell)
     z = np.array([complex(energy, eps)])
     vols = {
         k: _Volume(model, model.projections.prefix_sites(k))
         for k in range(ks[0], ks[-1] + 2)
     }
     lam_pow = model.coupling ** (-ell)
+    score = model.density.score_factor
     n_terms = len(ks)
 
     def traces(om):
@@ -687,11 +614,9 @@ def telescope_series_diagnostic(
         row = np.empty(n_terms + 2, dtype=np.complex128)
         for j, k in enumerate(ks):
             diff = tr[k + 1] - tr[k]
-            row[j] = diff * (_score_sum(model, om, k + 1, ell) * lam_pow)
-        row[n_terms] = tr[ks[0]] * (_score_sum(model, om, ks[0], ell) * lam_pow)
-        row[n_terms + 1] = tr[ks[-1] + 1] * (
-            _score_sum(model, om, ks[-1] + 1, ell) * lam_pow
-        )
+            row[j] = diff * (score(om[: k + 1], ell) * lam_pow)
+        row[n_terms] = tr[ks[0]] * (score(om[: ks[0]], ell) * lam_pow)
+        row[n_terms + 1] = tr[ks[-1] + 1] * (score(om[: ks[-1] + 1], ell) * lam_pow)
         return row
 
     def one(i: int):

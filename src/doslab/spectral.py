@@ -1,5 +1,4 @@
-"""Resolvent columns, kernel blocks, spectral projector traces, contraction
-semigroup exponentials.
+"""Dense resolvent columns and probe-block spectral weights.
 
 Everything here is exact dense linear algebra at desk scale (dimension a few
 thousand at most); statistical estimation lives in `montecarlo`.
@@ -15,8 +14,6 @@ import scipy.linalg as sla
 
 _DENSE_DIMENSION_CAP = 4096
 _RESIDUAL_REL_TOL = 1e-10
-_DISSIPATIVITY_SLACK = 1e-12
-_CONTRACTION_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,19 +41,6 @@ def _as_z(z) -> complex:
     return zc
 
 
-@dataclass(frozen=True)
-class KernelBlock:
-    """One block P_n (h - z)^{-1} P_k of a resolvent kernel."""
-
-    source: int
-    target: int
-    entries: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
-
-
 def resolvent_columns(h: np.ndarray, z, columns: Sequence[int]) -> np.ndarray:
     """Columns of (h - z)^{-1}, one LU factorization reused for all of them.
 
@@ -73,50 +57,21 @@ def resolvent_columns(h: np.ndarray, z, columns: Sequence[int]) -> np.ndarray:
     cols = np.asarray(columns, dtype=np.int64)
     if cols.size and (cols.min() < 0 or cols.max() >= n):
         raise ValueError("column index outside the matrix")
-    shifted = h.astype(np.complex128, copy=True)
+    shifted = np.array(h, dtype=np.complex128, order="F")
     shifted[np.arange(n), np.arange(n)] -= zc
-    lu, piv = sla.lu_factor(shifted, check_finite=False)
+    lu, piv = sla.lu_factor(shifted, overwrite_a=True, check_finite=False)
     rhs = np.zeros((n, cols.size), dtype=np.complex128)
     rhs[cols, np.arange(cols.size)] = 1.0
     x = sla.lu_solve((lu, piv), rhs, check_finite=False)
     scale = np.linalg.norm(h, np.inf) + abs(zc)
-    resid = np.linalg.norm(shifted @ x - rhs, axis=0)
+    # einsum, not BLAS: numpy's own BLAS pool would contend with scipy's LU
+    resid = np.linalg.norm(np.einsum("ij,jk->ik", h, x) - zc * x - rhs, axis=0)
     if np.any(resid > _RESIDUAL_REL_TOL * scale):
         raise RuntimeError(
             f"resolvent solve residual {resid.max():.3e} exceeds "
             f"{_RESIDUAL_REL_TOL:.0e} * {scale:.3e}"
         )
     return x
-
-
-def kernel_block(h: np.ndarray, z, source: int, target: int, projections) -> KernelBlock:
-    """P_source (h - z)^{-1} P_target as an explicit rank x rank block."""
-    rows = projections.sites_of_block(source)
-    cols = projections.sites_of_block(target)
-    x = resolvent_columns(h, z, cols)
-    return KernelBlock(source, target, x[rows, :])
-
-
-def kernel_block_norm(h: np.ndarray, z, source: int, target: int, projections) -> float:
-    """Spectral norm of one resolvent kernel block; always <= 1/eps."""
-    return kernel_block(h, z, source, target, projections).norm
-
-
-def spectral_projector_trace(
-    h: np.ndarray, block_sites: Sequence[int], energy: float
-) -> float:
-    """tr(P E_h((-inf, energy])) for the coordinate projection on block_sites.
-
-    The interval is closed: eigenvalues exactly at `energy` count.
-    """
-    h = np.asarray(h)
-    n = h.shape[0]
-    if n > _DENSE_DIMENSION_CAP:
-        raise ValueError(f"dimension {n} above the dense cap {_DENSE_DIMENSION_CAP}")
-    evals, evecs = np.linalg.eigh(h)
-    idx = np.asarray(block_sites, dtype=np.int64)
-    weights = np.sum(np.abs(evecs[idx, :]) ** 2, axis=0)
-    return float(np.sum(weights[evals <= energy]))
 
 
 def eigen_weights(h: np.ndarray, block_sites: Sequence[int]):
@@ -129,30 +84,3 @@ def eigen_weights(h: np.ndarray, block_sites: Sequence[int]):
     idx = np.asarray(block_sites, dtype=np.int64)
     weights = np.sum(np.abs(evecs[idx, :]) ** 2, axis=0)
     return evals, weights
-
-
-def dissipative_exp(a: np.ndarray, t: float) -> np.ndarray:
-    """exp(i*t*a) for t >= 0 and Im(a) = (a - a*)/(2i) positive semidefinite.
-
-    Scaling-and-squaring Pade exponential; the result is checked to be a
-    contraction up to 1e-9.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    im_part = (a - a.conj().T) / 2j
-    lo = float(np.linalg.eigvalsh(im_part)[0])
-    if lo < -_DISSIPATIVITY_SLACK:
-        raise ValueError(
-            f"matrix is not dissipative: min eigenvalue of Im(a) is {lo:.3e}"
-        )
-    u = sla.expm(1j * t * a)
-    nrm = float(np.linalg.norm(u, 2))
-    if nrm > 1.0 + _CONTRACTION_SLACK:
-        raise RuntimeError(
-            f"exponential is not a contraction: norm {nrm} > 1 + {_CONTRACTION_SLACK:.0e}"
-        )
-    return u

@@ -393,17 +393,6 @@ def _psd_sqrt(f: np.ndarray) -> np.ndarray:
 # smoothed trace versus its disorder-space derivative forms
 
 
-def _score_factors(density: SingleSiteDensity, pts: np.ndarray, ell: int):
-    """Total score factor of order ell for a product density at pts (M, K)."""
-    if ell == 0:
-        return np.ones(pts.shape[0])
-    s1 = density.log_derivative(pts).sum(axis=1)
-    if ell == 1:
-        return s1
-    s2 = density.log_curvature(pts).sum(axis=1)
-    return s1 * s1 + s2
-
-
 def _finite_smooth_curves(
     free, coupling, density, eps, ell, energies, blocks, n_nodes, fd_step
 ):
@@ -421,7 +410,7 @@ def _finite_smooth_curves(
     for g in wgrids:
         weights = weights * g
     weights = weights.ravel() * density.eval(pts).prod(axis=1)
-    scores = _score_factors(density, pts, ell)
+    scores = density.score_factor(pts, ell)
 
     # 5-point central stencil for the ell-th derivative of the plain trace
     if ell == 0:

@@ -394,6 +394,22 @@ def test_non_finite_estimates_exit_3(tmp_path, monkeypatch):
     assert "non-finite" in err
 
 
+def test_resolvent_residual_failure_exits_3(tmp_path, monkeypatch):
+    import doslab.spectral as spectral
+
+    cfgp = toy_config(tmp_path, "fracmom", n_samples=2)
+    assert run_quiet(None, cfgp)[0] == 0
+    manifest = str(tmp_path / "out" / "fracmom.manifest.json")
+    # a guard no solve can meet: every residual-checked solve now fails
+    monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+    code, _, err = run_quiet(None, cfgp)
+    assert code == 3
+    assert "residual" in err
+    err_buf = io.StringIO()
+    assert reproduce(manifest, out=io.StringIO(), err=err_buf) == 3
+    assert "residual" in err_buf.getvalue()
+
+
 # -- reproduce --------------------------------------------------------------------
 
 

@@ -10,13 +10,7 @@ from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from doslab.disorder import (
-    SingleSiteDensity,
-    density_eval,
-    l1_norm_of_derivative,
-    sample,
-    sample_tilted,
-)
+from doslab.disorder import SingleSiteDensity
 from doslab.quadrature import panel_rule
 
 
@@ -147,9 +141,9 @@ def test_sampling_is_deterministic():
     a = rho.sample(np.random.default_rng(7), size=64)
     b = rho.sample(np.random.default_rng(7), size=64)
     assert np.array_equal(a, b)
-    xa, sa, wa = sample_tilted(rho, 1, np.random.default_rng(9), size=32)
-    xb, sb, wb = sample_tilted(rho, 1, np.random.default_rng(9), size=32)
-    assert np.array_equal(xa, xb) and np.array_equal(sa, sb) and wa == wb
+    xa, sa = rho.tilted(1).sample(np.random.default_rng(9), size=32)
+    xb, sb = rho.tilted(1).sample(np.random.default_rng(9), size=32)
+    assert np.array_equal(xa, xb) and np.array_equal(sa, sb)
 
 
 def exact_moment_against_derivative(rho, j, k):
@@ -167,7 +161,9 @@ def test_tilted_sampling_is_unbiased():
     rng = np.random.default_rng(2718)
     n = 20000
     for j in (1, 2):
-        x, sgn, w = sample_tilted(rho, j, rng, size=n)
+        sampler = rho.tilted(j)
+        x, sgn = sampler.sample(rng, size=n)
+        w = sampler.weight
         assert w == pytest.approx(rho.l1_norm(j), rel=1e-12)
         assert set(np.unique(sgn)) <= {-1.0, 1.0}
         for k in (0, 1, 2):
@@ -214,7 +210,9 @@ def test_invalid_arguments_are_rejected():
     with pytest.raises(ValueError):
         SingleSiteDensity(3).tilted(3)  # order p is no longer continuous
     with pytest.raises(ValueError):
-        l1_norm_of_derivative(SingleSiteDensity(2), 5)
+        SingleSiteDensity(2).l1_norm(5)
+    with pytest.raises(ValueError, match="ell"):
+        SingleSiteDensity(5).score_factor(np.full(3, 0.5), 3)
 
 
 def test_from_continuity_order():
@@ -227,7 +225,7 @@ def test_from_continuity_order():
        st.floats(min_value=-0.5, max_value=1.5, allow_nan=False))
 def test_density_nonnegative_and_bounded(p, x):
     rho = SingleSiteDensity(p)
-    v = density_eval(rho, 0, x)
+    v = rho.eval(x, 0)
     assert v >= 0.0
     assert v <= rho.sup_derivative(0) + 1e-12
 
@@ -240,7 +238,20 @@ def test_density_is_symmetric(p, x):
     assert_allclose(rho.eval(x), rho.eval(1.0 - x), rtol=0, atol=1e-9)
 
 
-def test_flat_sample_alias():
-    rho = SingleSiteDensity(2)
-    v = sample(rho, np.random.default_rng(4))
-    assert isinstance(v, float) and 0.0 < v < 1.0
+def test_score_factor_matches_the_sums_it_replaced():
+    rho = SingleSiteDensity(4)
+    rng = np.random.default_rng(11)
+    vec = rho.sample(rng, size=9)
+    pts = rho.sample(rng, size=5 * 3).reshape(5, 3)
+    # 1-d: the per-sample weight of the Monte Carlo score route
+    s1 = float(rho.log_derivative(vec).sum())
+    assert rho.score_factor(vec, 0) == 1.0
+    assert rho.score_factor(vec, 1) == s1
+    assert rho.score_factor(vec, 2) == s1 * s1 + float(rho.log_curvature(vec).sum())
+    # (M, K): one weight per quadrature node, summed over the K coordinates
+    s1 = rho.log_derivative(pts).sum(axis=1)
+    assert np.array_equal(rho.score_factor(pts, 0), np.ones(5))
+    assert np.array_equal(rho.score_factor(pts, 1), s1)
+    assert np.array_equal(
+        rho.score_factor(pts, 2), s1 * s1 + rho.log_curvature(pts).sum(axis=1)
+    )

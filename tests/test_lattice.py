@@ -10,7 +10,6 @@ from doslab.lattice import (
     SiteSpace,
     assemble_hamiltonian,
     build_box_enumeration,
-    build_graph_enumeration,
     restriction_spectrum_bounds,
 )
 
@@ -34,7 +33,6 @@ def test_one_dimensional_enumeration_is_frozen():
     assert space.sites == [(0,), (1,), (-1,), (2,), (-2,)]
     assert space.alpha == 1.0
     assert space.dimension == 1 and space.half_width == 2
-    assert not space.experimental
 
 
 @pytest.mark.parametrize("dimension,half_width", [(1, 8), (2, 3), (3, 1)])
@@ -98,23 +96,6 @@ def test_box_validation():
         build_box_enumeration(2, -1)
     with pytest.raises(ValueError, match="dense cap"):
         build_box_enumeration(2, 40)
-
-
-def test_graph_enumeration_breadth_first():
-    # path 0-1-2-3-4-5 rooted at 0 keeps its natural order
-    edges = [(i, i + 1) for i in range(5)]
-    path = build_graph_enumeration(edges, 6)
-    assert path.sites == [0, 1, 2, 3, 4, 5]
-    assert path.experimental
-    # six-cycle: two arcs interleave by distance from the root
-    ring = build_graph_enumeration([(i, (i + 1) % 6) for i in range(6)], 6)
-    assert ring.sites == [0, 1, 5, 2, 4, 3]
-    assert ring.distance(1, 2) == 2  # labels 1 and 5 sit on opposite arcs
-
-
-def test_disconnected_graph_is_rejected():
-    with pytest.raises(ValueError, match="connected"):
-        build_graph_enumeration([(0, 1), (2, 3)], 4)
 
 
 # -- projections ----------------------------------------------------------------
@@ -251,8 +232,8 @@ def test_model_validations():
         ModelSpec(space, fam, free, coupling=0.0)
     with pytest.raises(ValueError, match="cover"):
         ModelSpec(space, ProjectionFamily.contiguous(2), free, coupling=1.0)
-    with pytest.raises(ValueError, match="one density per block"):
-        ModelSpec(space, fam, free, 1.0, density=[SingleSiteDensity(2)])
+    with pytest.raises(ValueError, match="one SingleSiteDensity"):
+        ModelSpec(space, fam, free, 1.0, density=[SingleSiteDensity(2)] * 3)
 
 
 def test_hopping_conflicts_and_bounds():
@@ -278,18 +259,3 @@ def test_block_distance_uses_site_metric():
         coupling=1.0,
     )
     assert rank2.block_distance(0, 1) == 1  # {0,1} meets {-1,2} at |0-(-1)|
-
-
-def test_per_block_density_lookup():
-    space = build_box_enumeration(1, 1)
-    laws = [SingleSiteDensity(2), SingleSiteDensity(3), SingleSiteDensity(2)]
-    model = ModelSpec(
-        site_space=space,
-        projections=ProjectionFamily.contiguous(3),
-        free=FreeOperatorSpec.zero(space),
-        coupling=1.0,
-        density=laws,
-    )
-    assert model.block_density(1).p == 3
-    assert model.uniform_density() is None
-    assert chain_model().uniform_density() is not None

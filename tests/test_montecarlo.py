@@ -194,20 +194,6 @@ def test_score_route_scales_with_the_coupling():
         assert a.agrees_with(b), lam
 
 
-def test_score_weights_may_extend_past_the_volume():
-    model = chain_model(4, coupling=2.0)
-    mc = McConfig(n_samples=5000, master_seed=55)
-    inside = estimate_dos_derivative(model, 5, 0.3, 0.4, ell=1, mc=mc)
-    extended = estimate_dos_derivative(
-        model, 5, 0.3, 0.4, ell=1, mc=mc, score_blocks=model.n_blocks
-    )
-    assert inside.agrees_with(extended)
-    with pytest.raises(ValueError, match="score_blocks"):
-        estimate_dos_derivative(model, 5, 0.3, 0.4, ell=1, mc=mc, score_blocks=3)
-    with pytest.raises(ValueError, match="score_blocks"):
-        estimate_dos_derivative(model, 5, 0.3, 0.4, ell=1, mc=mc, score_blocks=99)
-
-
 def test_score_route_preconditions():
     mc = McConfig(n_samples=8, master_seed=0)
     flat = chain_model(2, coupling=1.0, p=1)
@@ -343,20 +329,6 @@ def test_ids_curve_is_monotone():
     assert np.all(np.diff(means) >= -1e-13)
 
 
-def test_ids_normalization_divides_by_block_rank():
-    space = build_box_enumeration(1, 2)
-    model = ModelSpec(
-        site_space=space,
-        projections=ProjectionFamily.contiguous(5, rank=2),
-        free=FreeOperatorSpec.nearest_neighbor(space),
-        coupling=1.0,
-    )
-    mc = McConfig(n_samples=300, master_seed=4)
-    raw = estimate_ids(model, 4, 0.8, mc)
-    frac = estimate_ids(model, 4, 0.8, mc, normalized=True)
-    assert_allclose(frac.mean, raw.mean / 2.0, rtol=1e-14)
-
-
 # -- fractional moments ---------------------------------------------------------------
 
 
@@ -411,6 +383,16 @@ def test_fractional_moment_validation():
         estimate_fractional_moment(model, 3, 1j, 0, 4, 0.5, mc)
     with pytest.raises(ValueError, match="exponent"):
         estimate_fractional_moment(model, 3, 1j, 0, 1, 1.2, mc)
+
+
+def test_fractional_moment_solves_carry_the_residual_guard(monkeypatch):
+    import doslab.spectral as spectral
+
+    model = chain_model(2, coupling=1.0)
+    mc = McConfig(n_samples=2, master_seed=0)
+    monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        fractional_moment_profile(model, 5, 0.5 + 0.1j, 0, [1, 2], 0.5, mc)
 
 
 # -- decay fits -------------------------------------------------------------------------

@@ -1,21 +1,20 @@
-"""Resolvent, spectral-projection, and semigroup checks against slow oracles."""
+"""Resolvent and spectral-projection checks against slow oracles."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from doslab.lattice import ProjectionFamily
-from doslab.spectral import (
-    ComplexShift,
-    KernelBlock,
-    dissipative_exp,
-    eigen_weights,
-    kernel_block,
-    kernel_block_norm,
-    resolvent_columns,
-    spectral_projector_trace,
+from doslab.disorder import SingleSiteDensity
+from doslab.lattice import (
+    FreeOperatorSpec,
+    ModelSpec,
+    ProjectionFamily,
+    assemble_hamiltonian,
+    build_box_enumeration,
 )
+from doslab.montecarlo import McConfig, draw_disorder, ids_curve
+from doslab.spectral import ComplexShift, eigen_weights, resolvent_columns
 
 
 def random_hermitian(n, seed, complex_entries=False):
@@ -24,21 +23,6 @@ def random_hermitian(n, seed, complex_entries=False):
     if complex_entries:
         a = a + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2
-
-
-def taylor_expm(m, terms=40):
-    # independent scaling-and-squaring Taylor exponential
-    norm = np.linalg.norm(m, 1)
-    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.25))))
-    s = m / 2.0**squarings
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, terms + 1):
-        term = term @ s / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
 
 
 def test_complex_shift_validation():
@@ -74,10 +58,10 @@ def test_kernel_block_entries_and_orientation():
     h = random_hermitian(6, seed=7)
     fam = ProjectionFamily.contiguous(6, rank=2)
     z = ComplexShift(-0.2, 0.4)
-    blk = kernel_block(h, z, source=2, target=0, projections=fam)
-    assert isinstance(blk, KernelBlock)
+    # P_2 (h - z)^{-1} P_0: rows of block 2 from the columns of block 0
+    blk = resolvent_columns(h, z, fam.sites_of_block(0))[fam.sites_of_block(2), :]
     full = np.linalg.inv(h - z.z * np.eye(6))
-    assert_allclose(blk.entries, full[np.ix_([4, 5], [0, 1])], rtol=1e-11)
+    assert_allclose(blk, full[np.ix_([4, 5], [0, 1])], rtol=1e-11)
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.1, 0.02])
@@ -86,8 +70,10 @@ def test_kernel_block_norm_bounded_by_shift(eps):
     fam = ProjectionFamily.contiguous(12, rank=3)
     z = ComplexShift(0.7, eps)
     for src in range(4):
+        cols = resolvent_columns(h, z, fam.sites_of_block(src))
         for tgt in range(4):
-            assert kernel_block_norm(h, z, src, tgt, fam) <= 1.0 / eps + 1e-10
+            block = cols[fam.sites_of_block(tgt), :]
+            assert np.linalg.norm(block, 2) <= 1.0 / eps + 1e-10
 
 
 def test_trace_against_block_is_herglotz():
@@ -106,15 +92,24 @@ def test_resolvent_of_real_matrix_is_symmetric():
 
 
 def test_spectral_projector_trace_counts_closed_interval():
-    h = np.diag([0.0, 1.0, 1.0, 2.0])
-    all_sites = [0, 1, 2, 3]
-    assert spectral_projector_trace(h, all_sites, 1.0) == pytest.approx(3.0, abs=1e-12)
-    assert spectral_projector_trace(h, all_sites, 1.0 - 1e-9) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_projector_trace(h, all_sites, -0.5) == 0.0
-    assert spectral_projector_trace(h, all_sites, 5.0) == pytest.approx(4.0, abs=1e-12)
-    # single-site block of a diagonal matrix: a step at its own entry
-    assert spectral_projector_trace(h, [3], 2.0) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_projector_trace(h, [3], 1.99) == pytest.approx(0.0, abs=1e-12)
+    # ids_curve estimates tr(P_0 E_h((-inf, E])); with one sample it is that
+    # trace for sample 0, and an eigenvalue exactly at E counts
+    space = build_box_enumeration(1, 3)
+    model = ModelSpec(
+        site_space=space,
+        projections=ProjectionFamily.contiguous(len(space), 1),
+        free=FreeOperatorSpec.nearest_neighbor(space),
+        coupling=1.5,
+        density=SingleSiteDensity(2),
+    )
+    mc = McConfig(n_samples=1, master_seed=6)
+    om = draw_disorder(model, mc.master_seed, 0)
+    evals, w = eigen_weights(assemble_hamiltonian(model, om, 7), [0])
+    for j in (0, 3, 6):
+        assert w[j] > 1e-2  # the step at evals[j] is visible
+        at, below = ids_curve(model, 7, [evals[j], np.nextafter(evals[j], -np.inf)], mc)
+        assert at.mean == pytest.approx(w[: j + 1].sum(), abs=1e-12)
+        assert below.mean == pytest.approx(w[:j].sum(), abs=1e-12)
 
 
 def test_eigen_weights_sum_to_block_rank():
@@ -156,43 +151,6 @@ def test_trace_derivative_matches_squared_resolvent():
 
     fd = (tr_power(e0 + step, 1) - tr_power(e0 - step, 1)) / (2 * step)
     assert_allclose(fd, tr_power(e0, 2), rtol=1e-8)
-
-
-def test_dissipative_exp_matches_taylor_oracle():
-    rng = np.random.default_rng(77)
-    for n in (2, 5, 9):
-        x = random_hermitian(n, seed=n, complex_entries=True)
-        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = x + 1j * (y @ y.conj().T)  # Im part positive semidefinite
-        for t in (0.0, 0.3, 2.0):
-            got = dissipative_exp(a, t)
-            want = taylor_expm(1j * t * a)
-            assert_allclose(got, want, rtol=1e-9, atol=1e-10)
-
-
-def test_dissipative_exp_is_a_contraction():
-    rng = np.random.default_rng(123)
-    for trial in range(8):
-        n = int(rng.integers(2, 8))
-        x = random_hermitian(n, seed=1000 + trial)
-        y = rng.standard_normal((n, n))
-        a = x + 1j * (y @ y.T)
-        norms = [
-            np.linalg.norm(dissipative_exp(a, t), 2) for t in (0.1, 0.5, 1.0, 3.0)
-        ]
-        assert all(v <= 1.0 + 1e-9 for v in norms)
-        # hermitian generator: exactly unitary
-        u = dissipative_exp(x, 1.7)
-        assert_allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
-
-
-def test_dissipative_exp_rejects_bad_inputs():
-    x = random_hermitian(4, seed=2)
-    with pytest.raises(ValueError, match="t"):
-        dissipative_exp(x, -0.5)
-    bad = x - 0.3j * np.eye(4)  # negative imaginary part grows the norm
-    with pytest.raises(ValueError, match="dissipative"):
-        dissipative_exp(bad, 1.0)
 
 
 def test_resolvent_residual_guard_trips_on_singular_input():
