@@ -6,7 +6,7 @@ energy derivatives by Monte Carlo, measures fractional-moment decay, and
 certifies the operator inequalities the estimators rely on by quadrature.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .cli import ConfigError, ExperimentConfig, RunManifest, reproduce, run
 from .disorder import SingleSiteDensity, TiltedSampler

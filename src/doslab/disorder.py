@@ -128,6 +128,22 @@ class SingleSiteDensity:
             return s1
         return s1 * s1 + self.log_curvature(xa).sum(axis=-1)
 
+    def prefix_score_factors(self, x, ell: int) -> np.ndarray:
+        """score_factor(x[..., :k], ell) for every k = 1 .. x.shape[-1].
+
+        One cumulative sum serves every prefix, so the values agree with
+        score_factor up to summation order (the last bits).
+        """
+        xa = np.asarray(x, dtype=float)
+        if ell == 0:
+            return np.ones(xa.shape)
+        if ell not in (1, 2):
+            raise ValueError(f"score factors are defined for ell in 0..2, got {ell}")
+        s1 = np.cumsum(self.log_derivative(xa), axis=-1)
+        if ell == 1:
+            return s1
+        return s1 * s1 + np.cumsum(self.log_curvature(xa), axis=-1)
+
     # -- derivative norms ------------------------------------------------------
 
     def derivative_coefficients(self, order: int) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .disorder import SingleSiteDensity
 from .lattice import ModelSpec
-from .spectral import eigen_weights, resolvent_columns
+from .spectral import eigen_weights, nested_block_traces, resolvent_columns
 
 _SCORE_MAX_ORDER = 2
 _TILTED_MAX_BLOCKS = 6
@@ -202,15 +202,11 @@ def _spectral_parameters(energies, eps) -> np.ndarray:
 def _weighted_resolvent_power(evals, weights, zs, power: int):
     """sum_j w_j / (lambda_j - z)^power for each z of zs, flattened.
 
-    numpy adds a lone column pairwise but several columns row by row, so
-    each row (last axis) of a 2-d zs is summed the way a call with that row
-    alone would sum it: the bytes of a row do not depend on how many rows
-    share the call.
+    Each z is summed pairwise along its own contiguous row, so its bytes do
+    not depend on how many other z share the call.
     """
     terms = weights[:, None] / (evals[:, None] - zs.reshape(1, -1)) ** power
-    if zs.shape[-1] == 1:
-        return np.ascontiguousarray(terms.T).sum(axis=1)
-    return terms.sum(axis=0)
+    return np.ascontiguousarray(terms.T).sum(axis=1)
 
 
 def _check_score_preconditions(density: SingleSiteDensity, ell: int):
@@ -250,7 +246,7 @@ def smoothed_dos_curve(
     column of eps values against a row of energies; estimates come in the
     flattened (C) order of the broadcast grid.  Every grid point uses the
     same eigen-data of each sample, so a grid of several eps costs one eigh
-    per sample, and each row of the grid gets the bytes a call with that row
+    per sample, and each grid point gets the bytes a call with that point
     alone would give.  Every eps must be positive.
     """
     zs = _spectral_parameters(energies, eps)
@@ -583,7 +579,10 @@ def telescope_series_diagnostic(
     """Boundary terms T_K for K in k_range, their decay fit, and partial sums.
 
     All terms, the base-volume estimate, and the direct estimate on the
-    largest volume come from one pass over shared samples.
+    largest volume come from one pass over shared samples.  Each sample (and
+    its antithetic mirror at ell >= 1) takes one nested_block_traces call,
+    one LU of the largest volume that yields the trace of every nested
+    volume, and one cumulative sum of score weights over the blocks.
     """
     ks = [int(k) for k in k_range]
     if not ks or ks != list(range(ks[0], ks[-1] + 1)):
@@ -594,33 +593,25 @@ def telescope_series_diagnostic(
             f"model has {model.n_blocks}"
         )
     _check_score_preconditions(model.density, ell)
-    z = np.array([complex(energy, eps)])
-    vols = {
-        k: _Volume(model, model.projections.prefix_sites(k))
-        for k in range(ks[0], ks[-1] + 2)
-    }
+    z = complex(energy, eps)
+    sites_of = model.projections.prefix_sites
+    vol = _Volume(model, sites_of(ks[-1] + 1))
+    prefix_sizes = [sites_of(k) for k in range(ks[0], ks[-1] + 2)]
     lam_pow = model.coupling ** (-ell)
-    score = model.density.score_factor
     n_terms = len(ks)
 
-    def traces(om):
-        return {
-            k: _weighted_resolvent_power(*vols[k].eigen_weights(om[:k]), z, 1)[0]
-            for k in vols
-        }
-
     def weighted_row(om):
-        tr = traces(om)
+        # tr[j] and weight[j] belong to the volume of ks[0] + j blocks
+        tr = nested_block_traces(vol.hamiltonian(om), z, vol.block0, prefix_sizes)
+        weight = model.density.prefix_score_factors(om, ell)[ks[0] - 1 :] * lam_pow
         row = np.empty(n_terms + 2, dtype=np.complex128)
-        for j, k in enumerate(ks):
-            diff = tr[k + 1] - tr[k]
-            row[j] = diff * (score(om[: k + 1], ell) * lam_pow)
-        row[n_terms] = tr[ks[0]] * (score(om[: ks[0]], ell) * lam_pow)
-        row[n_terms + 1] = tr[ks[-1] + 1] * (score(om[: ks[-1] + 1], ell) * lam_pow)
+        row[:n_terms] = (tr[1:] - tr[:-1]) * weight[1:]
+        row[n_terms] = tr[0] * weight[0]
+        row[n_terms + 1] = tr[-1] * weight[-1]
         return row
 
     def one(i: int):
-        om = draw_disorder(model, mc.master_seed, i)
+        om = draw_disorder(model, mc.master_seed, i)[: vol.n_blocks]
         row = weighted_row(om)
         if ell == 0:
             return row

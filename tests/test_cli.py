@@ -410,6 +410,22 @@ def test_resolvent_residual_failure_exits_3(tmp_path, monkeypatch):
     assert "residual" in err_buf.getvalue()
 
 
+def test_telescope_residual_failure_exits_3(tmp_path, monkeypatch):
+    import doslab.spectral as spectral
+
+    cfgp = toy_config(tmp_path, "telescope", n_samples=2, ell="1")
+    assert run_quiet(None, cfgp)[0] == 0
+    manifest = str(tmp_path / "out" / "telescope.manifest.json")
+    # the nested-volume LU check can no longer pass
+    monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+    code, _, err = run_quiet(None, cfgp)
+    assert code == 3
+    assert "residual" in err
+    err_buf = io.StringIO()
+    assert reproduce(manifest, out=io.StringIO(), err=err_buf) == 3
+    assert "residual" in err_buf.getvalue()
+
+
 # -- reproduce --------------------------------------------------------------------
 
 
@@ -452,6 +468,20 @@ def test_reproduce_rejects_garbage_manifest(tmp_path):
     bad.write_text("{}")
     code = reproduce(str(bad), out=io.StringIO(), err=io.StringIO())
     assert code == 2
+
+
+def test_reproduce_rejects_an_older_code_version(tmp_path):
+    from doslab import __version__
+
+    cfgp = toy_config(tmp_path, "dos")
+    assert run_quiet(None, cfgp)[0] == 0
+    mpath = tmp_path / "out" / "dos.manifest.json"
+    payload = json.loads(mpath.read_text())
+    payload["code_version"] = "0.1.0"
+    mpath.write_text(json.dumps(payload))
+    err = io.StringIO()
+    assert reproduce(str(mpath), out=io.StringIO(), err=err) == 2
+    assert "0.1.0" in err.getvalue() and __version__ in err.getvalue()
 
 
 def test_workers_do_not_change_bytes(tmp_path):

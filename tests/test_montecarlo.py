@@ -263,6 +263,28 @@ def test_eps_grid_in_one_pass_equals_per_eps_calls(route, energies, workers):
         curve(np.array([[0.2], [-0.1]]))
 
 
+@pytest.mark.parametrize("route", ["dos", "score-1", "resolvent-1"])
+def test_single_energy_equals_the_same_point_of_a_grid(route):
+    # each grid point is reduced on its own, so a lone energy and the first
+    # of two give the same bytes; 13 sites, so the eigen-sum is pairwise
+    model = chain_model(6, coupling=2.0)
+    mc = McConfig(n_samples=50, master_seed=21)
+    energy, other, eps = 0.3, -1.1, 0.2
+    if route == "dos":
+        single = estimate_smoothed_dos(model, 13, energy, eps, mc)
+        first = smoothed_dos_curve(model, 13, [energy, other], eps, mc)[0]
+    else:
+        method, ell = route.split("-")
+        single = estimate_dos_derivative(
+            model, 13, energy, eps, int(ell), mc, method=method
+        )
+        first = dos_derivative_curve(
+            model, 13, [energy, other], eps, int(ell), mc, method=method
+        )[0]
+    assert single.mean == first.mean
+    assert single.stderr == first.stderr
+
+
 def test_tilted_route_agrees_with_resolvent_route():
     model = chain_model(2, coupling=1.5, p=3)
     mc = McConfig(n_samples=3000, master_seed=19)
@@ -395,6 +417,20 @@ def test_fractional_moment_solves_carry_the_residual_guard(monkeypatch):
         fractional_moment_profile(model, 5, 0.5 + 0.1j, 0, [1, 2], 0.5, mc)
 
 
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_prefix_score_factors_match_score_factor(ell):
+    # the telescope weights every nested volume from one cumulative sum
+    rho = SingleSiteDensity(4)
+    om = rho.sample(np.random.default_rng(29), size=41)
+    got = rho.prefix_score_factors(om, ell)
+    assert got.shape == om.shape
+    for k in range(1, om.size + 1):
+        want = rho.score_factor(om[:k], ell)
+        assert abs(got[k - 1] - want) <= 1e-12 * max(1.0, abs(want))
+    with pytest.raises(ValueError, match="ell in 0..2"):
+        rho.prefix_score_factors(om, 3)
+
+
 # -- decay fits -------------------------------------------------------------------------
 
 
@@ -493,6 +529,16 @@ def test_telescope_first_order_terms_decay():
     mags = [abs(complex(t.mean)) for t in report.terms]
     assert mags[-1] < mags[0]
     assert report.fit is not None and report.fit.rate > 0.0
+
+
+def test_telescope_traces_carry_the_residual_guard(monkeypatch):
+    import doslab.spectral as spectral
+
+    model = chain_model(3, coupling=1.0)
+    mc = McConfig(n_samples=2, master_seed=0)
+    monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        telescope_series_diagnostic(model, range(2, 5), 1, 0.0, 0.5, mc)
 
 
 def test_telescope_validation():

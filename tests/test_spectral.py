@@ -14,7 +14,12 @@ from doslab.lattice import (
     build_box_enumeration,
 )
 from doslab.montecarlo import McConfig, draw_disorder, ids_curve
-from doslab.spectral import ComplexShift, eigen_weights, resolvent_columns
+from doslab.spectral import (
+    ComplexShift,
+    eigen_weights,
+    nested_block_traces,
+    resolvent_columns,
+)
 
 
 def random_hermitian(n, seed, complex_entries=False):
@@ -159,3 +164,82 @@ def test_resolvent_residual_guard_trips_on_singular_input():
     h = np.diag([1.0, 1.0])
     cols = resolvent_columns(h, 1.0 + 1e-8j, [0])
     assert np.abs(cols[0, 0]) == pytest.approx(1e8, rel=1e-6)
+
+
+# -- nested prefix traces ---------------------------------------------------------
+
+
+def box_model(dimension, half_width, rank=1, phase=0.0):
+    space = build_box_enumeration(dimension, half_width)
+    amp = complex(np.cos(phase), np.sin(phase)) if phase else 1.0
+    return ModelSpec(
+        site_space=space,
+        projections=ProjectionFamily.contiguous(len(space), rank=rank),
+        free=FreeOperatorSpec.nearest_neighbor(space, amplitude=amp),
+        coupling=2.0,
+        density=SingleSiteDensity(2),
+    )
+
+
+@pytest.mark.parametrize(
+    "dimension, half_width, rank, phase",
+    [(1, 32, 1, 0.0), (2, 4, 3, 0.0), (2, 7, 5, 0.7)],
+)
+def test_nested_block_traces_match_eigen_weights_on_every_prefix(
+    dimension, half_width, rank, phase
+):
+    model = box_model(dimension, half_width, rank, phase)
+    n = len(model.site_space)
+    om = draw_disorder(model, 5, 0)
+    h = assemble_hamiltonian(model, om, n)
+    assert np.iscomplexobj(h) == (phase != 0.0)
+    block0 = model.projections.sites_of_block(0)
+    sizes = [model.projections.prefix_sites(k) for k in range(1, model.n_blocks + 1)]
+    z = 0.3 + 0.1j
+    got = nested_block_traces(h, z, block0, sizes)
+    for size, tr in zip(sizes, got):
+        evals, w = eigen_weights(h[:size, :size], block0)
+        want = np.sum(w / (evals - z))
+        assert abs(tr - want) <= 1e-12 * abs(want)
+
+
+def test_nested_block_traces_validation():
+    h = random_hermitian(6, seed=4)
+    z = 0.5j
+    with pytest.raises(ValueError, match="smallest prefix"):
+        nested_block_traces(h, z, [0, 2], [2, 4, 6])
+    with pytest.raises(ValueError, match="smallest prefix"):
+        nested_block_traces(h, z, [], [2, 4, 6])
+    with pytest.raises(ValueError, match="prefix sizes"):
+        nested_block_traces(h, z, [0], [0, 3])
+    with pytest.raises(ValueError, match="prefix sizes"):
+        nested_block_traces(h, z, [0], [3, 7])
+    with pytest.raises(ValueError, match="prefix sizes"):
+        nested_block_traces(h, z, [0], [])
+    with pytest.raises(ValueError, match="square"):
+        nested_block_traces(h[:, :5], z, [0], [3])
+    with pytest.raises(ValueError, match="positive imaginary"):
+        nested_block_traces(h, 0.5, [0], [3])
+
+
+def test_nested_block_traces_respect_the_dense_cap(monkeypatch):
+    import doslab.spectral as spectral
+
+    monkeypatch.setattr(spectral, "_DENSE_DIMENSION_CAP", 5)
+    with pytest.raises(ValueError, match="dense cap"):
+        nested_block_traces(random_hermitian(6, seed=4), 0.5j, [0], [6])
+
+
+def test_nested_block_traces_carry_the_residual_guard(monkeypatch):
+    import doslab.spectral as spectral
+
+    h = random_hermitian(6, seed=4)
+    assert np.all(np.isfinite(nested_block_traces(h, 0.5j, [0], [1, 6])))
+    # a NaN residual fails the check instead of slipping past a ">" test
+    bad = h.copy()
+    bad[3, 3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
+        nested_block_traces(bad, 0.5j, [0], [1, 6])
+    monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        nested_block_traces(h, 0.5j, [0], [1, 6])
