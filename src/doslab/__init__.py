@@ -24,13 +24,8 @@ from .montecarlo import (
     Estimate,
     McConfig,
     TelescopeReport,
-    estimate_dos_derivative,
-    estimate_fractional_moment,
-    estimate_ids,
-    estimate_smoothed_dos,
     fit_decay,
     telescope_series_diagnostic,
-    telescoping_term,
 )
 from .spectral import ComplexShift, resolvent_columns
 from .verify import (
@@ -68,10 +63,6 @@ __all__ = [
     "TiltedSampler",
     "assemble_hamiltonian",
     "build_box_enumeration",
-    "estimate_dos_derivative",
-    "estimate_fractional_moment",
-    "estimate_ids",
-    "estimate_smoothed_dos",
     "fit_decay",
     "reproduce",
     "resolvent_columns",
@@ -81,7 +72,6 @@ __all__ = [
     "smoothstep",
     "stieltjes_transform",
     "telescope_series_diagnostic",
-    "telescoping_term",
     "verify_boundary_derivatives",
     "verify_finite_smooth",
     "verify_resolvent_average_bound",

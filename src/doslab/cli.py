@@ -461,14 +461,12 @@ def _prepare(command: str, cfg: ExperimentConfig) -> _Plan:
     mc = McConfig(cfg.n_samples, cfg.master_seed, workers=cfg.workers)
     plan = _Plan(command, cfg, model, n_prefix, mc)
 
-    if command == "dos-deriv":
-        from .montecarlo import _check_score_preconditions
-
+    if command in ("dos-deriv", "telescope"):
         try:
-            _check_score_preconditions(model.density, cfg.ell)
+            model.density.check_score_order(cfg.ell)
         except ValueError as exc:
             raise ConfigError("run.ell", str(exc)) from None
-    elif command == "fracmom":
+    if command == "fracmom":
         n_blocks = model.projections.blocks_for_prefix(n_prefix)
         by_distance: dict[int, int] = {}
         for b in range(n_blocks):
@@ -631,9 +629,7 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
 # the two entry operations
 
 
-def _resolve_out_dir(cfg: ExperimentConfig, override: str | None) -> str:
-    if override:
-        return override
+def _resolve_out_dir(cfg: ExperimentConfig) -> str:
     if cfg.directory:
         return cfg.directory
     return os.environ.get(ENV_OUT_DIR, ".")
@@ -679,7 +675,7 @@ def run(
         print(f"config error: {exc}", file=err)
         return EXIT_CONFIG
 
-    directory = _resolve_out_dir(cfg, None)
+    directory = _resolve_out_dir(cfg)
     try:
         os.makedirs(directory, exist_ok=True)
         probe = os.path.join(directory, ".doslab-write-probe")

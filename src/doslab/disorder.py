@@ -42,7 +42,6 @@ class SingleSiteDensity:
             raise ValueError(f"bump exponent must be a positive integer, got {p!r}")
         self.p = int(p)
         self.continuity_order = self.p - 1
-        self.hoelder_exponent = 1.0
         # 1/B(p+1, p+1) without special functions: C(2p, p) * (2p + 1)
         self.normalization = float(math.comb(2 * self.p, self.p) * (2 * self.p + 1))
         base = npoly.polypow(np.array([0.0, 1.0, -1.0]), self.p)  # (x - x^2)^p
@@ -92,9 +91,6 @@ class SingleSiteDensity:
         xa = np.asarray(x, dtype=float)
         return npoly.polyval(np.clip(xa, 0.0, 1.0), anti)
 
-    def mean(self) -> float:
-        return 0.5
-
     def variance(self) -> float:
         # Var of a symmetric Beta(p+1, p+1) law
         return 1.0 / (4.0 * (2.0 * self.p + 3.0))
@@ -127,6 +123,31 @@ class SingleSiteDensity:
         if ell == 1:
             return s1
         return s1 * s1 + self.log_curvature(xa).sum(axis=-1)
+
+    def check_score_order(self, ell: int) -> None:
+        """Reject an order ell >= 1 whose score weight this law cannot carry.
+
+        The weight needs ell <= 2 (score_factor), ell continuous derivatives,
+        and a finite second moment.
+        """
+        if ell == 0:
+            return
+        if ell > 2:
+            raise ValueError(
+                f"score route supports derivative orders up to 2, got {ell}"
+            )
+        if ell > self.continuity_order:
+            raise ValueError(
+                f"derivative order {ell} exceeds the continuity order "
+                f"{self.continuity_order} of the single-site density"
+            )
+        # the order-ell weight grows like x^-ell at the support edge, so its
+        # second moment against c_p x^p (1-x)^p is finite only for p > 2*ell - 1
+        if self.p < 2 * ell:
+            raise ValueError(
+                f"score weights of order {ell} have infinite variance unless "
+                f"p >= 2*ell = {2 * ell}; the density has p={self.p}"
+            )
 
     def prefix_score_factors(self, x, ell: int) -> np.ndarray:
         """score_factor(x[..., :k], ell) for every k = 1 .. x.shape[-1].
@@ -226,9 +247,6 @@ class TiltedSampler:
     base: SingleSiteDensity
     order: int
     weight: float
-
-    def density(self, x):
-        return np.abs(self.base.eval(x, self.order)) / self.weight
 
     def sign(self, x):
         return np.sign(self.base.eval(x, self.order))

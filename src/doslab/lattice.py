@@ -47,7 +47,6 @@ class SiteSpace:
         self.dimension = dimension
         self.half_width = half_width
         self.coords = coords
-        self._index = {s: i for i, s in enumerate(self.sites)}
         self.growth_constant: float | None = None
         _check_unit_increment(self)
         if alpha is not None:
@@ -59,9 +58,6 @@ class SiteSpace:
     def distance(self, i: int, j: int) -> int:
         """Metric between sites by enumeration index."""
         return self._distance(i, j)
-
-    def site_index(self, site) -> int:
-        return self._index[site]
 
     def distance_matrix(self) -> np.ndarray:
         n = len(self.sites)

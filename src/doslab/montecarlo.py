@@ -8,6 +8,13 @@ stored per sample and reduced in index order, which makes every estimate
 bit-reproducible and lets coupled quantities (telescoping differences,
 cross-volume comparisons) share their randomness exactly.
 
+Every estimator but the tilted cross-check is one row function of a
+sample's couplings handed to one driver, `_estimate`: it draws the sample,
+slices the draw to the volume, averages the row with its antithetic mirror
+where the route asks for it, fills a (n_samples, width) table and reduces
+each column to an Estimate.  There is one entry point per quantity, on a
+grid of points; a single point is a one-point grid.
+
 Energy derivatives of E[tr(P_0 (h - E - i eps)^{-1})] come in three routes:
 the score route reweights samples by the logarithmic derivatives of the
 single-site law, the resolvent route evaluates l! tr(P_0 G^{l+1}) exactly per
@@ -24,11 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .disorder import SingleSiteDensity
 from .lattice import ModelSpec
 from .spectral import eigen_weights, nested_block_traces, resolvent_columns
 
-_SCORE_MAX_ORDER = 2
 _TILTED_MAX_BLOCKS = 6
 
 
@@ -68,31 +73,17 @@ class Estimate:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan shared by the estimators.
-
-    No estimator reads s or preset: they only let a caller keep its
-    fractional exponent next to the plan.  The telescope preset pins s below
-    1/2, which is what the two-resolvent bound behind the telescoping
-    argument needs.
-    """
+    """Sampling plan shared by the estimators."""
 
     n_samples: int
     master_seed: int
-    s: float = 1.0 / 3.0
     workers: int = 1
-    preset: str = ""
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"fractional exponent s={self.s} outside (0, 1)")
-        if self.preset == "telescope" and not self.s < 0.5:
-            raise ValueError(
-                f"telescope preset needs s < 1/2, got s={self.s}"
-            )
 
 
 @dataclass(frozen=True)
@@ -191,6 +182,27 @@ class _Volume:
         return eigen_weights(self.hamiltonian(om_prefix), self.block0)
 
 
+def _estimate(
+    vol: _Volume, mc: McConfig, width: int, row, antithetic=False, dtype=np.complex128
+) -> list[Estimate]:
+    """One Estimate per column of row(omega) over the samples of mc.
+
+    Sample i draws the full disorder vector of the model and hands row the
+    couplings of vol's blocks; row returns width values.  With antithetic the
+    sample's row is 0.5 * (row(omega) + row(1 - omega)), unbiased because
+    the bump laws are symmetric about 1/2.
+    """
+
+    def one(i: int):
+        om = draw_disorder(vol.model, mc.master_seed, i)[: vol.n_blocks]
+        if not antithetic:
+            return row(om)
+        return 0.5 * (row(om) + row(1.0 - om))
+
+    values = _run_samples(mc.n_samples, mc.workers, width, one, dtype)
+    return [Estimate.from_samples(values[:, k], mc.master_seed) for k in range(width)]
+
+
 def _spectral_parameters(energies, eps) -> np.ndarray:
     """E + i*eps with eps a scalar or an array broadcast against energies."""
     eps = np.asarray(eps, dtype=float)
@@ -207,27 +219,6 @@ def _weighted_resolvent_power(evals, weights, zs, power: int):
     """
     terms = weights[:, None] / (evals[:, None] - zs.reshape(1, -1)) ** power
     return np.ascontiguousarray(terms.T).sum(axis=1)
-
-
-def _check_score_preconditions(density: SingleSiteDensity, ell: int):
-    if ell == 0:
-        return
-    if ell > _SCORE_MAX_ORDER:
-        raise ValueError(
-            f"score route supports derivative orders up to {_SCORE_MAX_ORDER}, got {ell}"
-        )
-    if ell > density.continuity_order:
-        raise ValueError(
-            f"derivative order {ell} exceeds the continuity order "
-            f"{density.continuity_order} of the single-site density"
-        )
-    # the order-ell weight grows like x^-ell at the support edge, so its
-    # second moment against c_p x^p (1-x)^p is finite only for p > 2*ell - 1
-    if density.p < 2 * ell:
-        raise ValueError(
-            f"score weights of order {ell} have infinite variance unless "
-            f"p >= 2*ell = {2 * ell}; the density has p={density.p}"
-        )
 
 
 # -- density of states ----------------------------------------------------------
@@ -252,19 +243,11 @@ def smoothed_dos_curve(
     zs = _spectral_parameters(energies, eps)
     vol = _Volume(model, n_prefix_sites)
 
-    def one(i: int):
-        om = draw_disorder(model, mc.master_seed, i)
-        evals, w = vol.eigen_weights(om[: vol.n_blocks])
+    def row(om):
+        evals, w = vol.eigen_weights(om)
         return np.imag(_weighted_resolvent_power(evals, w, zs, 1)) / np.pi
 
-    values = _run_samples(mc.n_samples, mc.workers, zs.size, one, dtype=np.float64)
-    return [Estimate.from_samples(values[:, k], mc.master_seed) for k in range(zs.size)]
-
-
-def estimate_smoothed_dos(
-    model: ModelSpec, n_prefix_sites: int, energy: float, eps: float, mc: McConfig
-) -> Estimate:
-    return smoothed_dos_curve(model, n_prefix_sites, [energy], eps, mc)[0]
+    return _estimate(vol, mc, zs.size, row, dtype=np.float64)
 
 
 def ids_curve(
@@ -277,19 +260,11 @@ def ids_curve(
     vol = _Volume(model, n_prefix_sites)
     es = np.asarray(energies, dtype=float)
 
-    def one(i: int):
-        om = draw_disorder(model, mc.master_seed, i)
-        evals, w = vol.eigen_weights(om[: vol.n_blocks])
+    def row(om):
+        evals, w = vol.eigen_weights(om)
         return np.sum(w[:, None] * (evals[:, None] <= es[None, :]), axis=0)
 
-    values = _run_samples(mc.n_samples, mc.workers, es.size, one, dtype=np.float64)
-    return [Estimate.from_samples(values[:, k], mc.master_seed) for k in range(es.size)]
-
-
-def estimate_ids(
-    model: ModelSpec, n_prefix_sites: int, energy: float, mc: McConfig
-) -> Estimate:
-    return ids_curve(model, n_prefix_sites, [energy], mc)[0]
+    return _estimate(vol, mc, es.size, row, dtype=np.float64)
 
 
 def dos_derivative_curve(
@@ -316,54 +291,28 @@ def dos_derivative_curve(
     if ell < 0:
         raise ValueError("derivative order must be non-negative")
     vol = _Volume(model, n_prefix_sites)
-    lam_pow = model.coupling ** (-ell)
 
     if method == "score":
-        _check_score_preconditions(model.density, ell)
-        score = model.density.score_factor
+        model.density.check_score_order(ell)
+        lam_pow = model.coupling ** (-ell)
 
-        def one(i: int):
-            om = draw_disorder(model, mc.master_seed, i)[: vol.n_blocks]
+        def row(om):
             evals, w = vol.eigen_weights(om)
             tr = _weighted_resolvent_power(evals, w, zs, 1)
-            if ell == 0:
-                return tr
-            row = tr * (score(om, ell) * lam_pow)
-            om_m = 1.0 - om  # the bump laws are symmetric about 1/2
-            evals_m, w_m = vol.eigen_weights(om_m)
-            tr_m = _weighted_resolvent_power(evals_m, w_m, zs, 1)
-            row_m = tr_m * (score(om_m, ell) * lam_pow)
-            return 0.5 * (row + row_m)
+            return tr * (model.density.score_factor(om, ell) * lam_pow)
 
-    elif method == "resolvent":
-        if ell > 6:
-            raise ValueError(f"resolvent powers above 7 are not supported (ell={ell})")
-        fac = float(math.factorial(ell))
-
-        def one(i: int):
-            om = draw_disorder(model, mc.master_seed, i)
-            evals, w = vol.eigen_weights(om[: vol.n_blocks])
-            return fac * _weighted_resolvent_power(evals, w, zs, ell + 1)
-
-    else:
+        return _estimate(vol, mc, zs.size, row, antithetic=ell > 0)
+    if method != "resolvent":
         raise ValueError(f"unknown method {method!r}")
+    if ell > 6:
+        raise ValueError(f"resolvent powers above 7 are not supported (ell={ell})")
+    fac = float(math.factorial(ell))
 
-    values = _run_samples(mc.n_samples, mc.workers, zs.size, one)
-    return [Estimate.from_samples(values[:, k], mc.master_seed) for k in range(zs.size)]
+    def row(om):
+        evals, w = vol.eigen_weights(om)
+        return fac * _weighted_resolvent_power(evals, w, zs, ell + 1)
 
-
-def estimate_dos_derivative(
-    model: ModelSpec,
-    n_prefix_sites: int,
-    energy: float,
-    eps: float,
-    ell: int,
-    mc: McConfig,
-    method: str = "score",
-) -> Estimate:
-    return dos_derivative_curve(
-        model, n_prefix_sites, [energy], eps, ell, mc, method
-    )[0]
+    return _estimate(vol, mc, zs.size, row)
 
 
 def estimate_dos_derivative_tilted(
@@ -373,15 +322,14 @@ def estimate_dos_derivative_tilted(
     eps: float,
     ell: int,
     mc: McConfig,
-    experimental_high_order: bool = False,
 ) -> Estimate:
     """Derivative estimate through per-coordinate tilted sampling.
 
     Expands the ell-th derivative over multi-indices (k_0, ..., k_{B-1}) with
     |k| = ell, draws coordinate b from |rho^(k_b)| / ||rho^(k_b)||_1 and
     reweights by sign and L1 norm.  Exponentially many terms in ell, so this
-    is a cross-check for tiny volumes, not a production path.  Orders above 2
-    are untested territory and need experimental_high_order=True.
+    is a cross-check for tiny volumes, not a production path; ell is 1 or 2,
+    as in the score route.
     """
     from itertools import product as _product
 
@@ -393,11 +341,10 @@ def estimate_dos_derivative_tilted(
             f"tilted route is limited to {_TILTED_MAX_BLOCKS} blocks, "
             f"volume has {vol.n_blocks}"
         )
-    if ell < 1:
-        raise ValueError("tilted route needs a derivative order of at least 1")
-    if ell > 2 and not experimental_high_order:
+    if ell not in (1, 2):
         raise ValueError(
-            "orders above 2 in the tilted route need experimental_high_order=True"
+            f"tilted route needs a derivative order of at least 1 and at most 2, "
+            f"got {ell}"
         )
     density = model.density
     z = complex(energy, eps)
@@ -464,9 +411,8 @@ def fractional_moment_profile(
     src_sites = model.projections.sites_of_block(source_block)
     tgt_sites = [model.projections.sites_of_block(t) for t in targets]
 
-    def one(i: int):
-        om = draw_disorder(model, mc.master_seed, i)
-        cols = resolvent_columns(vol.hamiltonian(om[: vol.n_blocks]), z, src_sites)
+    def row(om):
+        cols = resolvent_columns(vol.hamiltonian(om), z, src_sites)
         out = np.empty(len(targets))
         for j, idx in enumerate(tgt_sites):
             block = cols[idx, :]
@@ -476,28 +422,7 @@ def fractional_moment_profile(
                 out[j] = np.linalg.norm(block, 2)
         return out**s
 
-    values = _run_samples(
-        mc.n_samples, mc.workers, len(targets), one, dtype=np.float64
-    )
-    return [
-        Estimate.from_samples(values[:, k], mc.master_seed)
-        for k in range(len(targets))
-    ]
-
-
-def estimate_fractional_moment(
-    model: ModelSpec,
-    n_prefix_sites: int,
-    z,
-    source_block: int,
-    target_block: int,
-    s: float,
-    mc: McConfig,
-) -> Estimate:
-    """E[ ||P_target (h - z)^{-1} P_source||^s ] on one prefix volume."""
-    return fractional_moment_profile(
-        model, n_prefix_sites, z, source_block, [target_block], s, mc
-    )[0]
+    return _estimate(vol, mc, len(targets), row, dtype=np.float64)
 
 
 def fit_decay(
@@ -548,26 +473,6 @@ def fit_decay(
 # -- telescoping over growing volumes ---------------------------------------------
 
 
-def telescoping_term(
-    model: ModelSpec,
-    k_blocks: int,
-    ell: int,
-    energy: float,
-    eps: float,
-    mc: McConfig,
-) -> Estimate:
-    """d^ell/dE^ell E[tr(P_0 G_{K+1}) - tr(P_0 G_K)] with coupled disorder.
-
-    K counts blocks of the smaller volume; both volumes see the same
-    couplings on shared blocks, so at ell = 0 consecutive terms telescope
-    exactly sample by sample.
-    """
-    report = telescope_series_diagnostic(
-        model, range(k_blocks, k_blocks + 1), ell, energy, eps, mc
-    )
-    return report.terms[0]
-
-
 def telescope_series_diagnostic(
     model: ModelSpec,
     k_range,
@@ -592,7 +497,7 @@ def telescope_series_diagnostic(
             f"k_range {ks[0]}..{ks[-1]} needs volumes of {ks[-1] + 1} blocks, "
             f"model has {model.n_blocks}"
         )
-    _check_score_preconditions(model.density, ell)
+    model.density.check_score_order(ell)
     z = complex(energy, eps)
     sites_of = model.projections.prefix_sites
     vol = _Volume(model, sites_of(ks[-1] + 1))
@@ -600,29 +505,17 @@ def telescope_series_diagnostic(
     lam_pow = model.coupling ** (-ell)
     n_terms = len(ks)
 
-    def weighted_row(om):
+    def row(om):
         # tr[j] and weight[j] belong to the volume of ks[0] + j blocks
         tr = nested_block_traces(vol.hamiltonian(om), z, vol.block0, prefix_sizes)
         weight = model.density.prefix_score_factors(om, ell)[ks[0] - 1 :] * lam_pow
-        row = np.empty(n_terms + 2, dtype=np.complex128)
-        row[:n_terms] = (tr[1:] - tr[:-1]) * weight[1:]
-        row[n_terms] = tr[0] * weight[0]
-        row[n_terms + 1] = tr[-1] * weight[-1]
-        return row
+        out = np.empty(n_terms + 2, dtype=np.complex128)
+        out[:n_terms] = (tr[1:] - tr[:-1]) * weight[1:]
+        out[n_terms] = tr[0] * weight[0]
+        out[n_terms + 1] = tr[-1] * weight[-1]
+        return out
 
-    def one(i: int):
-        om = draw_disorder(model, mc.master_seed, i)[: vol.n_blocks]
-        row = weighted_row(om)
-        if ell == 0:
-            return row
-        return 0.5 * (row + weighted_row(1.0 - om))
-
-    values = _run_samples(mc.n_samples, mc.workers, n_terms + 2, one)
-    terms = tuple(
-        Estimate.from_samples(values[:, j], mc.master_seed) for j in range(n_terms)
-    )
-    base = Estimate.from_samples(values[:, n_terms], mc.master_seed)
-    direct = Estimate.from_samples(values[:, n_terms + 1], mc.master_seed)
+    *terms, base, direct = _estimate(vol, mc, n_terms + 2, row, antithetic=ell > 0)
     partial = complex(base.mean) + np.cumsum([complex(t.mean) for t in terms])
     abs_pairs = [
         (float(k), Estimate(abs(complex(t.mean)), t.stderr, t.n_samples, t.seed))
@@ -635,7 +528,7 @@ def telescope_series_diagnostic(
     supported = fit is not None and fit.rate > 0.0 and fit.r_squared >= 0.9
     return TelescopeReport(
         k_values=tuple(ks),
-        terms=terms,
+        terms=tuple(terms),
         base=base,
         direct=direct,
         partial_sums=partial,

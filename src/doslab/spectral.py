@@ -68,7 +68,7 @@ def resolvent_columns(h: np.ndarray, z, columns: Sequence[int]) -> np.ndarray:
     scale = np.linalg.norm(h, np.inf) + abs(zc)
     # einsum, not BLAS: numpy's own BLAS pool would contend with scipy's LU
     resid = np.linalg.norm(np.einsum("ij,jk->ik", h, x) - zc * x - rhs, axis=0)
-    if np.any(resid > _RESIDUAL_REL_TOL * scale):
+    if not np.all(resid <= _RESIDUAL_REL_TOL * scale):
         raise RuntimeError(
             f"resolvent solve residual {resid.max():.3e} exceeds "
             f"{_RESIDUAL_REL_TOL:.0e} * {scale:.3e}"

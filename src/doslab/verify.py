@@ -137,10 +137,13 @@ class Corpus:
     def rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, index))
 
-    def dim(self, index: int) -> int:
+    def _rng_and_dim(self, index: int) -> tuple[np.random.Generator, int]:
+        """The instance's generator and its dimension, drawn from it first
+        unless the range is a single value."""
+        rng = self.rng(index)
         if self.dim_min == self.dim_max:
-            return self.dim_min
-        return int(self.rng(index).integers(self.dim_min, self.dim_max + 1))
+            return rng, self.dim_min
+        return rng, int(rng.integers(self.dim_min, self.dim_max + 1))
 
     def _hermitian(self, rng, d: int) -> np.ndarray:
         g = rng.standard_normal((d, d))
@@ -157,10 +160,7 @@ class Corpus:
 
     def matrix(self, index: int) -> np.ndarray:
         """One matrix: Hermitian, or strictly dissipative (Im part >= min_imag)."""
-        rng = self.rng(index)
-        d = self.dim_min if self.dim_min == self.dim_max else int(
-            rng.integers(self.dim_min, self.dim_max + 1)
-        )
+        rng, d = self._rng_and_dim(index)
         h = self._hermitian(rng, d)
         self._check_structure(h)
         if not self.dissipative:
@@ -175,10 +175,7 @@ class Corpus:
     def pair(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Two matrices of equal shape and structure (independent, or A and
         a delta-perturbation of A when delta > 0)."""
-        rng = self.rng(index)
-        d = self.dim_min if self.dim_min == self.dim_max else int(
-            rng.integers(self.dim_min, self.dim_max + 1)
-        )
+        rng, d = self._rng_and_dim(index)
         ha = self._hermitian(rng, d)
         hb = self._hermitian(rng, d)
         if self.dissipative:
@@ -206,10 +203,7 @@ class Corpus:
     def bound_instance(self, index: int):
         """(A, B, F1, F2, z) for the averaged-resolvent bound: Hermitian pair,
         two PSD weights, and a spectral parameter in the upper half plane."""
-        rng = self.rng(index)
-        d = self.dim_min if self.dim_min == self.dim_max else int(
-            rng.integers(self.dim_min, self.dim_max + 1)
-        )
+        rng, d = self._rng_and_dim(index)
         a = self._hermitian(rng, d)
         b = self._hermitian(rng, d)
         if self.delta > 0:

@@ -122,7 +122,7 @@ def test_criterion_03_fractional_moment_decay(capsys):
         by_distance.setdefault(model.block_distance(0, b), b)
     distances = list(range(1, 16))
     blocks = [by_distance[d] for d in distances]
-    mc = McConfig(n_samples=2000, master_seed=101, s=1.0 / 3.0)
+    mc = McConfig(n_samples=2000, master_seed=101)
     profile = fractional_moment_profile(
         model, 31, 1.0 + 0.1j, 0, blocks, 1.0 / 3.0, mc
     )
@@ -145,11 +145,9 @@ def test_criterion_04_telescoping_sum(capsys):
     # gap to an independently sampled largest-volume estimate.
     model = chain(10, 10.0)  # 21 blocks
     energy, eps = -2.5, 0.1
-    mc = McConfig(n_samples=2000, master_seed=55, s=1.0 / 3.0, preset="telescope")
+    mc = McConfig(n_samples=2000, master_seed=55)
     report = telescope_series_diagnostic(model, range(4, 21), 0, energy, eps, mc)
-    mc_indep = McConfig(
-        n_samples=2000, master_seed=77, s=1.0 / 3.0, preset="telescope"
-    )
+    mc_indep = McConfig(n_samples=2000, master_seed=77)
     independent = telescope_series_diagnostic(
         model, range(4, 21), 0, energy, eps, mc_indep
     )

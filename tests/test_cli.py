@@ -328,6 +328,13 @@ def test_run_deriv_order_beyond_smoothness_exits_2(tmp_path):
     assert "run.ell" in err
 
 
+def test_run_telescope_order_beyond_smoothness_exits_2(tmp_path):
+    cfgp = toy_config(tmp_path, "telescope", ell="2")  # p=2 allows ell<=1
+    code, _, err = run_quiet(None, cfgp)
+    assert code == 2
+    assert "run.ell" in err
+
+
 def test_run_deriv_score_variance_guard_exits_2(tmp_path):
     cfgp = toy_config(tmp_path, "dos-deriv", ell="2")
     with open(cfgp) as fh:

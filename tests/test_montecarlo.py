@@ -24,17 +24,12 @@ from doslab.montecarlo import (
     McConfig,
     draw_disorder,
     dos_derivative_curve,
-    estimate_dos_derivative,
     estimate_dos_derivative_tilted,
-    estimate_fractional_moment,
-    estimate_ids,
-    estimate_smoothed_dos,
     fit_decay,
     fractional_moment_profile,
     ids_curve,
     smoothed_dos_curve,
     telescope_series_diagnostic,
-    telescoping_term,
 )
 from doslab.quadrature import panel_rule
 
@@ -92,14 +87,12 @@ def test_estimate_agreement_band():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        McConfig(n_samples=10, master_seed=0, s=1.5)
-    with pytest.raises(ValueError):
-        McConfig(n_samples=10, master_seed=0, s=0.0)
-    with pytest.raises(ValueError):
-        McConfig(n_samples=10, master_seed=0, preset="telescope", s=0.6)
-    ok = McConfig(n_samples=10, master_seed=0, preset="telescope", s=0.45)
-    assert ok.s == 0.45
+    with pytest.raises(ValueError, match="sample"):
+        McConfig(n_samples=0, master_seed=0)
+    with pytest.raises(ValueError, match="worker"):
+        McConfig(n_samples=10, master_seed=0, workers=0)
+    ok = McConfig(n_samples=10, master_seed=0)
+    assert ok.workers == 1
 
 
 # -- determinism -------------------------------------------------------------------
@@ -117,14 +110,30 @@ def test_disorder_draws_are_reproducible_and_full_length():
 
 
 def test_estimates_are_bit_stable_across_worker_counts():
+    # every estimator on the shared sampling driver, workers 1 against 4
     model = chain_model(3, coupling=1.5)
     kwargs = dict(n_samples=64, master_seed=42)
-    one = estimate_smoothed_dos(model, 7, 0.5, 0.2, McConfig(workers=1, **kwargs))
-    four = estimate_smoothed_dos(model, 7, 0.5, 0.2, McConfig(workers=4, **kwargs))
-    assert one.mean == four.mean
-    assert one.stderr == four.stderr
-    rerun = estimate_smoothed_dos(model, 7, 0.5, 0.2, McConfig(workers=1, **kwargs))
-    assert rerun.mean == one.mean
+    routes = {
+        "dos": lambda mc: smoothed_dos_curve(model, 7, [0.5], 0.2, mc),
+        "ids": lambda mc: ids_curve(model, 7, [-0.5, 0.5, 1.5], mc),
+        "score-1": lambda mc: dos_derivative_curve(model, 7, [0.5], 0.2, 1, mc),
+        "resolvent-1": lambda mc: dos_derivative_curve(
+            model, 7, [0.5], 0.2, 1, mc, method="resolvent"
+        ),
+        "fracmom": lambda mc: fractional_moment_profile(
+            model, 7, 0.5 + 0.2j, 0, [0, 1, 2, 3], 0.5, mc
+        ),
+        "telescope-1": lambda mc: telescope_series_diagnostic(
+            model, range(2, 6), 1, 0.5, 0.2, mc
+        ).terms,
+    }
+    for route, estimator in routes.items():
+        one = estimator(McConfig(workers=1, **kwargs))
+        four = estimator(McConfig(workers=4, **kwargs))
+        assert [e.mean for e in one] == [e.mean for e in four], route
+        assert [e.stderr for e in one] == [e.stderr for e in four], route
+        rerun = estimator(McConfig(workers=1, **kwargs))
+        assert [e.mean for e in rerun] == [e.mean for e in one], route
 
 
 # -- smoothed density and its derivatives -------------------------------------------
@@ -136,7 +145,7 @@ def test_smoothed_dos_matches_convolution_oracle():
     model = chain_model(2, coupling=1.0, hopping=0.0)
     mc = McConfig(n_samples=3000, master_seed=5)
     for energy, eps in [(0.2, 0.2), (0.5, 0.05), (0.9, 0.2)]:
-        est = estimate_smoothed_dos(model, 5, energy, eps, mc)
+        est = smoothed_dos_curve(model, 5, [energy], eps, mc)[0]
         oracle = density_quadrature(
             model.density,
             lambda x: (eps / np.pi) / ((x - energy) ** 2 + eps**2),
@@ -147,28 +156,28 @@ def test_smoothed_dos_matches_convolution_oracle():
 def test_dos_derivative_order_zero_is_the_raw_trace():
     model = chain_model(3, coupling=2.0)
     mc = McConfig(n_samples=300, master_seed=9)
-    smooth = estimate_smoothed_dos(model, 7, 0.4, 0.3, mc)
-    raw = estimate_dos_derivative(model, 7, 0.4, 0.3, ell=0, mc=mc)
+    smooth = smoothed_dos_curve(model, 7, [0.4], 0.3, mc)[0]
+    raw = dos_derivative_curve(model, 7, [0.4], 0.3, ell=0, mc=mc)[0]
     assert_allclose(raw.mean.imag / np.pi, smooth.mean, rtol=1e-13)
 
 
 def test_first_derivative_routes_agree():
     model = chain_model(6, coupling=2.0, p=2)
     mc = McConfig(n_samples=4000, master_seed=31)
-    by_score = estimate_dos_derivative(model, 13, 0.5, 0.3, ell=1, mc=mc)
-    by_power = estimate_dos_derivative(
-        model, 13, 0.5, 0.3, ell=1, mc=mc, method="resolvent"
-    )
+    by_score = dos_derivative_curve(model, 13, [0.5], 0.3, ell=1, mc=mc)[0]
+    by_power = dos_derivative_curve(
+        model, 13, [0.5], 0.3, ell=1, mc=mc, method="resolvent"
+    )[0]
     assert by_score.agrees_with(by_power), (by_score, by_power)
 
 
 def test_second_derivative_routes_agree():
     model = chain_model(4, coupling=2.0, p=4)
     mc = McConfig(n_samples=6000, master_seed=77)
-    by_score = estimate_dos_derivative(model, 9, 0.8, 0.4, ell=2, mc=mc)
-    by_power = estimate_dos_derivative(
-        model, 9, 0.8, 0.4, ell=2, mc=mc, method="resolvent"
-    )
+    by_score = dos_derivative_curve(model, 9, [0.8], 0.4, ell=2, mc=mc)[0]
+    by_power = dos_derivative_curve(
+        model, 9, [0.8], 0.4, ell=2, mc=mc, method="resolvent"
+    )[0]
     assert by_score.agrees_with(by_power), (by_score, by_power)
 
 
@@ -176,7 +185,9 @@ def test_resolvent_route_matches_quadrature_oracle():
     # single uncoupled site: E[tr(P0 G^2)] = integral of rho(x)/(cx - z)^2
     model = chain_model(1, coupling=3.0, hopping=0.0)
     mc = McConfig(n_samples=2000, master_seed=13)
-    est = estimate_dos_derivative(model, 1, 1.5, 0.5, ell=1, mc=mc, method="resolvent")
+    est = dos_derivative_curve(
+        model, 1, [1.5], 0.5, ell=1, mc=mc, method="resolvent"
+    )[0]
     z = 1.5 + 0.5j
     oracle = density_quadrature(model.density, lambda x: 1.0 / (3.0 * x - z) ** 2)
     assert abs(est.mean - oracle) < 4 * est.stderr
@@ -189,8 +200,10 @@ def test_score_route_scales_with_the_coupling():
     for lam in (2.0, 4.0):
         model = chain_model(3, coupling=lam, p=3)
         mc = McConfig(n_samples=5000, master_seed=101)
-        a = estimate_dos_derivative(model, 7, 0.6, 0.5, ell=1, mc=mc)
-        b = estimate_dos_derivative(model, 7, 0.6, 0.5, ell=1, mc=mc, method="resolvent")
+        a = dos_derivative_curve(model, 7, [0.6], 0.5, ell=1, mc=mc)[0]
+        b = dos_derivative_curve(
+            model, 7, [0.6], 0.5, ell=1, mc=mc, method="resolvent"
+        )[0]
         assert a.agrees_with(b), lam
 
 
@@ -198,14 +211,14 @@ def test_score_route_preconditions():
     mc = McConfig(n_samples=8, master_seed=0)
     flat = chain_model(2, coupling=1.0, p=1)
     with pytest.raises(ValueError, match="continuity order"):
-        estimate_dos_derivative(flat, 5, 0.0, 0.5, ell=1, mc=mc)
+        dos_derivative_curve(flat, 5, [0.0], 0.5, ell=1, mc=mc)
     model = chain_model(2, coupling=1.0, p=3)
     with pytest.raises(ValueError, match="orders up to"):
-        estimate_dos_derivative(model, 5, 0.0, 0.5, ell=3, mc=mc)
+        dos_derivative_curve(model, 5, [0.0], 0.5, ell=3, mc=mc)
     with pytest.raises(ValueError, match="method"):
-        estimate_dos_derivative(model, 5, 0.0, 0.5, ell=1, mc=mc, method="magic")
+        dos_derivative_curve(model, 5, [0.0], 0.5, ell=1, mc=mc, method="magic")
     with pytest.raises(ValueError, match="imaginary"):
-        estimate_smoothed_dos(model, 5, 0.0, -0.1, mc)
+        smoothed_dos_curve(model, 5, [0.0], -0.1, mc)
 
 
 def test_score_route_variance_guard_boundary():
@@ -213,13 +226,13 @@ def test_score_route_variance_guard_boundary():
     mc = McConfig(n_samples=8, master_seed=0)
     p3 = chain_model(2, coupling=1.0, p=3)
     with pytest.raises(ValueError, match=r"p >= 2\*ell = 4"):
-        estimate_dos_derivative(p3, 5, 0.0, 0.5, ell=2, mc=mc)
+        dos_derivative_curve(p3, 5, [0.0], 0.5, ell=2, mc=mc)
     with pytest.raises(ValueError, match=r"p >= 2\*ell = 4"):
         telescope_series_diagnostic(p3, range(2, 4), 2, 0.0, 0.5, mc)
-    ok = estimate_dos_derivative(p3, 5, 0.0, 0.5, ell=1, mc=mc)
+    ok = dos_derivative_curve(p3, 5, [0.0], 0.5, ell=1, mc=mc)[0]
     assert np.isfinite(complex(ok.mean))
     p4 = chain_model(2, coupling=1.0, p=4)
-    ok = estimate_dos_derivative(p4, 5, 0.0, 0.5, ell=2, mc=mc)
+    ok = dos_derivative_curve(p4, 5, [0.0], 0.5, ell=2, mc=mc)[0]
     assert np.isfinite(complex(ok.mean))
 
 
@@ -271,13 +284,13 @@ def test_single_energy_equals_the_same_point_of_a_grid(route):
     mc = McConfig(n_samples=50, master_seed=21)
     energy, other, eps = 0.3, -1.1, 0.2
     if route == "dos":
-        single = estimate_smoothed_dos(model, 13, energy, eps, mc)
+        single = smoothed_dos_curve(model, 13, [energy], eps, mc)[0]
         first = smoothed_dos_curve(model, 13, [energy, other], eps, mc)[0]
     else:
         method, ell = route.split("-")
-        single = estimate_dos_derivative(
-            model, 13, energy, eps, int(ell), mc, method=method
-        )
+        single = dos_derivative_curve(
+            model, 13, [energy], eps, int(ell), mc, method=method
+        )[0]
         first = dos_derivative_curve(
             model, 13, [energy, other], eps, int(ell), mc, method=method
         )[0]
@@ -289,9 +302,9 @@ def test_tilted_route_agrees_with_resolvent_route():
     model = chain_model(2, coupling=1.5, p=3)
     mc = McConfig(n_samples=3000, master_seed=19)
     tilted = estimate_dos_derivative_tilted(model, 5, 0.3, 0.4, ell=1, mc=mc)
-    power = estimate_dos_derivative(
-        model, 5, 0.3, 0.4, ell=1, mc=mc, method="resolvent"
-    )
+    power = dos_derivative_curve(
+        model, 5, [0.3], 0.4, ell=1, mc=mc, method="resolvent"
+    )[0]
     assert tilted.agrees_with(power), (tilted, power)
 
 
@@ -299,9 +312,9 @@ def test_tilted_route_second_order():
     model = chain_model(1, coupling=2.0, p=4)
     mc = McConfig(n_samples=4000, master_seed=23)
     tilted = estimate_dos_derivative_tilted(model, 3, 0.5, 0.5, ell=2, mc=mc)
-    power = estimate_dos_derivative(
-        model, 3, 0.5, 0.5, ell=2, mc=mc, method="resolvent"
-    )
+    power = dos_derivative_curve(
+        model, 3, [0.5], 0.5, ell=2, mc=mc, method="resolvent"
+    )[0]
     assert tilted.agrees_with(power), (tilted, power)
 
 
@@ -313,12 +326,8 @@ def test_tilted_route_guardrails():
     small = chain_model(1, coupling=1.0, p=4)
     with pytest.raises(ValueError, match="at least 1"):
         estimate_dos_derivative_tilted(small, 3, 0.0, 0.5, ell=0, mc=mc)
-    with pytest.raises(ValueError, match="experimental_high_order"):
+    with pytest.raises(ValueError, match="at most 2"):
         estimate_dos_derivative_tilted(small, 3, 0.0, 0.5, ell=3, mc=mc)
-    ok = estimate_dos_derivative_tilted(
-        small, 3, 0.0, 0.5, ell=3, mc=mc, experimental_high_order=True
-    )
-    assert np.isfinite(complex(ok.mean))
 
 
 # -- integrated density of states ----------------------------------------------------
@@ -328,7 +337,7 @@ def test_ids_matches_the_single_site_law():
     model = chain_model(2, coupling=2.0, hopping=0.0, p=3)
     mc = McConfig(n_samples=4000, master_seed=3)
     for energy in (0.4, 1.0, 1.6):
-        est = estimate_ids(model, 5, energy, mc)
+        est = ids_curve(model, 5, [energy], mc)[0]
         want = float(model.density.cdf(energy / 2.0))
         assert abs(est.mean - want) < 4 * est.stderr + 1e-12, energy
 
@@ -336,10 +345,10 @@ def test_ids_matches_the_single_site_law():
 def test_ids_saturates_above_the_spectrum():
     model = chain_model(3, coupling=1.5)
     mc = McConfig(n_samples=200, master_seed=8)
-    est = estimate_ids(model, 7, 3.6, mc)  # above ||h0|| + coupling
+    est = ids_curve(model, 7, [3.6], mc)[0]  # above ||h0|| + coupling
     assert est.mean == pytest.approx(1.0, abs=1e-12)
     assert est.stderr < 1e-13
-    below = estimate_ids(model, 7, -3.6, mc)
+    below = ids_curve(model, 7, [-3.6], mc)[0]
     assert below.mean == pytest.approx(0.0, abs=1e-12)
 
 
@@ -370,7 +379,7 @@ def test_fractional_moment_on_site_matches_quadrature():
     mc = McConfig(n_samples=4000, master_seed=37)
     z = 1.0 + 0.25j
     s = 1.0 / 3.0
-    est = estimate_fractional_moment(model, 1, z, 0, 0, s, mc)
+    est = fractional_moment_profile(model, 1, z, 0, [0], s, mc)[0]
     oracle = density_quadrature(model.density, lambda x: np.abs(2.0 * x - z) ** (-s))
     assert abs(est.mean - oracle) < 4 * est.stderr
 
@@ -392,7 +401,7 @@ def test_fractional_moment_shrinks_with_stronger_coupling():
     means = []
     for lam in (2.0, 8.0, 32.0):
         model = chain_model(1, coupling=lam, hopping=0.0)
-        est = estimate_fractional_moment(model, 1, z, 0, 0, 0.5, mc)
+        est = fractional_moment_profile(model, 1, z, 0, [0], 0.5, mc)[0]
         means.append((est.mean, est.stderr))
     for (m_small, se_small), (m_big, se_big) in zip(means, means[1:]):
         assert m_small - m_big > 2 * math.hypot(se_small, se_big)
@@ -402,9 +411,9 @@ def test_fractional_moment_validation():
     model = chain_model(2, coupling=1.0)
     mc = McConfig(n_samples=8, master_seed=0)
     with pytest.raises(ValueError, match="outside"):
-        estimate_fractional_moment(model, 3, 1j, 0, 4, 0.5, mc)
+        fractional_moment_profile(model, 3, 1j, 0, [4], 0.5, mc)
     with pytest.raises(ValueError, match="exponent"):
-        estimate_fractional_moment(model, 3, 1j, 0, 1, 1.2, mc)
+        fractional_moment_profile(model, 3, 1j, 0, [1], 1.2, mc)
 
 
 def test_fractional_moment_solves_carry_the_residual_guard(monkeypatch):
@@ -511,9 +520,9 @@ def test_telescope_partial_sums_close_exactly_at_order_zero():
 def test_telescope_terms_match_independent_volume_estimates():
     model = chain_model(4, coupling=2.0)
     mc = McConfig(n_samples=300, master_seed=33)
-    term = telescoping_term(model, 3, 0, 0.2, 0.5, mc)
-    small = estimate_dos_derivative(model, 3, 0.2, 0.5, ell=0, mc=mc)
-    large = estimate_dos_derivative(model, 4, 0.2, 0.5, ell=0, mc=mc)
+    term = telescope_series_diagnostic(model, range(3, 4), 0, 0.2, 0.5, mc).terms[0]
+    small = dos_derivative_curve(model, 3, [0.2], 0.5, ell=0, mc=mc)[0]
+    large = dos_derivative_curve(model, 4, [0.2], 0.5, ell=0, mc=mc)[0]
     assert_allclose(
         complex(term.mean),
         complex(large.mean) - complex(small.mean),

@@ -164,6 +164,9 @@ def test_resolvent_residual_guard_trips_on_singular_input():
     h = np.diag([1.0, 1.0])
     cols = resolvent_columns(h, 1.0 + 1e-8j, [0])
     assert np.abs(cols[0, 0]) == pytest.approx(1e8, rel=1e-6)
+    # a NaN residual fails the check instead of slipping past a ">" test
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
+        resolvent_columns(np.diag([1.0, np.nan, 1.0]), 0.5j, [0])
 
 
 # -- nested prefix traces ---------------------------------------------------------
