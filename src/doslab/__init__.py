@@ -6,7 +6,7 @@ energy derivatives by Monte Carlo, measures fractional-moment decay, and
 certifies the operator inequalities the estimators rely on by quadrature.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .cli import ConfigError, ExperimentConfig, RunManifest, reproduce, run
 from .disorder import SingleSiteDensity, TiltedSampler
@@ -17,7 +17,6 @@ from .lattice import (
     SiteSpace,
     assemble_hamiltonian,
     build_box_enumeration,
-    restriction_spectrum_bounds,
 )
 from .montecarlo import (
     DecayFit,
@@ -66,7 +65,6 @@ __all__ = [
     "fit_decay",
     "reproduce",
     "resolvent_columns",
-    "restriction_spectrum_bounds",
     "run",
     "run_default_verification",
     "smoothstep",

@@ -59,14 +59,6 @@ class SiteSpace:
         """Metric between sites by enumeration index."""
         return self._distance(i, j)
 
-    def distance_matrix(self) -> np.ndarray:
-        n = len(self.sites)
-        out = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = self._distance(i, j)
-        return out
-
 
 def build_box_enumeration(dimension: int, half_width: int) -> SiteSpace:
     """Box {-L..L}^d under the sup metric, enumerated shell by shell.
@@ -103,18 +95,36 @@ def build_box_enumeration(dimension: int, half_width: int) -> SiteSpace:
     )
 
 
+def _site_index(coords: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of each row of points among coords (-1 where none), for points
+    within one step of the bounding box of coords."""
+    lo = coords.min(axis=0) - 1
+    span = coords.max(axis=0) - lo + 2
+    keys = np.ravel_multi_index((coords - lo).T, span)
+    order = np.argsort(keys)
+    query = np.ravel_multi_index((points - lo).T, span)
+    pos = np.minimum(np.searchsorted(keys[order], query), len(keys) - 1)
+    return np.where(keys[order[pos]] == query, order[pos], -1)
+
+
 def _check_unit_increment(space: SiteSpace) -> None:
     # every freshly added site must touch the previous volume: d(prefix, next) == 1
     n = len(space.sites)
-    if space.coords is not None:
+    if n > 1 and space.coords is not None:
+        # distinct sites sit at distance >= 1, so d == 1 means that some
+        # sup-metric neighbour has a lower index
         c = space.coords
-        for k in range(1, n):
+        steps = np.array([o for o in product((-1, 0, 1), repeat=c.shape[1]) if any(o)])
+        nb = _site_index(c, (c + steps[:, None]).reshape(-1, c.shape[1]))
+        first = np.where(nb >= 0, nb, n).reshape(len(steps), n).min(axis=0)
+        late = np.flatnonzero(first[1:] > np.arange(1, n))
+        if late.size:
+            k = int(late[0]) + 1
             d_min = int(np.min(np.max(np.abs(c[:k] - c[k]), axis=1)))
-            if d_min != 1:
-                raise ValueError(
-                    f"enumeration violates the unit-increment property at index {k} "
-                    f"(distance {d_min})"
-                )
+            raise ValueError(
+                f"enumeration violates the unit-increment property at index {k} "
+                f"(distance {d_min})"
+            )
         return
     for k in range(1, n):
         d_min = min(space.distance(j, k) for j in range(k))
@@ -132,23 +142,14 @@ def _measure_growth_constant(space: SiteSpace) -> float:
     n = len(space.sites)
     if n < 2:
         return float("inf")
-    beyond = (
-        float(space.half_width + 1) if space.half_width is not None else float("inf")
-    )
+    beyond = float("inf") if space.half_width is None else float(space.half_width + 1)
     if space.coords is not None:
-        from_origin = np.max(np.abs(space.coords - space.coords[0]), axis=1).astype(
-            float
-        )
+        from_origin = np.max(np.abs(space.coords - space.coords[0]), axis=1)
     else:
-        from_origin = np.array(
-            [space.distance(0, k) for k in range(n)], dtype=float
-        )
-    tail_min = np.minimum.accumulate(from_origin[::-1])[::-1]
-    ratios = []
-    for N in range(1, n):
-        d0 = tail_min[N + 1] if N < n - 1 else beyond
-        ratios.append(min(d0, beyond) / N**space.alpha)
-    r = float(min(ratios))
+        from_origin = np.array([space.distance(0, k) for k in range(n)])
+    tail_min = np.minimum.accumulate(from_origin[::-1].astype(float))[::-1]
+    d0 = np.minimum(np.append(tail_min[2:], beyond), beyond)
+    r = float(np.min(d0 / np.arange(1, n) ** space.alpha))
     if not r > 0.0:
         raise ValueError("growth constant is not positive for the declared exponent")
     return r
@@ -186,9 +187,6 @@ class ProjectionFamily:
     def block_sizes(self) -> np.ndarray:
         return self._sizes.copy()
 
-    def rank(self, n: int) -> int:
-        return int(self._sizes[n])
-
     def sites_of_block(self, n: int) -> np.ndarray:
         return self.blocks[n]
 
@@ -203,12 +201,6 @@ class ProjectionFamily:
 
     def prefix_sites(self, n_blocks: int) -> int:
         return int(self._cum_sites[n_blocks])
-
-    def projector(self, n: int, dim: int) -> np.ndarray:
-        out = np.zeros((dim, dim))
-        idx = self.blocks[n]
-        out[idx, idx] = 1.0
-        return out
 
 
 class FreeOperatorSpec:
@@ -241,6 +233,8 @@ class FreeOperatorSpec:
         self.hopping = clean
         self.hop_range = int(hop_range)
         self._is_real = all(abs(v.imag) == 0.0 for v in clean.values())
+        pairs = np.array(list(clean), dtype=np.int64).reshape(-1, 2)
+        self._pairs = (*pairs.T, np.array(list(clean.values()), dtype=np.complex128))
 
     @classmethod
     def zero(cls, space: SiteSpace) -> "FreeOperatorSpec":
@@ -256,48 +250,49 @@ class FreeOperatorSpec:
         """Hopping between lattice neighbors (coordinate difference one step).
 
         phase(site_a, site_b) adds a Peierls factor exp(i*phase) on top of the
-        common amplitude.  Spaces without coordinates hop between sites at
-        distance one.
+        common amplitude, one call per pair (a before b in the enumeration).
+        Spaces without coordinates hop between sites at distance one.
         """
         n = len(space)
-        hopping: dict[tuple[int, int], complex] = {}
         if space.dimension is not None:
-            coords = np.array(space.sites, dtype=np.int64)
-            for i in range(n):
-                diff = np.abs(coords - coords[i])
-                nb = np.where((diff.sum(axis=1) == 1) & (diff.max(axis=1) == 1))[0]
-                for j in nb[nb > i]:
-                    amp = complex(amplitude)
-                    if phase is not None:
-                        amp *= np.exp(1j * phase(space.sites[i], space.sites[int(j)]))
-                    hopping[(i, int(j))] = amp
+            coords = np.array(space.sites, dtype=np.int64).reshape(n, -1)
+            d = coords.shape[1]
+            nb = _site_index(coords, (coords + np.eye(d, dtype=np.int64)[:, None]).reshape(-1, d))
+            src = np.tile(np.arange(n), d)
+            i, j = np.minimum(src, nb)[nb >= 0], np.maximum(src, nb)[nb >= 0]
         else:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if space.distance(i, j) == 1:
-                        hopping[(i, j)] = complex(amplitude)
+            i, j = np.triu_indices(n, 1)
+            unit = [space.distance(int(a), int(b)) == 1 for a, b in zip(i, j)]
+            i, j = i[unit], j[unit]
+        order = np.lexsort((j, i))
+        hopping = {}
+        for a, b in zip(i[order].tolist(), j[order].tolist()):
+            amp = complex(amplitude)
+            if phase is not None:
+                amp *= np.exp(1j * phase(space.sites[a], space.sites[b]))
+            hopping[(a, b)] = amp
         return cls(hopping, np.zeros(n), hop_range=1)
+
+    def entries(self, n_sites: int | None = None):
+        """(rows, cols, values) of h0 on the leading n_sites sites: the whole
+        diagonal, then each pair and its conjugate mirror; real when h0 is."""
+        n = self.diagonal.shape[0] if n_sites is None else int(n_sites)
+        i, j, amp = self._pairs
+        inside = j < n
+        i, j, amp = i[inside], j[inside], amp[inside]
+        diag = np.arange(n)
+        rows = np.concatenate([diag, i, j])
+        cols = np.concatenate([diag, j, i])
+        vals = np.concatenate([self.diagonal[:n], amp, amp.conj()])
+        return rows, cols, vals.real if self._is_real else vals
 
     def matrix(self, n_sites: int | None = None) -> np.ndarray:
         """Dense h0 on the leading n_sites sites (full space by default)."""
+        rows, cols, vals = self.entries(n_sites)
         n = self.diagonal.shape[0] if n_sites is None else int(n_sites)
-        dtype = np.float64 if self._is_real else np.complex128
-        h = np.zeros((n, n), dtype=dtype)
-        h[np.arange(n), np.arange(n)] = self.diagonal[:n]
-        for (i, j), amp in self.hopping.items():
-            if i < n and j < n:
-                h[i, j] = amp if dtype == np.complex128 else amp.real
-                h[j, i] = np.conj(amp) if dtype == np.complex128 else amp.real
+        h = np.zeros((n, n), dtype=vals.dtype)
+        h[rows, cols] = vals
         return h
-
-    def norm_bound(self) -> float:
-        """Row-sum bound on the operator norm of the full h0."""
-        n = self.diagonal.shape[0]
-        row = np.abs(self.diagonal).astype(float)
-        for (i, j), amp in self.hopping.items():
-            row[i] += abs(amp)
-            row[j] += abs(amp)
-        return float(row.max(initial=0.0))
 
 
 @dataclass
@@ -361,17 +356,3 @@ def assemble_hamiltonian(
     diag = np.repeat(om, sizes) * model.coupling
     h[np.arange(n_prefix_sites), np.arange(n_prefix_sites)] += diag
     return h
-
-
-def restriction_spectrum_bounds(
-    model: ModelSpec, omega: np.ndarray, n_prefix_sites: int
-) -> tuple[float, float]:
-    """(lowest, highest) eigenvalue of the finite-volume Hamiltonian."""
-    h = assemble_hamiltonian(model, omega, n_prefix_sites)
-    try:
-        ev = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise RuntimeError(
-            f"eigensolver failed on a {n_prefix_sites}-site restriction"
-        ) from exc
-    return float(ev[0]), float(ev[-1])

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .lattice import ModelSpec
-from .spectral import eigen_weights, nested_block_traces, resolvent_columns
+from .spectral import CscPattern, eigen_weights, nested_block_traces
 
 _TILTED_MAX_BLOCKS = 6
 
@@ -166,10 +167,13 @@ class _Volume:
         self.model = model
         self.n_sites = int(n_prefix_sites)
         self.n_blocks = model.projections.blocks_for_prefix(self.n_sites)
-        self.h0 = model.free.matrix(self.n_sites)
         self.sizes = model.projections.block_sizes()[: self.n_blocks]
         self.block0 = model.projections.sites_of_block(0)
         self._diag = np.arange(self.n_sites)
+
+    @cached_property
+    def h0(self) -> np.ndarray:
+        return self.model.free.matrix(self.n_sites)
 
     def hamiltonian(self, om_prefix: np.ndarray) -> np.ndarray:
         h = self.h0.copy()
@@ -398,8 +402,10 @@ def fractional_moment_profile(
 ) -> list[Estimate]:
     """E[ ||P_t (h - z)^{-1} P_src||^s ] for each target block t.
 
-    One factorization per sample serves every target, so the per-distance
-    estimates share their disorder realizations.
+    One sparse factorization per sample serves every target, so the
+    per-distance estimates share their disorder realizations.  The pattern of
+    h0 plus the diagonal is built once; a sample only rewrites the diagonal
+    entries of a copy of its data, so no dense matrix is assembled.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional exponent s={s} outside (0, 1)")
@@ -410,9 +416,12 @@ def fractional_moment_profile(
             raise ValueError(f"block {t} outside the prefix volume")
     src_sites = model.projections.sites_of_block(source_block)
     tgt_sites = [model.projections.sites_of_block(t) for t in targets]
+    pattern = CscPattern(*model.free.entries(vol.n_sites), vol.n_sites)
 
     def row(om):
-        cols = resolvent_columns(vol.hamiltonian(om), z, src_sites)
+        data = pattern.data.copy()
+        data[pattern.diag] += model.coupling * np.repeat(om, vol.sizes)
+        cols = pattern.resolvent_columns(data, z, src_sites)
         out = np.empty(len(targets))
         for j, idx in enumerate(tgt_sites):
             block = cols[idx, :]

@@ -1,7 +1,7 @@
-"""Dense resolvent columns, nested-prefix resolvent traces and probe-block
+"""Sparse resolvent columns, nested-prefix resolvent traces and probe-block
 spectral weights.
 
-Everything here is exact dense linear algebra at desk scale (dimension a few
+Everything here is exact linear algebra at desk scale (dimension a few
 thousand at most); statistical estimation lives in `montecarlo`.
 """
 
@@ -34,6 +34,15 @@ class ComplexShift:
         return complex(self.energy, self.eps)
 
 
+def _square_dimension(shape) -> int:
+    n = shape[0]
+    if tuple(shape) != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if n > _DENSE_DIMENSION_CAP:
+        raise ValueError(f"dimension {n} above the dense cap {_DENSE_DIMENSION_CAP}")
+    return n
+
+
 def _as_z(z) -> complex:
     if isinstance(z, ComplexShift):
         return z.z
@@ -43,37 +52,70 @@ def _as_z(z) -> complex:
     return zc
 
 
-def resolvent_columns(h: np.ndarray, z, columns: Sequence[int]) -> np.ndarray:
-    """Columns of (h - z)^{-1}, one LU factorization reused for all of them.
+class CscPattern:
+    """Compressed-column pattern of an n x n matrix, every diagonal entry stored.
 
-    Each column is checked against the residual bound
-    ||(h - z) x - e|| <= 1e-10 * (||h|| + |z|).
+    Built once from (rows, cols, vals) entries, duplicates summed.  data[diag]
+    are the diagonal entries, so a shift or a disorder draw touches only them.
+    """
+
+    def __init__(self, rows, cols, vals, n: int):
+        import scipy.sparse as sp
+
+        ar = np.arange(n)
+        ij = (np.concatenate([rows, ar]), np.concatenate([cols, ar]))
+        a = sp.csc_array((np.concatenate([vals, np.zeros(n)]), ij), shape=(n, n))
+        a.sum_duplicates()
+        self.indptr, self.indices, self.data = a.indptr, a.indices, a.data
+        self.diag = np.flatnonzero(a.indices == np.repeat(ar, np.diff(a.indptr)))
+
+    def resolvent_columns(self, data: np.ndarray, z, columns) -> np.ndarray:
+        """resolvent_columns of the matrix with this pattern and data."""
+        from scipy.sparse import csc_array
+        from scipy.sparse.linalg import splu
+
+        zc, n = _as_z(z), len(self.diag)
+        cols = np.asarray(columns, dtype=np.int64)
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise ValueError("column index outside the matrix")
+        scale = np.bincount(self.indices, np.abs(data), n).max(initial=0.0) + abs(zc)
+        shifted = data.astype(np.complex128)
+        shifted[self.diag] -= zc
+        a = csc_array((shifted, self.indices, self.indptr), shape=(n, n))
+        rhs = np.zeros((n, cols.size), dtype=np.complex128)
+        rhs[cols, np.arange(cols.size)] = 1.0
+        try:
+            opts = {"SymmetricMode": True}
+            lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=opts)
+            x = lu.solve(rhs)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            x = np.full_like(rhs, np.nan)
+        resid = np.linalg.norm(a @ x - rhs, axis=0)
+        if not np.all(resid <= _RESIDUAL_REL_TOL * scale):
+            raise RuntimeError(
+                f"resolvent solve residual {resid.max(initial=0.0):.3e} exceeds "
+                f"{_RESIDUAL_REL_TOL:.0e} * {scale:.3e}"
+            )
+        return x
+
+
+def resolvent_columns(h, z, columns: Sequence[int]) -> np.ndarray:
+    """Columns of (h - z)^{-1} for a dense or scipy-sparse Hermitian h.
+
+    One SuperLU factorization of h - z serves every column: minimum-degree
+    ordering on the pattern of A^T + A, applied symmetrically, with pivots on
+    the diagonal.  No pivot can vanish: every leading block of P (h - z) P^T
+    has imaginary part <= -Im z, so every pivot has modulus >= Im z.  Each
+    column is checked against ||(h - z) x - e|| <= 1e-10 * (||h||_inf + |z|),
+    which a failed factorization or solve fails too.
     """
     zc = _as_z(z)
-    h = np.asarray(h)
-    n = h.shape[0]
-    if h.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if n > _DENSE_DIMENSION_CAP:
-        raise ValueError(f"dimension {n} above the dense cap {_DENSE_DIMENSION_CAP}")
-    cols = np.asarray(columns, dtype=np.int64)
-    if cols.size and (cols.min() < 0 or cols.max() >= n):
-        raise ValueError("column index outside the matrix")
-    shifted = np.array(h, dtype=np.complex128, order="F")
-    shifted[np.arange(n), np.arange(n)] -= zc
-    lu, piv = sla.lu_factor(shifted, overwrite_a=True, check_finite=False)
-    rhs = np.zeros((n, cols.size), dtype=np.complex128)
-    rhs[cols, np.arange(cols.size)] = 1.0
-    x = sla.lu_solve((lu, piv), rhs, check_finite=False)
-    scale = np.linalg.norm(h, np.inf) + abs(zc)
-    # einsum, not BLAS: numpy's own BLAS pool would contend with scipy's LU
-    resid = np.linalg.norm(np.einsum("ij,jk->ik", h, x) - zc * x - rhs, axis=0)
-    if not np.all(resid <= _RESIDUAL_REL_TOL * scale):
-        raise RuntimeError(
-            f"resolvent solve residual {resid.max():.3e} exceeds "
-            f"{_RESIDUAL_REL_TOL:.0e} * {scale:.3e}"
-        )
-    return x
+    import scipy.sparse as sp
+
+    coo = sp.coo_array(h if sp.issparse(h) else np.asarray(h))
+    n = _square_dimension(coo.shape)
+    pattern = CscPattern(coo.row, coo.col, coo.data, n)
+    return pattern.resolvent_columns(pattern.data, zc, columns)
 
 
 def _lu_without_pivoting(a: np.ndarray) -> None:
@@ -119,11 +161,7 @@ def nested_block_traces(
     """
     zc = _as_z(z)
     h = np.asarray(h)
-    n = h.shape[0]
-    if h.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if n > _DENSE_DIMENSION_CAP:
-        raise ValueError(f"dimension {n} above the dense cap {_DENSE_DIMENSION_CAP}")
+    n = _square_dimension(h.shape)
     sizes = np.asarray(prefix_sizes, dtype=np.int64)
     if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.max() > n:
         raise ValueError(f"prefix sizes must be a non-empty list in [1, {n}]")

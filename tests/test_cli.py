@@ -249,6 +249,32 @@ def test_run_fracmom_uses_distance_abscissa(tmp_path):
     assert means[0] > means[-1] > 0.0
 
 
+@pytest.mark.parametrize("command", ["dos", "telescope", "fracmom"])
+def test_only_fracmom_imports_scipy_sparse(tmp_path, command):
+    import subprocess
+    import sys
+
+    import doslab
+
+    extra = {"ell": "1"} if command == "telescope" else {}
+    cfgp = toy_config(tmp_path, command, n_samples=4, **extra)
+    script = (
+        "import sys\nfrom doslab.cli import run\n"
+        f"assert run(None, {cfgp!r}) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(doslab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == str(command == "fracmom")
+
+
 def test_run_telescope_diagnostics(tmp_path):
     cfgp = toy_config(tmp_path, "telescope", n_samples=60)
     code, _, err = run_quiet(None, cfgp)

@@ -10,7 +10,6 @@ from doslab.lattice import (
     SiteSpace,
     assemble_hamiltonian,
     build_box_enumeration,
-    restriction_spectrum_bounds,
 )
 
 
@@ -54,19 +53,29 @@ def test_shells_are_enumerated_in_order():
 
 
 def test_growth_constant_is_measured_and_positive():
-    for d, L in [(1, 10), (2, 4)]:
+    for d, L in [(1, 10), (2, 4), (3, 2)]:
         space = build_box_enumeration(d, L)
         assert space.alpha == pytest.approx(1.0 / d)
         assert space.growth_constant is not None
         assert 0.0 < space.growth_constant <= 2.0
+        # min over N of dist(x_0, sites N+1..n-1 or the exterior at L + 1) / N**alpha
+        n = len(space)
+        ratios = []
+        for N in range(1, n):
+            rest = [space.distance(0, k) for k in range(N + 1, n)] + [L + 1]
+            ratios.append(min(rest) / N**space.alpha)
+        assert space.growth_constant == min(ratios)
 
 
 def test_distance_matrix_is_a_metric():
     space = build_box_enumeration(2, 2)
-    m = space.distance_matrix()
+    n = len(space)
+    m = np.array([[space.distance(i, j) for j in range(n)] for i in range(n)])
+    # the sup metric of the coordinates
+    c = np.array(space.sites)
+    assert_array_equal(m, np.abs(c[:, None, :] - c[None, :, :]).max(axis=2))
     assert_array_equal(m, m.T)
     assert np.all(np.diag(m) == 0)
-    n = len(space)
     # triangle inequality on a full small box
     for i in range(n):
         assert np.all(m[i][None, :] <= m[i][:, None] + m)
@@ -122,7 +131,8 @@ def test_non_partition_blocks_are_rejected():
 
 def test_projector_matrices_resolve_identity():
     fam = ProjectionFamily.contiguous(6, rank=2)
-    mats = [fam.projector(n, 6) for n in range(len(fam))]
+    cols = [np.eye(6)[:, fam.sites_of_block(n)] for n in range(len(fam))]
+    mats = [c @ c.T for c in cols]
     for pmat in mats:
         assert_array_equal(pmat, pmat @ pmat)
         assert_array_equal(pmat, pmat.T)
@@ -140,6 +150,37 @@ def test_nearest_neighbor_matrix_on_a_chain():
         want[i, j] = want[j, i] = 1.0
     assert_array_equal(h, want)
     assert h.dtype == np.float64
+
+
+@pytest.mark.parametrize("dimension,half_width", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("with_phase", [False, True])
+def test_nearest_neighbor_matches_brute_force_pairs(dimension, half_width, with_phase):
+    space = build_box_enumeration(dimension, half_width)
+    calls = []
+
+    def phase(a, b):
+        calls.append((a, b))
+        return 0.3 * a[0] - 0.5 * b[-1] + 0.1
+
+    amp = 0.8 - 0.6j
+    spec = FreeOperatorSpec.nearest_neighbor(
+        space, amplitude=amp, phase=phase if with_phase else None
+    )
+    built = list(calls)
+    want = {}
+    for i, a in enumerate(space.sites):
+        for j, b in enumerate(space.sites):
+            if i < j and sum(abs(x - y) for x, y in zip(a, b)) == 1:
+                want[(i, j)] = amp * (np.exp(1j * phase(a, b)) if with_phase else 1.0)
+    assert spec.hopping == want
+    # one phase call per pair, the earlier site of the enumeration first
+    assert sorted(built) == sorted(
+        (space.sites[i], space.sites[j]) for i, j in want if with_phase
+    )
+    ref = np.zeros((len(space), len(space)), dtype=complex)
+    for (i, j), value in want.items():
+        ref[i, j], ref[j, i] = value, np.conj(value)
+    assert_array_equal(spec.matrix(), ref)
 
 
 def test_two_site_assembly_is_exact():
@@ -165,9 +206,9 @@ def test_free_chain_spectrum_window():
         free=FreeOperatorSpec.nearest_neighbor(space),
         coupling=1.0,
     )
-    lo, hi = restriction_spectrum_bounds(model, np.zeros(101), 101)
-    assert lo >= -2.0 - 1e-6
-    assert hi <= 2.0 + 1e-6
+    ev = np.linalg.eigvalsh(assemble_hamiltonian(model, np.zeros(101), 101))
+    assert ev[0] >= -2.0 - 1e-6
+    assert ev[-1] <= 2.0 + 1e-6
 
 
 def test_spectrum_bounds_widen_with_volume():
@@ -175,7 +216,8 @@ def test_spectrum_bounds_widen_with_volume():
     om = np.random.default_rng(5).random(17)
     prev = (np.inf, -np.inf)
     for n in (3, 7, 13, 17):
-        lo, hi = restriction_spectrum_bounds(model, om[:n], n)
+        ev = np.linalg.eigvalsh(assemble_hamiltonian(model, om[:n], n))
+        lo, hi = ev[0], ev[-1]
         assert lo <= prev[0] + 1e-12 and hi >= prev[1] - 1e-12
         prev = (lo, hi)
 
@@ -201,9 +243,10 @@ def test_assembled_matrix_is_hermitian_with_phases():
 def test_norm_bound_dominates_spectrum():
     model = chain_model(half_width=7, coupling=2.5)
     om = np.random.default_rng(8).random(15)
-    lo, hi = restriction_spectrum_bounds(model, om, 15)
-    bound = model.free.norm_bound() + model.coupling
-    assert max(abs(lo), abs(hi)) <= bound + 1e-12
+    ev = np.linalg.eigvalsh(assemble_hamiltonian(model, om, 15))
+    # row-sum bound on ||h0||, plus the largest disorder term
+    bound = np.abs(model.free.matrix()).sum(axis=1).max() + model.coupling
+    assert np.max(np.abs(ev)) <= bound + 1e-12
 
 
 def test_assembly_validations():

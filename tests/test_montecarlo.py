@@ -16,6 +16,7 @@ from doslab.lattice import (
     FreeOperatorSpec,
     ModelSpec,
     ProjectionFamily,
+    assemble_hamiltonian,
     build_box_enumeration,
 )
 from doslab.montecarlo import (
@@ -405,6 +406,38 @@ def test_fractional_moment_shrinks_with_stronger_coupling():
         means.append((est.mean, est.stderr))
     for (m_small, se_small), (m_big, se_big) in zip(means, means[1:]):
         assert m_small - m_big > 2 * math.hypot(se_small, se_big)
+
+
+def test_fractional_moment_matches_dense_oracle_without_dense_assembly(monkeypatch):
+    import doslab.montecarlo as montecarlo
+
+    space = build_box_enumeration(2, 3)
+    model = ModelSpec(
+        site_space=space,
+        projections=ProjectionFamily.contiguous(len(space), rank=7),
+        free=FreeOperatorSpec.nearest_neighbor(space, amplitude=complex(0.6, 0.8)),
+        coupling=3.0,
+        density=SingleSiteDensity(2),
+    )
+    n, z, s, targets = len(space), 0.4 + 0.1j, 0.5, [0, 1, 3, 6]
+    mc = McConfig(n_samples=12, master_seed=5)
+    src = model.projections.sites_of_block(0)
+    oracle = []
+    for i in range(mc.n_samples):
+        h = assemble_hamiltonian(model, draw_disorder(model, mc.master_seed, i), n)
+        g = np.linalg.solve(h - z * np.eye(n), np.eye(n)[:, src])
+        oracle.append(
+            [np.linalg.norm(g[model.projections.sites_of_block(t)], 2) ** s for t in targets]
+        )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense n x n assembly on the fracmom path")
+
+    monkeypatch.setattr(montecarlo._Volume, "hamiltonian", refuse)
+    monkeypatch.setattr(FreeOperatorSpec, "matrix", refuse)
+    profile = fractional_moment_profile(model, n, z, 0, targets, s, mc)
+    for est, want in zip(profile, np.mean(oracle, axis=0)):
+        assert abs(est.mean - want) <= 1e-12 * want
 
 
 def test_fractional_moment_validation():

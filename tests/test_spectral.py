@@ -169,6 +169,30 @@ def test_resolvent_residual_guard_trips_on_singular_input():
         resolvent_columns(np.diag([1.0, np.nan, 1.0]), 0.5j, [0])
 
 
+@pytest.mark.parametrize(
+    "box",
+    [(3, 1, 3, 0.7), (2, 2, 5, 0.0), None],
+    ids=["box3d-rank3-phase", "box2d-rank5", "dense-random"],
+)
+def test_resolvent_columns_match_dense_solve(box):
+    import scipy.sparse as sp
+
+    if box is None:
+        h = random_hermitian(40, seed=8, complex_entries=True)
+        columns, given = [0, 17, 39], h
+    else:
+        model = box_model(*box)
+        h = assemble_hamiltonian(model, draw_disorder(model, 9, 0), len(model.site_space))
+        assert np.iscomplexobj(h) == (box[3] != 0.0)
+        columns, given = model.projections.sites_of_block(0), sp.csr_array(h)
+    z = 0.2 + 0.05j
+    n = h.shape[0]
+    want = np.linalg.solve(h - z * np.eye(n), np.eye(n)[:, columns])
+    got = resolvent_columns(given, z, columns)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 # -- nested prefix traces ---------------------------------------------------------
 
 
