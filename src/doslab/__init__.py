@@ -6,10 +6,10 @@ energy derivatives by Monte Carlo, measures fractional-moment decay, and
 certifies the operator inequalities the estimators rely on by quadrature.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .cli import ConfigError, ExperimentConfig, RunManifest, reproduce, run
-from .disorder import SingleSiteDensity, TiltedSampler
+from .disorder import SingleSiteDensity
 from .lattice import (
     FreeOperatorSpec,
     ModelSpec,
@@ -59,7 +59,6 @@ __all__ = [
     "SingleSiteDensity",
     "SiteSpace",
     "TelescopeReport",
-    "TiltedSampler",
     "assemble_hamiltonian",
     "build_box_enumeration",
     "fit_decay",

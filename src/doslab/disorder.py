@@ -4,20 +4,16 @@ The family is the symmetric polynomial bump rho_p(x) = c_p x^p (1-x)^p on
 (0, 1), normalized to integrate to one.  Extended by zero it is C^{p-1} on
 the whole line and its (p-1)-th derivative is Lipschitz, so the Hoelder
 exponent of the top continuous derivative is 1.  All derivative bookkeeping
-(sup norms, L1 norms, moments) runs on polynomial coefficients; nothing here
-is fitted or sampled except the two rejection samplers.
+(sup norms, moments) runs on polynomial coefficients; nothing here is
+fitted or sampled except the rejection sampler.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-
-log = logging.getLogger(__name__)
 
 # Total proposal budget for one rejection-sampling call.  Acceptance rates for
 # this family stay above 1/sup(rho_p) ~ 1/(2 sqrt(p)), so the cap only trips
@@ -49,7 +45,6 @@ class SingleSiteDensity:
         for _ in range(self.p):
             self._derivs.append(npoly.polyder(self._derivs[-1]))
         self._sup_cache: dict[int, float] = {}
-        self._l1_cache: dict[int, float] = {}
 
     @classmethod
     def from_continuity_order(cls, m: int) -> "SingleSiteDensity":
@@ -189,32 +184,6 @@ class SingleSiteDensity:
         """max over orders j <= continuity_order of sup |rho^(j)|."""
         return max(self.sup_derivative(j) for j in range(self.continuity_order + 1))
 
-    def l1_norm(self, order: int) -> float:
-        """Exact L1 norm of rho^(order): split at sign changes, difference the
-        antiderivative between them.  Falls back to adaptive quadrature if the
-        root finder fails."""
-        if not 0 <= order <= self.p:
-            raise ValueError(f"derivative order {order} outside [0, {self.p}]")
-        if order == 0:
-            return 1.0
-        if order not in self._l1_cache:
-            try:
-                roots = _real_roots_in_unit_interval(self._derivs[order])
-                pts = np.concatenate([[0.0], np.sort(roots), [1.0]])
-                anti = npoly.polyval(pts, self._derivs[order - 1])
-                self._l1_cache[order] = float(np.sum(np.abs(np.diff(anti))))
-            except Exception:  # pragma: no cover - degenerate coefficients only
-                log.warning(
-                    "root finding failed for derivative order %d; "
-                    "falling back to adaptive quadrature",
-                    order,
-                )
-                from scipy.integrate import quad
-
-                val, _ = quad(lambda t: abs(self.eval(t, order)), 0.0, 1.0, limit=200)
-                self._l1_cache[order] = float(val)
-        return self._l1_cache[order]
-
     # -- sampling ---------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -225,43 +194,6 @@ class SingleSiteDensity:
             lambda x: npoly.polyval(x, self._derivs[0]), bound, rng, n
         )
         return float(out[0]) if size is None else out
-
-    def tilted(self, order: int) -> "TiltedSampler":
-        """Sampler for |rho^(order)| / ||rho^(order)||_1 with sign carried along."""
-        if not 1 <= order <= self.continuity_order:
-            raise ValueError(
-                f"tilt order {order} outside [1, {self.continuity_order}]"
-            )
-        return TiltedSampler(self, order, self.l1_norm(order))
-
-
-@dataclass(frozen=True)
-class TiltedSampler:
-    """Normalized-derivative-magnitude sampler.
-
-    Draws x ~ |rho^(order)| / weight where weight = ||rho^(order)||_1, and
-    reports sign(rho^(order)(x)) so that weight * sign * f(x) is an unbiased
-    estimate of the integral of f against rho^(order).
-    """
-
-    base: SingleSiteDensity
-    order: int
-    weight: float
-
-    def sign(self, x):
-        return np.sign(self.base.eval(x, self.order))
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Returns (value, sign) for one draw, or arrays when size is given."""
-        n = 1 if size is None else int(size)
-        bound = self.base.sup_derivative(self.order)
-        vals = _rejection(
-            lambda x: np.abs(self.base.eval(x, self.order)), bound, rng, n
-        )
-        signs = self.sign(vals)
-        if size is None:
-            return float(vals[0]), float(signs[0])
-        return vals, signs
 
 
 def _real_roots_in_unit_interval(coeffs) -> np.ndarray:

@@ -148,7 +148,7 @@ def _measure_growth_constant(space: SiteSpace) -> float:
     else:
         from_origin = np.array([space.distance(0, k) for k in range(n)])
     tail_min = np.minimum.accumulate(from_origin[::-1].astype(float))[::-1]
-    d0 = np.minimum(np.append(tail_min[2:], beyond), beyond)
+    d0 = np.minimum(tail_min[1:], beyond)
     r = float(np.min(d0 / np.arange(1, n) ** space.alpha))
     if not r > 0.0:
         raise ValueError("growth constant is not positive for the declared exponent")

@@ -8,19 +8,18 @@ stored per sample and reduced in index order, which makes every estimate
 bit-reproducible and lets coupled quantities (telescoping differences,
 cross-volume comparisons) share their randomness exactly.
 
-Every estimator but the tilted cross-check is one row function of a
-sample's couplings handed to one driver, `_estimate`: it draws the sample,
-slices the draw to the volume, averages the row with its antithetic mirror
-where the route asks for it, fills a (n_samples, width) table and reduces
-each column to an Estimate.  There is one entry point per quantity, on a
-grid of points; a single point is a one-point grid.
+Every estimator is one row function of a chunk of samples' couplings
+handed to one driver, `_estimate`: it draws each sample of the chunk,
+slices the draws to the volume, averages the rows with their antithetic
+mirrors where the route asks for it, fills a (n_samples, width) table and
+reduces each column to an Estimate.  There is one entry point per quantity,
+on a grid of points; a single point is a one-point grid.
 
-Energy derivatives of E[tr(P_0 (h - E - i eps)^{-1})] come in three routes:
+Energy derivatives of E[tr(P_0 (h - E - i eps)^{-1})] come in two routes:
 the score route reweights samples by the logarithmic derivatives of the
-single-site law, the resolvent route evaluates l! tr(P_0 G^{l+1}) exactly per
-sample, and a tilted route (small volumes only) replaces coordinates by draws
-from normalized derivative magnitudes.  Routes agree in expectation; tests
-hold them against each other.
+single-site law, and the resolvent route evaluates l! tr(P_0 G^{l+1})
+exactly per sample.  Routes agree in expectation; tests hold them against
+each other.
 """
 
 from __future__ import annotations
@@ -35,7 +34,8 @@ import numpy as np
 from .lattice import ModelSpec
 from .spectral import CscPattern, eigen_weights, nested_block_traces
 
-_TILTED_MAX_BLOCKS = 6
+# samples per rows() call; bounds the memory of a chunk's lane stack
+_CHUNK_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -130,36 +130,6 @@ def draw_disorder(model: ModelSpec, master_seed: int, index: int) -> np.ndarray:
     return model.density.sample(_sample_rng(master_seed, index), size=model.n_blocks)
 
 
-def _run_samples(n_samples, workers, width, fn, dtype=np.complex128) -> np.ndarray:
-    """Fill a (n_samples, width) array with fn(i) rows, in index order.
-
-    Workers split the index range into contiguous chunks; the result array is
-    identical for any worker count, so reductions over it are bit-stable.
-    """
-    values = np.empty((n_samples, width), dtype=dtype)
-    if workers <= 1 or n_samples < 2 * workers:
-        for i in range(n_samples):
-            values[i] = fn(i)
-        return values
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = np.linspace(0, n_samples, workers + 1).astype(int)
-
-    def chunk(lo: int, hi: int):
-        for i in range(lo, hi):
-            values[i] = fn(i)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(chunk, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for fut in futures:
-            fut.result()
-    return values
-
-
 class _Volume:
     """Cached assembly pieces for one prefix volume of a model."""
 
@@ -187,24 +157,51 @@ class _Volume:
 
 
 def _estimate(
-    vol: _Volume, mc: McConfig, width: int, row, antithetic=False, dtype=np.complex128
+    vol: _Volume, mc: McConfig, width: int, rows, antithetic=False, dtype=np.complex128
 ) -> list[Estimate]:
-    """One Estimate per column of row(omega) over the samples of mc.
+    """One Estimate per column of rows(omega) over the samples of mc.
 
-    Sample i draws the full disorder vector of the model and hands row the
-    couplings of vol's blocks; row returns width values.  With antithetic the
-    sample's row is 0.5 * (row(omega) + row(1 - omega)), unbiased because
-    the bump laws are symmetric about 1/2.
+    Sample i draws the full disorder vector of the model from its own
+    generator; rows takes the (S, n_blocks) couplings of vol's blocks for a
+    chunk of S samples and returns (S, width) values, one row per sample and
+    independent of the others.  With antithetic a sample's row is
+    0.5 * (row(omega) + row(1 - omega)), unbiased because the bump laws are
+    symmetric about 1/2; the mirrors join their chunk's stack.  Workers split
+    the index range into contiguous parts; the table is identical for any
+    worker count, so reductions over it are bit-stable.
     """
+    n = mc.n_samples
+    values = np.empty((n, width), dtype=dtype)
 
-    def one(i: int):
-        om = draw_disorder(vol.model, mc.master_seed, i)[: vol.n_blocks]
-        if not antithetic:
-            return row(om)
-        return 0.5 * (row(om) + row(1.0 - om))
+    def fill(lo: int, hi: int):
+        for c0 in range(lo, hi, _CHUNK_SAMPLES):
+            c1 = min(c0 + _CHUNK_SAMPLES, hi)
+            om = np.array(
+                [draw_disorder(vol.model, mc.master_seed, i) for i in range(c0, c1)]
+            )[:, : vol.n_blocks]
+            if antithetic:
+                both = rows(np.concatenate([om, 1.0 - om]))
+                values[c0:c1] = 0.5 * (both[: c1 - c0] + both[c1 - c0 :])
+            else:
+                values[c0:c1] = rows(om)
 
-    values = _run_samples(mc.n_samples, mc.workers, width, one, dtype)
+    workers = mc.workers if n >= 2 * mc.workers else 1
+    if workers == 1:
+        fill(0, n)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        bounds = np.linspace(0, n, workers + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            for fut in parts:
+                fut.result()
     return [Estimate.from_samples(values[:, k], mc.master_seed) for k in range(width)]
+
+
+def _each(row):
+    """Rows of a chunk from a function of one sample's couplings."""
+    return lambda oms: np.array([row(om) for om in oms])
 
 
 def _spectral_parameters(energies, eps) -> np.ndarray:
@@ -251,7 +248,7 @@ def smoothed_dos_curve(
         evals, w = vol.eigen_weights(om)
         return np.imag(_weighted_resolvent_power(evals, w, zs, 1)) / np.pi
 
-    return _estimate(vol, mc, zs.size, row, dtype=np.float64)
+    return _estimate(vol, mc, zs.size, _each(row), dtype=np.float64)
 
 
 def ids_curve(
@@ -268,7 +265,7 @@ def ids_curve(
         evals, w = vol.eigen_weights(om)
         return np.sum(w[:, None] * (evals[:, None] <= es[None, :]), axis=0)
 
-    return _estimate(vol, mc, es.size, row, dtype=np.float64)
+    return _estimate(vol, mc, es.size, _each(row), dtype=np.float64)
 
 
 def dos_derivative_curve(
@@ -305,7 +302,7 @@ def dos_derivative_curve(
             tr = _weighted_resolvent_power(evals, w, zs, 1)
             return tr * (model.density.score_factor(om, ell) * lam_pow)
 
-        return _estimate(vol, mc, zs.size, row, antithetic=ell > 0)
+        return _estimate(vol, mc, zs.size, _each(row), antithetic=ell > 0)
     if method != "resolvent":
         raise ValueError(f"unknown method {method!r}")
     if ell > 6:
@@ -316,76 +313,7 @@ def dos_derivative_curve(
         evals, w = vol.eigen_weights(om)
         return fac * _weighted_resolvent_power(evals, w, zs, ell + 1)
 
-    return _estimate(vol, mc, zs.size, row)
-
-
-def estimate_dos_derivative_tilted(
-    model: ModelSpec,
-    n_prefix_sites: int,
-    energy: float,
-    eps: float,
-    ell: int,
-    mc: McConfig,
-) -> Estimate:
-    """Derivative estimate through per-coordinate tilted sampling.
-
-    Expands the ell-th derivative over multi-indices (k_0, ..., k_{B-1}) with
-    |k| = ell, draws coordinate b from |rho^(k_b)| / ||rho^(k_b)||_1 and
-    reweights by sign and L1 norm.  Exponentially many terms in ell, so this
-    is a cross-check for tiny volumes, not a production path; ell is 1 or 2,
-    as in the score route.
-    """
-    from itertools import product as _product
-
-    if not eps > 0.0:
-        raise ValueError("imaginary shift must be positive")
-    vol = _Volume(model, n_prefix_sites)
-    if vol.n_blocks > _TILTED_MAX_BLOCKS:
-        raise ValueError(
-            f"tilted route is limited to {_TILTED_MAX_BLOCKS} blocks, "
-            f"volume has {vol.n_blocks}"
-        )
-    if ell not in (1, 2):
-        raise ValueError(
-            f"tilted route needs a derivative order of at least 1 and at most 2, "
-            f"got {ell}"
-        )
-    density = model.density
-    z = complex(energy, eps)
-    multis = [
-        k
-        for k in _product(range(ell + 1), repeat=vol.n_blocks)
-        if sum(k) == ell
-    ]
-    coeffs = [
-        math.factorial(ell) / math.prod(math.factorial(kb) for kb in k)
-        for k in multis
-    ]
-    # tilted(o) rejects orders above the density's continuity order
-    samplers = {o: density.tilted(o) for o in range(1, ell + 1)}
-    lam_pow = model.coupling ** (-ell)
-
-    def one(i: int):
-        rng = _sample_rng(mc.master_seed, i)
-        total = 0.0 + 0.0j
-        for k, coeff in zip(multis, coeffs):
-            om = np.empty(vol.n_blocks)
-            factor = 1.0
-            for b, order in enumerate(k):
-                if order == 0:
-                    om[b] = density.sample(rng)
-                else:
-                    smp = samplers[order]
-                    x, sgn = smp.sample(rng)
-                    om[b] = x
-                    factor *= sgn * smp.weight
-            evals, w = vol.eigen_weights(om)
-            tr = _weighted_resolvent_power(evals, w, np.array([z]), 1)[0]
-            total += coeff * factor * tr
-        return np.array([total * lam_pow])
-
-    values = _run_samples(mc.n_samples, mc.workers, 1, one)
-    return Estimate.from_samples(values[:, 0], mc.master_seed)
+    return _estimate(vol, mc, zs.size, _each(row))
 
 
 # -- fractional moments ----------------------------------------------------------
@@ -431,7 +359,7 @@ def fractional_moment_profile(
                 out[j] = np.linalg.norm(block, 2)
         return out**s
 
-    return _estimate(vol, mc, len(targets), row, dtype=np.float64)
+    return _estimate(vol, mc, len(targets), _each(row), dtype=np.float64)
 
 
 def fit_decay(
@@ -493,10 +421,11 @@ def telescope_series_diagnostic(
     """Boundary terms T_K for K in k_range, their decay fit, and partial sums.
 
     All terms, the base-volume estimate, and the direct estimate on the
-    largest volume come from one pass over shared samples.  Each sample (and
-    its antithetic mirror at ell >= 1) takes one nested_block_traces call,
-    one LU of the largest volume that yields the trace of every nested
-    volume, and one cumulative sum of score weights over the blocks.
+    largest volume come from one pass over shared samples.  Each chunk of
+    samples, antithetic mirrors included at ell >= 1, takes one
+    nested_block_traces call, which yields the trace of every nested volume
+    from one LU of the largest volume per lane (one band sweep for all lanes
+    on a chain), and one cumulative sum of score weights over the blocks.
     """
     ks = [int(k) for k in k_range]
     if not ks or ks != list(range(ks[0], ks[-1] + 1)):
@@ -514,17 +443,18 @@ def telescope_series_diagnostic(
     lam_pow = model.coupling ** (-ell)
     n_terms = len(ks)
 
-    def row(om):
-        # tr[j] and weight[j] belong to the volume of ks[0] + j blocks
-        tr = nested_block_traces(vol.hamiltonian(om), z, vol.block0, prefix_sizes)
-        weight = model.density.prefix_score_factors(om, ell)[ks[0] - 1 :] * lam_pow
-        out = np.empty(n_terms + 2, dtype=np.complex128)
-        out[:n_terms] = (tr[1:] - tr[:-1]) * weight[1:]
-        out[n_terms] = tr[0] * weight[0]
-        out[n_terms + 1] = tr[-1] * weight[-1]
+    def rows(oms):
+        # tr[:, j] and weight[:, j] belong to the volume of ks[0] + j blocks
+        diagonals = model.coupling * np.repeat(oms, vol.sizes, axis=1)
+        tr = nested_block_traces(vol.h0, diagonals, z, vol.block0, prefix_sizes)
+        weight = model.density.prefix_score_factors(oms, ell)[:, ks[0] - 1 :] * lam_pow
+        out = np.empty((len(oms), n_terms + 2), dtype=np.complex128)
+        out[:, :n_terms] = (tr[:, 1:] - tr[:, :-1]) * weight[:, 1:]
+        out[:, n_terms] = tr[:, 0] * weight[:, 0]
+        out[:, n_terms + 1] = tr[:, -1] * weight[:, -1]
         return out
 
-    *terms, base, direct = _estimate(vol, mc, n_terms + 2, row, antithetic=ell > 0)
+    *terms, base, direct = _estimate(vol, mc, n_terms + 2, rows, antithetic=ell > 0)
     partial = complex(base.mean) + np.cumsum([complex(t.mean) for t in terms])
     abs_pairs = [
         (float(k), Estimate(abs(complex(t.mean)), t.stderr, t.n_samples, t.seed))

@@ -141,11 +141,116 @@ def _lu_without_pivoting(a: np.ndarray) -> None:
             )
 
 
-def nested_block_traces(
-    h: np.ndarray, z, block_sites: Sequence[int], prefix_sizes: Sequence[int]
-) -> np.ndarray:
-    """tr(P (h[:n, :n] - z)^{-1}) for each leading size n of prefix_sizes.
+def _check_residual(resid: np.ndarray, scale: np.ndarray) -> None:
+    """Raise unless every lane meets resid <= 1e-10 * scale; NaN fails."""
+    bad = np.flatnonzero(~(resid <= _RESIDUAL_REL_TOL * scale))
+    if bad.size:
+        i = bad[0]
+        raise RuntimeError(
+            f"nested LU residual {resid[i]:.3e} exceeds "
+            f"{_RESIDUAL_REL_TOL:.0e} * {scale[i]:.3e}"
+        )
 
+
+def _dense_prefix_traces(h0, d, zc, rhs, m):
+    """Cumulative tr(P_0 G_n) of h0 + diag(d) over n = 1..m, one dense LU."""
+    h = h0.copy()
+    diag = np.arange(len(d))
+    h[diag, diag] += d
+    diag = diag[:m]
+    lu = np.array(h[:m, :m], dtype=np.complex128, order="F")
+    lu[diag, diag] -= zc
+    _lu_without_pivoting(lu)
+    # L U through trmm: scipy's BLAS, as in the factorization, so numpy's
+    # own BLAS pool does not wake up to contend with it
+    prod = sla.blas.ztrmm(1.0, lu, np.triu(lu), lower=1, diag=1)
+    prod[diag, diag] += zc
+    resid = np.max(np.abs(prod - h[:m, :m]), initial=0.0)
+    scale = np.linalg.norm(h, np.inf) + abs(zc)
+    # columns of L^{-1} and, transposed, rows of U^{-1} at the block sites
+    l_inv = sla.blas.ztrsm(1.0, lu, rhs, lower=1, diag=1)
+    u_inv = sla.blas.ztrsm(1.0, lu, rhs, trans_a=1)
+    return np.cumsum(np.sum(u_inv * l_inv, axis=1)), resid, scale
+
+
+def _band_prefix_traces(h0, diags, zc, rhs, m, b):
+    """Cumulative tr(P_0 G_n) over n = 1..m for every lane, one band sweep.
+
+    A right-looking LU without pivoting of h - z, h = h0 + diag(lane), whose
+    state is the (b+1) x (b+1) trailing window of every lane.  Step k yields
+    column k of L and row k of U; forward substitution in the same order
+    moves the block columns of L^{-1} (x) and of U^{-T} (y) along, and
+    x_k . y_k is the step-k increment of the trace.  Row k of L U is rebuilt
+    from the last b + 1 rows of L and U and compared with row k of h - z.
+    """
+    lanes, w = len(diags), b + 1
+    # hb[b + i, b + o] = h0[i, i + o] on the m x m prefix, zero outside it;
+    # the diagonal of each lane's h - z is dz
+    i = np.arange(-b, m + b)[:, None]
+    j = i + np.arange(-b, w)
+    inside = (i >= 0) & (i < m) & (j >= 0) & (j < m)
+    hb = np.where(inside, h0[i.clip(0, m - 1), j.clip(0, m - 1)], 0).astype(complex)
+    hb[:, b] = 0.0
+    dz = np.zeros((lanes, m + b), dtype=np.complex128)
+    dz[:, :m] = (np.diagonal(h0)[:m] + diags[:, :m]) - zc
+    r = np.arange(b)
+    col = hb[np.arange(m + b)[:, None] + r, 2 * b - r]  # col[q] = h0[q - b + r, q]
+    e = np.pad(rhs, ((0, b), (0, 0)))
+    rr, cc = np.indices((w, w))
+    win = np.broadcast_to(hb[b + rr, b + cc - rr], (lanes, w, w)).copy()
+    win[:, np.arange(w), np.arange(w)] = dz[:, :w]
+    x = np.broadcast_to(e[:w], (lanes, w, e.shape[1])).copy()
+    y = x.copy()
+    # at step k: l_rows[:, r, s] = L[k+r, k+r-s] and u_rows[:, s, b+o] = U[k-s, k+o]
+    l_rows = np.zeros((lanes, w, w), dtype=np.complex128)
+    l_rows[:, :, 0] = 1.0
+    u_rows = np.zeros((lanes, w, 2 * b + 1), dtype=np.complex128)
+    inc = np.empty((lanes, m), dtype=np.complex128)
+    resid = np.zeros(lanes)
+    for k in range(m):
+        piv = win[:, 0, 0, None]
+        l = win[:, 1:, 0] / piv
+        yk = y[:, 0] / piv
+        inc[:, k] = np.sum(x[:, 0] * yk, axis=1)
+        # row k of L U against row k of h - z
+        u_rows[:, 0, b:] = win[:, 0]
+        diff = np.sum(l_rows[:, 0, :, None] * u_rows, axis=1) - hb[b + k]
+        diff[:, b] -= dz[:, k]
+        resid = np.maximum(resid, np.abs(diff).max(axis=1))
+        if k + 1 == m:
+            break
+        # shift every window by one; q enters as the last row and column
+        q = k + w
+        x[:, :b] = x[:, 1:] - l[:, :, None] * x[:, :1]
+        x[:, b] = e[q]
+        y[:, :b] = y[:, 1:] - win[:, 0, 1:, None] * yk[:, None]
+        y[:, b] = e[q]
+        win[:, :b, :b] = win[:, 1:, 1:] - l[:, :, None] * win[:, :1, 1:]
+        win[:, b, :b] = hb[b + q, :b]
+        win[:, :b, b] = col[q]
+        win[:, b, b] = dz[:, q]
+        l_rows[:, :b] = l_rows[:, 1:]
+        l_rows[:, b, 1:] = 0.0
+        l_rows[:, r, r + 1] = l
+        u_rows[:, 1:, :-1] = u_rows[:, :-1, 1:]
+        u_rows[:, :, -1] = 0.0
+        u_rows[:, 0] = 0.0
+    a = np.abs(h0)
+    np.fill_diagonal(a, 0.0)
+    scale = np.max(a.sum(axis=1) + np.abs(np.diagonal(h0) + diags), axis=1) + abs(zc)
+    return np.cumsum(inc, axis=1), resid, scale
+
+
+def nested_block_traces(
+    h0: np.ndarray,
+    diagonals: np.ndarray,
+    z,
+    block_sites: Sequence[int],
+    prefix_sizes: Sequence[int],
+) -> np.ndarray:
+    """tr(P (h[:n, :n] - z)^{-1}) per lane for each leading size n of prefix_sizes.
+
+    Lane i is h = h0 + diag(diagonals[i]); the result is (lanes, len(sizes)).
     P projects onto block_sites, which must lie inside the smallest prefix.
     One LU factorization of h - z without pivoting serves every prefix: the
     leading n x n block of L U is L_n U_n, and the leading blocks of the
@@ -155,13 +260,20 @@ def nested_block_traces(
 
     and each trace is one entry of a cumulative sum over j.  No pivot can
     vanish: every leading block and Schur complement of h - z has imaginary
-    part <= -Im z, so every pivot has modulus >= Im z.  The factors are
-    checked once, max |L U - (h - z)| <= 1e-10 * (||h|| + |z|), which bounds
-    the backward error of every prefix at once.
+    part <= -Im z, so every pivot has modulus >= Im z.  The factors of every
+    lane are checked, max |L U - (h - z)| <= 1e-10 * (||h||_inf + |z|), which
+    bounds the backward error of every prefix at once.
+
+    With b the bandwidth of h0 on the largest prefix m, all lanes share one
+    band sweep when (b + 1)^2 <= m (every chain, ordered 0, +1, -1, ..., has
+    b = 2); otherwise each lane takes a dense blocked LU.
     """
     zc = _as_z(z)
-    h = np.asarray(h)
-    n = _square_dimension(h.shape)
+    h0 = np.asarray(h0)
+    n = _square_dimension(h0.shape)
+    diags = np.asarray(diagonals, dtype=float)
+    if diags.ndim != 2 or diags.shape[1] != n:
+        raise ValueError(f"diagonals must be a (lanes, {n}) stack, got {diags.shape}")
     sizes = np.asarray(prefix_sizes, dtype=np.int64)
     if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.max() > n:
         raise ValueError(f"prefix sizes must be a non-empty list in [1, {n}]")
@@ -172,27 +284,17 @@ def nested_block_traces(
             f"of {sizes.min()} sites"
         )
     m = int(sizes.max())
-    diag = np.arange(m)
-    lu = np.array(h[:m, :m], dtype=np.complex128, order="F")
-    lu[diag, diag] -= zc
-    _lu_without_pivoting(lu)
-    # L U through trmm: scipy's BLAS, as in the factorization, so numpy's
-    # own BLAS pool does not wake up to contend with it
-    prod = sla.blas.ztrmm(1.0, lu, np.triu(lu), lower=1, diag=1)
-    prod[diag, diag] += zc
-    resid = np.max(np.abs(prod - h[:m, :m]), initial=0.0)
-    scale = np.linalg.norm(h, np.inf) + abs(zc)
-    if not resid <= _RESIDUAL_REL_TOL * scale:
-        raise RuntimeError(
-            f"nested LU residual {resid:.3e} exceeds "
-            f"{_RESIDUAL_REL_TOL:.0e} * {scale:.3e}"
-        )
     rhs = np.zeros((m, sites.size), dtype=np.complex128)
     rhs[sites, np.arange(sites.size)] = 1.0
-    # columns of L^{-1} and, transposed, rows of U^{-1} at the block sites
-    l_inv = sla.blas.ztrsm(1.0, lu, rhs, lower=1, diag=1)
-    u_inv = sla.blas.ztrsm(1.0, lu, rhs, trans_a=1)
-    return np.cumsum(np.sum(u_inv * l_inv, axis=1))[sizes - 1]
+    rows, cols = np.nonzero(h0[:m, :m])
+    b = int(np.max(np.abs(rows - cols), initial=0))
+    if (b + 1) ** 2 <= m:
+        tr, resid, scale = _band_prefix_traces(h0, diags, zc, rhs, m, b)
+    else:
+        lanes = [_dense_prefix_traces(h0, d, zc, rhs, m) for d in diags]
+        tr, resid, scale = (np.array(v) for v in zip(*lanes))
+    _check_residual(resid, scale)
+    return tr[:, sizes - 1]
 
 
 def eigen_weights(h: np.ndarray, block_sites: Sequence[int]):

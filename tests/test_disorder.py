@@ -29,7 +29,6 @@ def test_normalization_is_exact():
 def test_frozen_point_values():
     rho1 = SingleSiteDensity(1)
     assert rho1.eval(0.5) == pytest.approx(1.5, abs=1e-14)
-    assert rho1.l1_norm(1) == pytest.approx(3.0, abs=1e-12)
     rho3 = SingleSiteDensity(3)
     assert rho3.eval(0.5, order=1) == pytest.approx(0.0, abs=1e-12)
     assert rho3.sup_derivative(0) == pytest.approx(140.0 / 64.0, rel=1e-12)
@@ -77,29 +76,6 @@ def test_cdf_exact_and_monotone():
                     rho.eval(mid), rtol=1e-6)
 
 
-def sign_change_points(f, n_grid=4001):
-    # locate the kinks of |f| by bisecting sign changes on a dense grid
-    from scipy.optimize import brentq
-
-    xs = np.linspace(0.0, 1.0, n_grid)
-    vals = f(xs)
-    idx = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    return [brentq(f, xs[i], xs[i + 1]) for i in idx]
-
-
-def test_l1_norms_match_adaptive_quadrature():
-    for p in (2, 3, 4):
-        rho = SingleSiteDensity(p)
-        for j in range(1, p + 1):
-            kinks = sign_change_points(lambda t: rho.eval(t, j))
-            ref, err = quad(
-                lambda t: abs(rho.eval(t, j)), 0.0, 1.0,
-                points=kinks, limit=200,
-            )
-            assert err < 1e-9
-            assert_allclose(rho.l1_norm(j), ref, rtol=1e-8, err_msg=f"p={p} j={j}")
-
-
 def test_sup_derivative_dominates_dense_grid():
     rho = SingleSiteDensity(5)
     xs = np.linspace(0.0, 1.0, 100001)
@@ -141,9 +117,6 @@ def test_sampling_is_deterministic():
     a = rho.sample(np.random.default_rng(7), size=64)
     b = rho.sample(np.random.default_rng(7), size=64)
     assert np.array_equal(a, b)
-    xa, sa = rho.tilted(1).sample(np.random.default_rng(9), size=32)
-    xb, sb = rho.tilted(1).sample(np.random.default_rng(9), size=32)
-    assert np.array_equal(xa, xb) and np.array_equal(sa, sb)
 
 
 def exact_moment_against_derivative(rho, j, k):
@@ -154,23 +127,6 @@ def exact_moment_against_derivative(rho, j, k):
     prod = npoly.polymul(poly, xk)
     anti = npoly.polyint(prod)
     return float(npoly.polyval(1.0, anti) - npoly.polyval(0.0, anti))
-
-
-def test_tilted_sampling_is_unbiased():
-    rho = SingleSiteDensity(3)
-    rng = np.random.default_rng(2718)
-    n = 20000
-    for j in (1, 2):
-        sampler = rho.tilted(j)
-        x, sgn = sampler.sample(rng, size=n)
-        w = sampler.weight
-        assert w == pytest.approx(rho.l1_norm(j), rel=1e-12)
-        assert set(np.unique(sgn)) <= {-1.0, 1.0}
-        for k in (0, 1, 2):
-            vals = w * sgn * x**k
-            target = exact_moment_against_derivative(rho, j, k)
-            stderr = vals.std(ddof=1) / math.sqrt(n)
-            assert abs(vals.mean() - target) < 4 * stderr, (j, k)
 
 
 def test_tilted_first_moment_frozen():
@@ -205,12 +161,6 @@ def test_invalid_arguments_are_rejected():
         SingleSiteDensity(0)
     with pytest.raises(ValueError):
         SingleSiteDensity(2).eval(0.5, order=3)
-    with pytest.raises(ValueError):
-        SingleSiteDensity(3).tilted(0)
-    with pytest.raises(ValueError):
-        SingleSiteDensity(3).tilted(3)  # order p is no longer continuous
-    with pytest.raises(ValueError):
-        SingleSiteDensity(2).l1_norm(5)
     with pytest.raises(ValueError, match="ell"):
         SingleSiteDensity(5).score_factor(np.full(3, 0.5), 3)
 

@@ -58,13 +58,15 @@ def test_growth_constant_is_measured_and_positive():
         assert space.alpha == pytest.approx(1.0 / d)
         assert space.growth_constant is not None
         assert 0.0 < space.growth_constant <= 2.0
-        # min over N of dist(x_0, sites N+1..n-1 or the exterior at L + 1) / N**alpha
+        # min over N of dist(x_0, sites N..n-1 or the exterior at L + 1) / N**alpha
         n = len(space)
         ratios = []
         for N in range(1, n):
-            rest = [space.distance(0, k) for k in range(N + 1, n)] + [L + 1]
+            rest = [space.distance(0, k) for k in range(N, n)] + [L + 1]
             ratios.append(min(rest) / N**space.alpha)
         assert space.growth_constant == min(ratios)
+    # the chain 0, +1, -1, ...: N = 2 leaves site -1 at distance 1
+    assert build_box_enumeration(1, 10).growth_constant == 0.5
 
 
 def test_distance_matrix_is_a_metric():

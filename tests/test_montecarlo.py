@@ -25,7 +25,6 @@ from doslab.montecarlo import (
     McConfig,
     draw_disorder,
     dos_derivative_curve,
-    estimate_dos_derivative_tilted,
     fit_decay,
     fractional_moment_profile,
     ids_curve,
@@ -299,38 +298,6 @@ def test_single_energy_equals_the_same_point_of_a_grid(route):
     assert single.stderr == first.stderr
 
 
-def test_tilted_route_agrees_with_resolvent_route():
-    model = chain_model(2, coupling=1.5, p=3)
-    mc = McConfig(n_samples=3000, master_seed=19)
-    tilted = estimate_dos_derivative_tilted(model, 5, 0.3, 0.4, ell=1, mc=mc)
-    power = dos_derivative_curve(
-        model, 5, [0.3], 0.4, ell=1, mc=mc, method="resolvent"
-    )[0]
-    assert tilted.agrees_with(power), (tilted, power)
-
-
-def test_tilted_route_second_order():
-    model = chain_model(1, coupling=2.0, p=4)
-    mc = McConfig(n_samples=4000, master_seed=23)
-    tilted = estimate_dos_derivative_tilted(model, 3, 0.5, 0.5, ell=2, mc=mc)
-    power = dos_derivative_curve(
-        model, 3, [0.5], 0.5, ell=2, mc=mc, method="resolvent"
-    )[0]
-    assert tilted.agrees_with(power), (tilted, power)
-
-
-def test_tilted_route_guardrails():
-    mc = McConfig(n_samples=4, master_seed=0)
-    big = chain_model(4, coupling=1.0)  # 9 blocks
-    with pytest.raises(ValueError, match="blocks"):
-        estimate_dos_derivative_tilted(big, 9, 0.0, 0.5, ell=1, mc=mc)
-    small = chain_model(1, coupling=1.0, p=4)
-    with pytest.raises(ValueError, match="at least 1"):
-        estimate_dos_derivative_tilted(small, 3, 0.0, 0.5, ell=0, mc=mc)
-    with pytest.raises(ValueError, match="at most 2"):
-        estimate_dos_derivative_tilted(small, 3, 0.0, 0.5, ell=3, mc=mc)
-
-
 # -- integrated density of states ----------------------------------------------------
 
 
@@ -581,6 +548,31 @@ def test_telescope_traces_carry_the_residual_guard(monkeypatch):
     monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
     with pytest.raises(RuntimeError, match="residual"):
         telescope_series_diagnostic(model, range(2, 5), 1, 0.0, 0.5, mc)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_telescope_terms_are_bit_stable_across_chunks_and_workers(monkeypatch, ell):
+    import doslab.montecarlo as montecarlo
+    import doslab.spectral as spectral
+
+    # 12 sites in the largest volume: the band sweep, never the dense LU
+    def dense(*args):
+        raise AssertionError("dense route taken")
+
+    monkeypatch.setattr(spectral, "_dense_prefix_traces", dense)
+    model = chain_model(8, coupling=2.0, p=4)
+    default = montecarlo._CHUNK_SAMPLES
+
+    def run(chunk, workers):
+        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
+        mc = McConfig(n_samples=40, master_seed=61, workers=workers)
+        r = telescope_series_diagnostic(model, range(2, 11), ell, 0.5, 0.2, mc)
+        ests = (*r.terms, r.base, r.direct)
+        return [e.mean for e in ests], [e.stderr for e in ests]
+
+    want = run(default, 1)
+    for chunk, workers in [(1, 1), (7, 1), (1, 4), (7, 4), (default, 4)]:
+        assert run(chunk, workers) == want, (chunk, workers)
 
 
 def test_telescope_validation():

@@ -196,13 +196,17 @@ def test_resolvent_columns_match_dense_solve(box):
 # -- nested prefix traces ---------------------------------------------------------
 
 
-def box_model(dimension, half_width, rank=1, phase=0.0):
+def box_model(dimension, half_width, rank=1, phase=0.0, hopping=True):
     space = build_box_enumeration(dimension, half_width)
     amp = complex(np.cos(phase), np.sin(phase)) if phase else 1.0
     return ModelSpec(
         site_space=space,
         projections=ProjectionFamily.contiguous(len(space), rank=rank),
-        free=FreeOperatorSpec.nearest_neighbor(space, amplitude=amp),
+        free=(
+            FreeOperatorSpec.nearest_neighbor(space, amplitude=amp)
+            if hopping
+            else FreeOperatorSpec.zero(space)
+        ),
         coupling=2.0,
         density=SingleSiteDensity(2),
     )
@@ -223,7 +227,7 @@ def test_nested_block_traces_match_eigen_weights_on_every_prefix(
     block0 = model.projections.sites_of_block(0)
     sizes = [model.projections.prefix_sites(k) for k in range(1, model.n_blocks + 1)]
     z = 0.3 + 0.1j
-    got = nested_block_traces(h, z, block0, sizes)
+    got = nested_block_traces(h, np.zeros((1, n)), z, block0, sizes)[0]
     for size, tr in zip(sizes, got):
         evals, w = eigen_weights(h[:size, :size], block0)
         want = np.sum(w / (evals - z))
@@ -232,21 +236,26 @@ def test_nested_block_traces_match_eigen_weights_on_every_prefix(
 
 def test_nested_block_traces_validation():
     h = random_hermitian(6, seed=4)
+    d = np.zeros((2, 6))
     z = 0.5j
     with pytest.raises(ValueError, match="smallest prefix"):
-        nested_block_traces(h, z, [0, 2], [2, 4, 6])
+        nested_block_traces(h, d, z, [0, 2], [2, 4, 6])
     with pytest.raises(ValueError, match="smallest prefix"):
-        nested_block_traces(h, z, [], [2, 4, 6])
+        nested_block_traces(h, d, z, [], [2, 4, 6])
     with pytest.raises(ValueError, match="prefix sizes"):
-        nested_block_traces(h, z, [0], [0, 3])
+        nested_block_traces(h, d, z, [0], [0, 3])
     with pytest.raises(ValueError, match="prefix sizes"):
-        nested_block_traces(h, z, [0], [3, 7])
+        nested_block_traces(h, d, z, [0], [3, 7])
     with pytest.raises(ValueError, match="prefix sizes"):
-        nested_block_traces(h, z, [0], [])
+        nested_block_traces(h, d, z, [0], [])
     with pytest.raises(ValueError, match="square"):
-        nested_block_traces(h[:, :5], z, [0], [3])
+        nested_block_traces(h[:, :5], d, z, [0], [3])
     with pytest.raises(ValueError, match="positive imaginary"):
-        nested_block_traces(h, 0.5, [0], [3])
+        nested_block_traces(h, d, 0.5, [0], [3])
+    with pytest.raises(ValueError, match="lanes"):
+        nested_block_traces(h, np.zeros(6), z, [0], [3])
+    with pytest.raises(ValueError, match="lanes"):
+        nested_block_traces(h, np.zeros((2, 5)), z, [0], [3])
 
 
 def test_nested_block_traces_respect_the_dense_cap(monkeypatch):
@@ -254,19 +263,99 @@ def test_nested_block_traces_respect_the_dense_cap(monkeypatch):
 
     monkeypatch.setattr(spectral, "_DENSE_DIMENSION_CAP", 5)
     with pytest.raises(ValueError, match="dense cap"):
-        nested_block_traces(random_hermitian(6, seed=4), 0.5j, [0], [6])
+        nested_block_traces(
+            random_hermitian(6, seed=4), np.zeros((1, 6)), 0.5j, [0], [6]
+        )
 
 
 def test_nested_block_traces_carry_the_residual_guard(monkeypatch):
     import doslab.spectral as spectral
 
     h = random_hermitian(6, seed=4)
-    assert np.all(np.isfinite(nested_block_traces(h, 0.5j, [0], [1, 6])))
+    d = np.zeros((1, 6))
+    assert np.all(np.isfinite(nested_block_traces(h, d, 0.5j, [0], [1, 6])))
     # a NaN residual fails the check instead of slipping past a ">" test
     bad = h.copy()
     bad[3, 3] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
-        nested_block_traces(bad, 0.5j, [0], [1, 6])
+        nested_block_traces(bad, d, 0.5j, [0], [1, 6])
     monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
     with pytest.raises(RuntimeError, match="residual"):
-        nested_block_traces(h, 0.5j, [0], [1, 6])
+        nested_block_traces(h, d, 0.5j, [0], [1, 6])
+
+
+def chain_lanes(n_lanes, rank=1, phase=0.0, hopping=True, half_width=32):
+    """h0 of a chain in box order, a (lanes, n) stack of coupled diagonals,
+    the sites of block 0 and every block prefix size."""
+    model = box_model(1, half_width, rank, phase, hopping)
+    sizes = model.projections.block_sizes()
+    diagonals = np.array(
+        [2.0 * np.repeat(draw_disorder(model, 8, i), sizes) for i in range(n_lanes)]
+    )
+    prefixes = [model.projections.prefix_sites(k) for k in range(1, model.n_blocks + 1)]
+    h0 = model.free.matrix(len(model.site_space))
+    return h0, diagonals, model.projections.sites_of_block(0), prefixes
+
+
+def forbid(monkeypatch, name):
+    import doslab.spectral as spectral
+
+    def fail(*args):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(spectral, name, fail)
+
+
+@pytest.mark.parametrize(
+    "rank, phase, hopping",
+    [(1, 0.0, True), (5, 0.0, True), (1, 0.7, True), (1, 0.0, False)],
+)
+def test_band_sweep_matches_the_dense_oracle_on_every_prefix(
+    monkeypatch, rank, phase, hopping
+):
+    h0, diagonals, block0, prefixes = chain_lanes(21, rank, phase, hopping)
+    assert h0.shape == (65, 65) and np.iscomplexobj(h0) == (phase != 0.0)
+    forbid(monkeypatch, "_dense_prefix_traces")
+    z = 0.3 + 0.1j
+    got = nested_block_traces(h0, diagonals, z, block0, prefixes)
+    assert got.shape == (21, len(prefixes))
+    for lane, d in zip(got, diagonals):
+        h = h0 + np.diag(d)
+        for size, tr in zip(prefixes, lane):
+            want = np.trace(np.linalg.inv(h[:size, :size] - z * np.eye(size))[
+                np.ix_(block0, block0)
+            ])
+            assert abs(tr - want) <= 1e-12 * abs(want)
+    # per-lane values do not depend on how the lanes are batched
+    for batch in (7, 1):
+        parts = [
+            nested_block_traces(h0, diagonals[i : i + batch], z, block0, prefixes)
+            for i in range(0, 21, batch)
+        ]
+        assert np.array_equal(np.concatenate(parts), got)
+
+
+def test_band_route_is_chosen_from_the_bandwidth(monkeypatch):
+    # a 2-d box of 25 sites has bandwidth 15: (15 + 1)^2 > 25, so dense
+    model = box_model(2, 2, 1, 0.0)
+    h0 = model.free.matrix(len(model.site_space))
+    diagonals = np.array([2.0 * draw_disorder(model, 3, i) for i in range(3)])
+    forbid(monkeypatch, "_band_prefix_traces")
+    got = nested_block_traces(h0, diagonals, 0.2 + 0.3j, [0], [9, 25])
+    assert got.shape == (3, 2) and np.all(np.isfinite(got))
+
+
+def test_band_sweep_carries_the_residual_guard(monkeypatch):
+    import doslab.spectral as spectral
+
+    h0, diagonals, block0, prefixes = chain_lanes(4, half_width=5)
+    forbid(monkeypatch, "_dense_prefix_traces")
+    ok = nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
+    assert np.all(np.isfinite(ok))
+    bad = diagonals.copy()
+    bad[2, 6] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
+        nested_block_traces(h0, bad, 0.5j, block0, prefixes)
+    monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
