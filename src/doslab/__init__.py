@@ -6,7 +6,7 @@ energy derivatives by Monte Carlo, measures fractional-moment decay, and
 certifies the operator inequalities the estimators rely on by quadrature.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .cli import ConfigError, ExperimentConfig, RunManifest, reproduce, run
 from .disorder import SingleSiteDensity

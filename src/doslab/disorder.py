@@ -46,11 +46,6 @@ class SingleSiteDensity:
             self._derivs.append(npoly.polyder(self._derivs[-1]))
         self._sup_cache: dict[int, float] = {}
 
-    @classmethod
-    def from_continuity_order(cls, m: int) -> "SingleSiteDensity":
-        """Least bump exponent giving m globally continuous derivatives."""
-        return cls(m + 1)
-
     def __repr__(self):
         return f"SingleSiteDensity(p={self.p})"
 
@@ -179,10 +174,6 @@ class SingleSiteDensity:
                 np.max(np.abs(npoly.polyval(cand, self._derivs[order])))
             )
         return self._sup_cache[order]
-
-    def derivative_sup_bound(self) -> float:
-        """max over orders j <= continuity_order of sup |rho^(j)|."""
-        return max(self.sup_derivative(j) for j in range(self.continuity_order + 1))
 
     # -- sampling ---------------------------------------------------------------
 

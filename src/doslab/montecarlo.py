@@ -32,7 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import ModelSpec
-from .spectral import CscPattern, eigen_weights, nested_block_traces
+from .spectral import CscPattern, block_resolvent_traces, nested_block_traces
+from .spectral import _weighted_resolvent_power, eigen_weights
 
 # samples per rows() call; bounds the memory of a chunk's lane stack
 _CHUNK_SAMPLES = 256
@@ -155,6 +156,14 @@ class _Volume:
     def eigen_weights(self, om_prefix: np.ndarray):
         return eigen_weights(self.hamiltonian(om_prefix), self.block0)
 
+    def diagonals(self, oms: np.ndarray) -> np.ndarray:
+        """(S, n_sites) coupled diagonals of a chunk of S samples' couplings."""
+        return self.model.coupling * np.repeat(oms, self.sizes, axis=1)
+
+    def traces(self, oms: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """(S, zs.size) tr(P_0 (h - z)^{-1}) for a chunk of S samples."""
+        return block_resolvent_traces(self.h0, self.diagonals(oms), zs, self.block0)
+
 
 def _estimate(
     vol: _Volume, mc: McConfig, width: int, rows, antithetic=False, dtype=np.complex128
@@ -212,16 +221,6 @@ def _spectral_parameters(energies, eps) -> np.ndarray:
     return np.asarray(energies, dtype=float) + 1j * eps
 
 
-def _weighted_resolvent_power(evals, weights, zs, power: int):
-    """sum_j w_j / (lambda_j - z)^power for each z of zs, flattened.
-
-    Each z is summed pairwise along its own contiguous row, so its bytes do
-    not depend on how many other z share the call.
-    """
-    terms = weights[:, None] / (evals[:, None] - zs.reshape(1, -1)) ** power
-    return np.ascontiguousarray(terms.T).sum(axis=1)
-
-
 # -- density of states ----------------------------------------------------------
 
 
@@ -236,19 +235,19 @@ def smoothed_dos_curve(
 
     eps is a scalar or an array that broadcasts against energies, e.g. a
     column of eps values against a row of energies; estimates come in the
-    flattened (C) order of the broadcast grid.  Every grid point uses the
-    same eigen-data of each sample, so a grid of several eps costs one eigh
-    per sample, and each grid point gets the bytes a call with that point
-    alone would give.  Every eps must be positive.
+    flattened (C) order of the broadcast grid.  Each chunk of samples takes
+    one block_resolvent_traces call for the whole grid (a Schur recursion on
+    a chain, one eigh per sample elsewhere), and each grid point gets the
+    bytes a call with that point alone would give.  Every eps must be
+    positive.
     """
     zs = _spectral_parameters(energies, eps)
     vol = _Volume(model, n_prefix_sites)
 
-    def row(om):
-        evals, w = vol.eigen_weights(om)
-        return np.imag(_weighted_resolvent_power(evals, w, zs, 1)) / np.pi
+    def rows(oms):
+        return np.imag(vol.traces(oms, zs)) / np.pi
 
-    return _estimate(vol, mc, zs.size, _each(row), dtype=np.float64)
+    return _estimate(vol, mc, zs.size, rows, dtype=np.float64)
 
 
 def ids_curve(
@@ -281,7 +280,7 @@ def dos_derivative_curve(
 
     eps is a scalar or an array that broadcasts against energies, as in
     smoothed_dos_curve: all (E, eps) elements share each sample's draw,
-    eigen-data and score weight.
+    traces and score weight.
 
     method "score" multiplies the trace by the sampled log-density weights
     (antithetic in omega -> 1 - omega, which cancels the odd part of the
@@ -297,12 +296,11 @@ def dos_derivative_curve(
         model.density.check_score_order(ell)
         lam_pow = model.coupling ** (-ell)
 
-        def row(om):
-            evals, w = vol.eigen_weights(om)
-            tr = _weighted_resolvent_power(evals, w, zs, 1)
-            return tr * (model.density.score_factor(om, ell) * lam_pow)
+        def rows(oms):
+            weight = model.density.score_factor(oms, ell) * lam_pow
+            return vol.traces(oms, zs) * weight[:, None]
 
-        return _estimate(vol, mc, zs.size, _each(row), antithetic=ell > 0)
+        return _estimate(vol, mc, zs.size, rows, antithetic=ell > 0)
     if method != "resolvent":
         raise ValueError(f"unknown method {method!r}")
     if ell > 6:
@@ -445,7 +443,7 @@ def telescope_series_diagnostic(
 
     def rows(oms):
         # tr[:, j] and weight[:, j] belong to the volume of ks[0] + j blocks
-        diagonals = model.coupling * np.repeat(oms, vol.sizes, axis=1)
+        diagonals = vol.diagonals(oms)
         tr = nested_block_traces(vol.h0, diagonals, z, vol.block0, prefix_sizes)
         weight = model.density.prefix_score_factors(oms, ell)[:, ks[0] - 1 :] * lam_pow
         out = np.empty((len(oms), n_terms + 2), dtype=np.complex128)

@@ -1,9 +1,8 @@
-"""Composite Gauss-Legendre rules on intervals and tensor-product boxes."""
+"""Composite Gauss-Legendre rules on intervals."""
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -29,19 +28,6 @@ def panel_rule(a: float, b: float, n_nodes: int = 16, n_panels: int = 1):
     x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     w = (half[:, None] * base_w[None, :]).ravel()
     return x, w
-
-
-def tensor_rule(rules):
-    """Tensor product of 1-d rules [(x_i, w_i), ...] -> (points (M, d), weights (M,))."""
-    axes = list(rules)
-    if not axes:
-        raise ValueError("need at least one axis")
-    pts = np.array(list(itertools.product(*[x for x, _ in axes])), dtype=float)
-    wgrids = np.meshgrid(*[w for _, w in axes], indexing="ij")
-    w = np.ones_like(wgrids[0])
-    for g in wgrids:
-        w = w * g
-    return pts, w.ravel()
 
 
 def integrate(f, a: float, b: float, n_nodes: int = 16, n_panels: int = 1):

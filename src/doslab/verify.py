@@ -698,21 +698,6 @@ def verify_resolvent_average_bound(
 # semigroup Hoelder continuity in the generator
 
 
-def hoelder_margin(x, y, s: float, t: float) -> float:
-    """LHS - RHS of the semigroup bound for one pair: negative means it holds.
-
-    LHS = norm of exp(itX) - exp(itY); RHS = 2^(1-s) t^s |X - Y|^s.
-    """
-    lhs = float(
-        np.linalg.norm(
-            scipy.linalg.expm(1j * t * x) - scipy.linalg.expm(1j * t * y), 2
-        )
-    )
-    delta = float(np.linalg.norm(np.asarray(x) - np.asarray(y), 2))
-    rhs = 2.0 ** (1.0 - s) * t**s * delta**s
-    return lhs - rhs
-
-
 def verify_semigroup_hoelder(
     corpus: Corpus,
     s_values=(0.3, 0.5, 0.7),

@@ -459,6 +459,22 @@ def test_telescope_residual_failure_exits_3(tmp_path, monkeypatch):
     assert "residual" in err_buf.getvalue()
 
 
+def test_dos_residual_failure_exits_3(tmp_path, monkeypatch):
+    import doslab.spectral as spectral
+
+    cfgp = toy_config(tmp_path, "dos", n_samples=2)
+    assert run_quiet(None, cfgp)[0] == 0
+    manifest = str(tmp_path / "out" / "dos.manifest.json")
+    # the chain's Schur recursion check can no longer pass
+    monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+    code, _, err = run_quiet(None, cfgp)
+    assert code == 3
+    assert "residual" in err
+    err_buf = io.StringIO()
+    assert reproduce(manifest, out=io.StringIO(), err=err_buf) == 3
+    assert "residual" in err_buf.getvalue()
+
+
 # -- reproduce --------------------------------------------------------------------
 
 

@@ -86,12 +86,6 @@ def test_sup_derivative_dominates_dense_grid():
         assert grid_max > 0.999 * sup
 
 
-def test_derivative_sup_bound_covers_continuous_orders():
-    rho = SingleSiteDensity(3)
-    expect = max(rho.sup_derivative(j) for j in range(3))
-    assert rho.derivative_sup_bound() == expect
-
-
 def test_sampler_moments_and_support():
     rho = SingleSiteDensity(2)
     rng = np.random.default_rng(915)
@@ -163,11 +157,6 @@ def test_invalid_arguments_are_rejected():
         SingleSiteDensity(2).eval(0.5, order=3)
     with pytest.raises(ValueError, match="ell"):
         SingleSiteDensity(5).score_factor(np.full(3, 0.5), 3)
-
-
-def test_from_continuity_order():
-    rho = SingleSiteDensity.from_continuity_order(2)
-    assert rho.p == 3 and rho.continuity_order == 2
 
 
 @settings(max_examples=60, deadline=None)

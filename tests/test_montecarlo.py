@@ -575,6 +575,35 @@ def test_telescope_terms_are_bit_stable_across_chunks_and_workers(monkeypatch, e
         assert run(chunk, workers) == want, (chunk, workers)
 
 
+@pytest.mark.parametrize("route", ["dos", "score-1", "score-2"])
+def test_dos_curves_are_bit_stable_across_chunks_and_workers(monkeypatch, route):
+    import doslab.montecarlo as montecarlo
+    import doslab.spectral as spectral
+
+    # 17 sites of a chain: the Schur recursion, never eigh
+    def dense(*args):
+        raise AssertionError("eigh route taken")
+
+    monkeypatch.setattr(spectral, "eigen_weights", dense)
+    model = chain_model(8, coupling=2.0, p=4)
+    eps = np.array([[0.3], [0.05]])
+    default = montecarlo._CHUNK_SAMPLES
+
+    def run(chunk, workers):
+        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
+        mc = McConfig(n_samples=40, master_seed=63, workers=workers)
+        if route == "dos":
+            ests = smoothed_dos_curve(model, 17, [-0.5, 0.4, 1.2], eps, mc)
+        else:
+            ell = int(route[-1])
+            ests = dos_derivative_curve(model, 17, [-0.5, 0.4, 1.2], eps, ell, mc)
+        return [e.mean for e in ests], [e.stderr for e in ests]
+
+    want = run(default, 1)
+    for chunk, workers in [(1, 1), (7, 1), (1, 4), (7, 4), (default, 4)]:
+        assert run(chunk, workers) == want, (chunk, workers)
+
+
 def test_telescope_validation():
     model = chain_model(3, coupling=1.0)
     mc = McConfig(n_samples=8, master_seed=0)

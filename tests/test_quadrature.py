@@ -1,7 +1,7 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from doslab.quadrature import integrate, panel_rule, tensor_rule
+from doslab.quadrature import integrate, panel_rule
 
 
 def test_panel_rule_weights_sum_to_length():
@@ -22,11 +22,3 @@ def test_integrate_oscillatory():
     val = integrate(np.cos, 0.0, 10.0, n_nodes=16, n_panels=8)
     assert_allclose(val, np.sin(10.0), atol=1e-12)
 
-
-def test_tensor_rule_factorizes():
-    rx = panel_rule(0.0, 1.0, 4, 2)
-    ry = panel_rule(-1.0, 1.0, 3, 3)
-    pts, wts = tensor_rule([rx, ry])
-    assert pts.shape == (8 * 9, 2)
-    got = np.sum(wts * pts[:, 0] ** 2 * pts[:, 1] ** 2)
-    assert_allclose(got, (1.0 / 3.0) * (2.0 / 3.0), rtol=1e-13)

@@ -16,6 +16,7 @@ from doslab.lattice import (
 from doslab.montecarlo import McConfig, draw_disorder, ids_curve
 from doslab.spectral import (
     ComplexShift,
+    block_resolvent_traces,
     eigen_weights,
     nested_block_traces,
     resolvent_columns,
@@ -359,3 +360,96 @@ def test_band_sweep_carries_the_residual_guard(monkeypatch):
     monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
     with pytest.raises(RuntimeError, match="residual"):
         nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
+
+
+# -- full-volume block traces -----------------------------------------------------
+
+ZS = np.array([[-2.5 + 0.05j, 0.3 + 0.1j], [1.0 + 0.5j, 3.2 + 0.2j]])
+
+
+def dense_block_traces(h0, diagonals, zs, block):
+    out = []
+    for d in diagonals:
+        h = h0 + np.diag(d)
+        out.append([
+            np.trace(np.linalg.inv(h - z * np.eye(len(h)))[np.ix_(block, block)])
+            for z in zs.ravel()
+        ])
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "rank, phase, size",
+    [(1, 0.0, 65), (5, 0.7, 65), (1, 0.0, 20), (13, 0.0, 65), (1, 0.0, 1), (1, 0.0, 2)],
+    ids=["rank1", "rank5-phase", "prefix20", "rank13", "one-site", "two-sites"],
+)
+def test_schur_recursion_matches_the_dense_oracle(monkeypatch, rank, phase, size):
+    import doslab.spectral as spectral
+
+    h0, diagonals, block0, _ = chain_lanes(9, rank, phase)
+    h0, diagonals = h0[:size, :size], diagonals[:, :size]
+    block = [s for s in block0 if s < size]
+    forbid(monkeypatch, "eigen_weights")
+    got = block_resolvent_traces(h0, diagonals, ZS, block)
+    assert got.shape == (9, ZS.size)
+    want = dense_block_traces(h0, diagonals, ZS, block)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # per-lane values do not depend on how lanes or z values are batched
+    for batch in (4, 1):
+        parts = [
+            block_resolvent_traces(h0, diagonals[i : i + batch], ZS, block)
+            for i in range(0, 9, batch)
+        ]
+        assert np.array_equal(np.concatenate(parts), got)
+    for j, z in enumerate(ZS.ravel()):
+        alone = block_resolvent_traces(h0, diagonals, [z], block)
+        assert np.array_equal(alone[:, 0], got[:, j])
+    # nor on how many lanes x z share one pass of the recursion
+    monkeypatch.setattr(spectral, "_RECURSION_CELLS", 7)
+    assert np.array_equal(block_resolvent_traces(h0, diagonals, ZS, block), got)
+
+
+@pytest.mark.parametrize("case", ["box2d", "zero-hopping", "ring"])
+def test_eigh_route_is_taken_off_a_path(monkeypatch, case):
+    if case == "ring":
+        # a closed chain: every site has two neighbours, but n couplings
+        h0 = np.diag(np.ones(7), 1)
+        h0[0, 7] = 1.0
+        h0 = h0 + h0.T
+        diagonals = np.random.default_rng(2).random((3, 8))
+    else:
+        model = box_model(2, 2) if case == "box2d" else box_model(1, 4, hopping=False)
+        h0 = model.free.matrix(len(model.site_space))
+        diagonals = np.array([2.0 * draw_disorder(model, 3, i) for i in range(3)])
+    forbid(monkeypatch, "_schur_pivots")
+    got = block_resolvent_traces(h0, diagonals, ZS, [0])
+    want = dense_block_traces(h0, diagonals, ZS, [0])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_block_resolvent_traces_validation():
+    h0, diagonals, _, _ = chain_lanes(2, half_width=3)
+    with pytest.raises(ValueError, match="lanes"):
+        block_resolvent_traces(h0, diagonals[0], ZS, [0])
+    with pytest.raises(ValueError, match="block sites"):
+        block_resolvent_traces(h0, diagonals, ZS, [7])
+    with pytest.raises(ValueError, match="block sites"):
+        block_resolvent_traces(h0, diagonals, ZS, [])
+    with pytest.raises(ValueError, match="imaginary"):
+        block_resolvent_traces(h0, diagonals, [0.5 + 0.2j, 0.3], [0])
+
+
+def test_schur_recursion_carries_the_residual_guard(monkeypatch):
+    import doslab.spectral as spectral
+
+    h0, diagonals, block0, _ = chain_lanes(4, half_width=5)
+    forbid(monkeypatch, "eigen_weights")
+    assert np.all(np.isfinite(block_resolvent_traces(h0, diagonals, ZS, block0)))
+    # a NaN residual fails the check instead of slipping past a ">" test
+    bad = h0.copy()
+    bad[5, 7] = bad[7, 5] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
+        block_resolvent_traces(bad, diagonals, ZS, block0)
+    monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        block_resolvent_traces(h0, diagonals, ZS, block0)

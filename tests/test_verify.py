@@ -19,7 +19,6 @@ from doslab.verify import (
     Corpus,
     average_bound_terms,
     averaging_corpus,
-    hoelder_margin,
     smoothstep,
     stieltjes_transform,
     verify_boundary_derivatives,
@@ -274,24 +273,6 @@ def test_resolvent_average_bound_validation():
 
 
 # -- semigroup Hoelder bound ------------------------------------------------------
-
-
-def test_hoelder_margin_trivial_cases():
-    x = random_symmetric(4, seed=14) + 1j * np.eye(4) * 0.3
-    assert hoelder_margin(x, x, 0.5, 2.0) == 0.0
-    y = x + 0.2 * random_symmetric(4, seed=15)
-    assert hoelder_margin(x, y, 0.5, 0.0) == 0.0
-
-
-def test_hoelder_margin_generic_pair_is_strictly_inside():
-    rng = np.random.default_rng(16)
-    for _ in range(5):
-        g = rng.standard_normal((5, 5))
-        x = (g + g.T) / 2
-        y = x + 0.3 * random_symmetric(5, seed=int(rng.integers(1e6)))
-        for s in (0.3, 0.7):
-            for t in (0.2, 3.0):
-                assert hoelder_margin(x, y, s, t) < 0
 
 
 def test_semigroup_hoelder_corpus_has_no_violations():
