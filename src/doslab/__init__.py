@@ -6,73 +6,59 @@ energy derivatives by Monte Carlo, measures fractional-moment decay, and
 certifies the operator inequalities the estimators rely on by quadrature.
 """
 
+import importlib
+
 __version__ = "0.5.0"
 
-from .cli import ConfigError, ExperimentConfig, RunManifest, reproduce, run
-from .disorder import SingleSiteDensity
-from .lattice import (
-    FreeOperatorSpec,
-    ModelSpec,
-    ProjectionFamily,
-    SiteSpace,
-    assemble_hamiltonian,
-    build_box_enumeration,
-)
-from .montecarlo import (
-    DecayFit,
-    Estimate,
-    McConfig,
-    TelescopeReport,
-    fit_decay,
-    telescope_series_diagnostic,
-)
-from .spectral import ComplexShift, resolvent_columns
-from .verify import (
-    BumpPair,
-    CheckReport,
-    Corpus,
-    run_default_verification,
-    smoothstep,
-    stieltjes_transform,
-    verify_boundary_derivatives,
-    verify_finite_smooth,
-    verify_resolvent_average_bound,
-    verify_resolvent_semigroup_identity,
-    verify_semigroup_hoelder,
-    verify_spectral_averaging,
-)
+# exported names by submodule, each loaded on first access (PEP 562): a chain
+# run then loads no scipy, and `python -m doslab.cli` finds no doslab.cli
+# imported before it runs
+_SUBMODULE_NAMES = {
+    "cli": ("ConfigError", "ExperimentConfig", "RunManifest", "reproduce", "run"),
+    "disorder": ("SingleSiteDensity",),
+    "lattice": (
+        "FreeOperatorSpec",
+        "ModelSpec",
+        "ProjectionFamily",
+        "SiteSpace",
+        "assemble_hamiltonian",
+        "build_box_enumeration",
+    ),
+    "montecarlo": (
+        "DecayFit",
+        "Estimate",
+        "McConfig",
+        "TelescopeReport",
+        "fit_decay",
+        "telescope_series_diagnostic",
+    ),
+    "spectral": ("resolvent_columns",),
+    "verify": (
+        "BumpPair",
+        "CheckReport",
+        "Corpus",
+        "run_default_verification",
+        "smoothstep",
+        "stieltjes_transform",
+        "verify_boundary_derivatives",
+        "verify_finite_smooth",
+        "verify_resolvent_average_bound",
+        "verify_resolvent_semigroup_identity",
+        "verify_semigroup_hoelder",
+        "verify_spectral_averaging",
+    ),
+}
+_SUBMODULE_OF = {
+    name: module for module, names in _SUBMODULE_NAMES.items() for name in names
+}
 
-__all__ = [
-    "BumpPair",
-    "CheckReport",
-    "ComplexShift",
-    "ConfigError",
-    "Corpus",
-    "ExperimentConfig",
-    "DecayFit",
-    "Estimate",
-    "FreeOperatorSpec",
-    "McConfig",
-    "ModelSpec",
-    "ProjectionFamily",
-    "RunManifest",
-    "SingleSiteDensity",
-    "SiteSpace",
-    "TelescopeReport",
-    "assemble_hamiltonian",
-    "build_box_enumeration",
-    "fit_decay",
-    "reproduce",
-    "resolvent_columns",
-    "run",
-    "run_default_verification",
-    "smoothstep",
-    "stieltjes_transform",
-    "telescope_series_diagnostic",
-    "verify_boundary_derivatives",
-    "verify_finite_smooth",
-    "verify_resolvent_average_bound",
-    "verify_resolvent_semigroup_identity",
-    "verify_semigroup_hoelder",
-    "verify_spectral_averaging",
-]
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

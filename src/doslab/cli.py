@@ -467,6 +467,9 @@ def _prepare(command: str, cfg: ExperimentConfig) -> _Plan:
         except ValueError as exc:
             raise ConfigError("run.ell", str(exc)) from None
     if command == "fracmom":
+        # SuperLU and scipy.linalg count as start-up, not as the first solve
+        import scipy.sparse.linalg  # noqa: F401
+
         n_blocks = model.projections.blocks_for_prefix(n_prefix)
         by_distance: dict[int, int] = {}
         for b in range(n_blocks):

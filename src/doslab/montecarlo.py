@@ -25,11 +25,15 @@ each other.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+# numpy loads numpy.random on first use; loading it here keeps that cost out
+# of the first sample
+import numpy.random  # noqa: F401
 
 from .lattice import ModelSpec
 from .spectral import CscPattern, block_resolvent_traces, nested_block_traces
@@ -198,8 +202,6 @@ def _estimate(
     if workers == 1:
         fill(0, n)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
         bounds = np.linspace(0, n, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds, bounds[1:])]

@@ -28,9 +28,3 @@ def panel_rule(a: float, b: float, n_nodes: int = 16, n_panels: int = 1):
     x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     w = (half[:, None] * base_w[None, :]).ravel()
     return x, w
-
-
-def integrate(f, a: float, b: float, n_nodes: int = 16, n_panels: int = 1):
-    """Integral of a vectorized scalar function over [a, b]."""
-    x, w = panel_rule(a, b, n_nodes, n_panels)
-    return np.sum(np.asarray(f(x)) * w, axis=-1)

@@ -7,11 +7,9 @@ thousand at most); statistical estimation lives in `montecarlo`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 _DENSE_DIMENSION_CAP = 4096
 _RESIDUAL_REL_TOL = 1e-10
@@ -20,22 +18,6 @@ _LU_PANEL = 32
 # (z, lanes) temporaries then takes 32 KB, which keeps the peak RSS of a run
 # below that of the eigh route it replaces
 _RECURSION_CELLS = 1 << 12
-
-
-@dataclass(frozen=True)
-class ComplexShift:
-    """Spectral parameter E + i*eps with eps strictly positive."""
-
-    energy: float
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError(f"imaginary shift must be positive, got {self.eps}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.energy, self.eps)
 
 
 def _square_dimension(shape) -> int:
@@ -58,8 +40,6 @@ def _lane_stack(h0, diagonals):
 
 
 def _as_z(z) -> complex:
-    if isinstance(z, ComplexShift):
-        return z.z
     zc = complex(z)
     if not zc.imag > 0.0:
         raise ValueError(f"spectral parameter needs positive imaginary part, got {zc}")
@@ -140,6 +120,8 @@ def _lu_without_pivoting(a: np.ndarray) -> None:
     the trailing matrix takes one triangular solve and one gemm, both in
     scipy's BLAS.
     """
+    from scipy.linalg import blas
+
     n = a.shape[0]
     for k0 in range(0, n, _LU_PANEL):
         k1 = min(k0 + _LU_PANEL, n)
@@ -147,10 +129,10 @@ def _lu_without_pivoting(a: np.ndarray) -> None:
             a[k + 1 :, k] /= a[k, k]
             a[k + 1 :, k + 1 : k1] -= a[k + 1 :, k, None] * a[k, k + 1 : k1]
         if k1 < n:
-            a[k0:k1, k1:] = sla.blas.ztrsm(
+            a[k0:k1, k1:] = blas.ztrsm(
                 1.0, a[k0:k1, k0:k1], a[k0:k1, k1:], lower=1, diag=1
             )
-            a[k1:, k1:] = sla.blas.zgemm(
+            a[k1:, k1:] = blas.zgemm(
                 -1.0, a[k1:, k0:k1], a[k0:k1, k1:], beta=1.0, c=a[k1:, k1:]
             )
 
@@ -168,6 +150,8 @@ def _check_residual(resid: np.ndarray, scale: np.ndarray) -> None:
 
 def _dense_prefix_traces(h0, d, zc, rhs, m):
     """Cumulative tr(P_0 G_n) of h0 + diag(d) over n = 1..m, one dense LU."""
+    from scipy.linalg import blas
+
     h = h0.copy()
     diag = np.arange(len(d))
     h[diag, diag] += d
@@ -177,13 +161,13 @@ def _dense_prefix_traces(h0, d, zc, rhs, m):
     _lu_without_pivoting(lu)
     # L U through trmm: scipy's BLAS, as in the factorization, so numpy's
     # own BLAS pool does not wake up to contend with it
-    prod = sla.blas.ztrmm(1.0, lu, np.triu(lu), lower=1, diag=1)
+    prod = blas.ztrmm(1.0, lu, np.triu(lu), lower=1, diag=1)
     prod[diag, diag] += zc
     resid = np.max(np.abs(prod - h[:m, :m]), initial=0.0)
     scale = np.linalg.norm(h, np.inf) + abs(zc)
     # columns of L^{-1} and, transposed, rows of U^{-1} at the block sites
-    l_inv = sla.blas.ztrsm(1.0, lu, rhs, lower=1, diag=1)
-    u_inv = sla.blas.ztrsm(1.0, lu, rhs, trans_a=1)
+    l_inv = blas.ztrsm(1.0, lu, rhs, lower=1, diag=1)
+    u_inv = blas.ztrsm(1.0, lu, rhs, trans_a=1)
     return np.cumsum(np.sum(u_inv * l_inv, axis=1)), resid, scale
 
 

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .disorder import SingleSiteDensity
 from .quadrature import panel_rule
@@ -367,7 +366,9 @@ def _batched_expi(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     conditioned (defective or nearly so)."""
     w, v = np.linalg.eig(x)
     if np.linalg.cond(v) > _EIG_COND_LIMIT:
-        return np.stack([scipy.linalg.expm(1j * t * x) for t in ts])
+        from scipy.linalg import expm
+
+        return np.stack([expm(1j * t * x) for t in ts])
     vinv = np.linalg.inv(v)
     phases = np.exp(1j * np.multiply.outer(ts, w))  # (T, d)
     return np.einsum("ij,tj,jk->tik", v, phases, vinv, optimize=True)

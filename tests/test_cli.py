@@ -4,8 +4,12 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
+
+import doslab
 
 from doslab.cli import (
     CSV_HEADER,
@@ -56,6 +60,18 @@ p = 2
 [output]
 directory = {tmp_path / "out"}
 """,
+    )
+
+
+def run_python(*args):
+    """The interpreter on args in a fresh process that imports this doslab."""
+    src = os.path.dirname(os.path.dirname(doslab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -251,11 +267,6 @@ def test_run_fracmom_uses_distance_abscissa(tmp_path):
 
 @pytest.mark.parametrize("command", ["dos", "telescope", "fracmom"])
 def test_only_fracmom_imports_scipy_sparse(tmp_path, command):
-    import subprocess
-    import sys
-
-    import doslab
-
     extra = {"ell": "1"} if command == "telescope" else {}
     cfgp = toy_config(tmp_path, command, n_samples=4, **extra)
     script = (
@@ -263,16 +274,43 @@ def test_only_fracmom_imports_scipy_sparse(tmp_path, command):
         f"assert run(None, {cfgp!r}) == 0\n"
         "print('scipy.sparse' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(doslab.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-1] == str(command == "fracmom")
+
+
+@pytest.mark.parametrize("command", ["dos", "dos-deriv", "telescope", "fracmom"])
+def test_only_fracmom_loads_scipy_and_all_imports_precede_the_run(tmp_path, command):
+    # a module first imported inside _execute is start-up cost counted as
+    # compute: the thread pool, numpy.random and SuperLU all load before it
+    extra = {
+        "dos": {"workers": 2},
+        "dos-deriv": {"ell": 1},
+        # k_max = 12 puts 13 chain sites in the largest prefix: the band sweep
+        "telescope": {"ell": 1, "k_max": 12, "workers": 2},
+    }.get(command, {})
+    cfgp = toy_config(tmp_path, command, n_samples=4, **extra)
+    script = (
+        "import io, sys\nfrom doslab import cli\n"
+        "execute, seen = cli._execute, []\n"
+        "def wrapped(plan):\n"
+        "    before = set(sys.modules)\n"
+        "    result = execute(plan)\n"
+        "    seen.extend(sorted(set(sys.modules) - before))\n"
+        "    return result\n"
+        "cli._execute = wrapped\n"
+        f"assert cli.run(None, {cfgp!r}, out=io.StringIO()) == 0\n"
+        "print('scipy' in sys.modules, seen)\n"
+    )
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"{command == 'fracmom'} []"
+
+
+def test_module_entry_point_runs_without_warnings():
+    done = run_python("-W", "error::RuntimeWarning", "-m", "doslab.cli", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 def test_run_telescope_diagnostics(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from doslab.quadrature import integrate, panel_rule
+from doslab.quadrature import panel_rule
 
 
 def test_panel_rule_weights_sum_to_length():
@@ -16,9 +16,4 @@ def test_gauss_nodes_are_exact_for_polynomials():
     x, w = panel_rule(0.0, 1.0, n_nodes=6, n_panels=1)
     for k in range(12):
         assert_allclose(np.sum(w * x**k), 1.0 / (k + 1), rtol=1e-13, err_msg=f"x^{k}")
-
-
-def test_integrate_oscillatory():
-    val = integrate(np.cos, 0.0, 10.0, n_nodes=16, n_panels=8)
-    assert_allclose(val, np.sin(10.0), atol=1e-12)
 

@@ -15,7 +15,6 @@ from doslab.lattice import (
 )
 from doslab.montecarlo import McConfig, draw_disorder, ids_curve
 from doslab.spectral import (
-    ComplexShift,
     block_resolvent_traces,
     eigen_weights,
     nested_block_traces,
@@ -31,15 +30,6 @@ def random_hermitian(n, seed, complex_entries=False):
     return (a + a.conj().T) / 2
 
 
-def test_complex_shift_validation():
-    s = ComplexShift(1.5, 0.25)
-    assert s.z == 1.5 + 0.25j
-    with pytest.raises(ValueError):
-        ComplexShift(0.0, 0.0)
-    with pytest.raises(ValueError):
-        ComplexShift(0.0, -0.1)
-
-
 def test_resolvent_columns_match_dense_inverse():
     h = random_hermitian(30, seed=42)
     z = 0.3 + 0.05j
@@ -47,9 +37,6 @@ def test_resolvent_columns_match_dense_inverse():
     cols = resolvent_columns(h, z, [0, 7, 29])
     assert cols.shape == (30, 3)
     assert_allclose(cols, full[:, [0, 7, 29]], rtol=1e-11, atol=1e-13)
-    # ComplexShift spelling agrees with the raw complex one
-    again = resolvent_columns(h, ComplexShift(0.3, 0.05), [0, 7, 29])
-    assert np.array_equal(cols, again)
 
 
 def test_resolvent_rejects_real_energy():
@@ -63,10 +50,10 @@ def test_resolvent_rejects_real_energy():
 def test_kernel_block_entries_and_orientation():
     h = random_hermitian(6, seed=7)
     fam = ProjectionFamily.contiguous(6, rank=2)
-    z = ComplexShift(-0.2, 0.4)
+    z = -0.2 + 0.4j
     # P_2 (h - z)^{-1} P_0: rows of block 2 from the columns of block 0
     blk = resolvent_columns(h, z, fam.sites_of_block(0))[fam.sites_of_block(2), :]
-    full = np.linalg.inv(h - z.z * np.eye(6))
+    full = np.linalg.inv(h - z * np.eye(6))
     assert_allclose(blk, full[np.ix_([4, 5], [0, 1])], rtol=1e-11)
 
 
@@ -74,7 +61,7 @@ def test_kernel_block_entries_and_orientation():
 def test_kernel_block_norm_bounded_by_shift(eps):
     h = random_hermitian(12, seed=3)
     fam = ProjectionFamily.contiguous(12, rank=3)
-    z = ComplexShift(0.7, eps)
+    z = complex(0.7, eps)
     for src in range(4):
         cols = resolvent_columns(h, z, fam.sites_of_block(src))
         for tgt in range(4):
@@ -86,7 +73,7 @@ def test_trace_against_block_is_herglotz():
     h = random_hermitian(14, seed=9)
     idx = [0, 1, 2]
     for energy in np.linspace(-3, 3, 11):
-        cols = resolvent_columns(h, ComplexShift(energy, 0.15), idx)
+        cols = resolvent_columns(h, complex(energy, 0.15), idx)
         tr = np.trace(cols[idx, :])
         assert tr.imag > 0.0
 

@@ -14,9 +14,11 @@ from scipy.integrate import quad
 
 from doslab.disorder import SingleSiteDensity
 from doslab.verify import (
+    _EIG_COND_LIMIT,
     BumpPair,
     CheckReport,
     Corpus,
+    _batched_expi,
     average_bound_terms,
     averaging_corpus,
     smoothstep,
@@ -296,6 +298,18 @@ def test_semigroup_hoelder_validation():
 
 
 # -- resolvent as a truncated time integral ----------------------------------------
+
+
+def test_batched_expi_falls_back_to_expm_on_a_jordan_block():
+    # a defective X has no eigenvector basis, so exp(i t X) must come from
+    # the expm branch; X = a I + N with N^2 = 0 gives exp(i t a) (I + i t N)
+    a = 0.4 + 0.3j
+    x = np.array([[a, 1.0], [0.0, a]])
+    assert np.linalg.cond(np.linalg.eig(x)[1]) > _EIG_COND_LIMIT
+    ts = np.array([0.0, 0.5, 2.0, 7.0])
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    want = [np.exp(1j * t * a) * (np.eye(2) + 1j * t * nil) for t in ts]
+    assert_allclose(_batched_expi(x, ts), want, rtol=1e-12, atol=1e-14)
 
 
 def test_identity_scalar_oracle():
