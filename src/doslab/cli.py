@@ -3,8 +3,9 @@
 A run is described by a sectioned key=value config (model, disorder, run,
 output), executed by one of six commands, and leaves behind one CSV per
 curve plus a manifest recording the resolved config and per-file checksums.
-Re-running any manifest must reproduce the CSV bytes exactly, for any
-worker count; plotting happens elsewhere, on the CSV files.
+Re-running any manifest must reproduce the CSV bytes exactly; plotting
+happens elsewhere, on the CSV files.  The retired key run.workers is
+accepted and ignored, so configs that still set it run unchanged.
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ class ExperimentConfig:
     ell: int = 0
     n_samples: int = 100
     master_seed: int = 0
-    workers: int = 1
     distances: tuple[int, ...] = (1, 2, 3, 4)
     k_min: int = 2
     k_max: int = 4
@@ -214,8 +214,6 @@ class ExperimentConfig:
             raise ConfigError("run.n_samples", f"must be >= 1, got {self.n_samples}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("run.master_seed", "must fit an unsigned 64-bit integer")
-        if self.workers < 1:
-            raise ConfigError("run.workers", f"must be >= 1, got {self.workers}")
         if any(d < 1 for d in self.distances):
             raise ConfigError("run.distances", "distances must be >= 1")
         if self.k_min < 1:
@@ -238,26 +236,16 @@ class ExperimentConfig:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError("(file)", f"not parseable: {exc}") from None
-        kwargs: dict = {}
-        seen_m = None
-        for section in parser.sections():
-            if section not in _SCHEMA:
-                raise ConfigError(section, "unknown section")
-            for key, raw in parser.items(section):
-                path = f"{section}.{key}"
-                if section == "disorder" and key == "m":
-                    seen_m = _parse_int(path, raw)
-                    continue
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(path, "unknown key")
-                attr, parse, _ = _SCHEMA[section][key]
-                kwargs[attr] = parse(path, raw)
+        mapping = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+        seen_m = mapping.get("disorder", {}).pop("m", None)
+        kwargs = _fields(mapping)
         if seen_m is not None:
+            m = _parse_int("disorder.m", seen_m)
             if "p" in kwargs:
                 raise ConfigError("disorder.m", "give p or m, not both")
-            if seen_m < 0:
-                raise ConfigError("disorder.m", f"must be >= 0, got {seen_m}")
-            kwargs["p"] = seen_m + 1
+            if m < 0:
+                raise ConfigError("disorder.m", f"must be >= 0, got {m}")
+            kwargs["p"] = m + 1
         return cls(**kwargs)
 
     @classmethod
@@ -272,24 +260,17 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         """Inverse of to_mapping; mapping values are canonical strings."""
-        kwargs: dict = {}
-        for section, entries in mapping.items():
-            if section not in _SCHEMA:
-                raise ConfigError(section, "unknown section")
-            for key, raw in entries.items():
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"{section}.{key}", "unknown key")
-                attr, parse, _ = _SCHEMA[section][key]
-                kwargs[attr] = parse(f"{section}.{key}", raw)
-        return cls(**kwargs)
+        return cls(**_fields(mapping))
 
     def to_mapping(self) -> dict:
         """Canonical {section: {key: string}} form; fixed order, all fields."""
         out: dict = {}
         for section, keys in _SCHEMA.items():
             out[section] = {}
-            for key, (attr, _, fmt) in keys.items():
-                out[section][key] = fmt(getattr(self, attr))
+            for key, entry in keys.items():
+                if entry is not None:
+                    attr, _, fmt = entry
+                    out[section][key] = fmt(getattr(self, attr))
         return out
 
     def to_text(self) -> str:
@@ -304,8 +285,9 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-# key -> (attr, parse(path, text) -> value, fmt(value) -> text)
-_SCHEMA: dict[str, dict[str, tuple]] = {
+# key -> (attr, parse(path, text) -> value, fmt(value) -> text), or None for
+# a retired key: accepted on input, ignored, never written
+_SCHEMA: dict[str, dict[str, tuple | None]] = {
     "model": {
         "dimension": ("dimension", _parse_int, str),
         "half_width": ("half_width", _parse_int, str),
@@ -334,7 +316,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "ell": ("ell", _parse_int, str),
         "n_samples": ("n_samples", _parse_int, str),
         "master_seed": ("master_seed", _parse_int, str),
-        "workers": ("workers", _parse_int, str),
+        "workers": None,
         "distances": ("distances", _parse_int_list, lambda v: _fmt_list(v, str)),
         "k_min": ("k_min", _parse_int, str),
         "k_max": ("k_max", _parse_int, str),
@@ -344,6 +326,22 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "formats": ("formats", _parse_str_list, lambda v: _fmt_list(v, str)),
     },
 }
+
+
+def _fields(mapping: dict) -> dict:
+    """ExperimentConfig keyword arguments from {section: {key: text}}."""
+    kwargs: dict = {}
+    for section, entries in mapping.items():
+        if section not in _SCHEMA:
+            raise ConfigError(section, "unknown section")
+        for key, raw in entries.items():
+            path = f"{section}.{key}"
+            if key not in _SCHEMA[section]:
+                raise ConfigError(path, "unknown key")
+            if _SCHEMA[section][key] is not None:
+                attr, parse, _ = _SCHEMA[section][key]
+                kwargs[attr] = parse(path, raw)
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +375,7 @@ class RunManifest:
 
     @classmethod
     def from_file(cls, path: str) -> "RunManifest":
+        """Read a manifest written by this code version; ConfigError otherwise."""
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -385,11 +384,18 @@ class RunManifest:
         if payload.get("kind") != "doslab-run-manifest":
             raise ConfigError("(manifest)", "not a run manifest")
         try:
+            # before the config: another version's config may have other keys
+            version = payload["code_version"]
+            if version != __version__:
+                raise ConfigError(
+                    "(manifest)",
+                    f"code version {version} does not match installed {__version__}",
+                )
             return cls(
                 command=payload["command"],
                 config=ExperimentConfig.from_mapping(payload["config"]),
                 config_sha256=payload["config_sha256"],
-                code_version=payload["code_version"],
+                code_version=version,
                 wall_time_s=float(payload["wall_time_s"]),
                 outputs=dict(payload["outputs"]),
                 diagnostics=payload.get("diagnostics", {}),
@@ -458,7 +464,7 @@ def _prepare(command: str, cfg: ExperimentConfig) -> _Plan:
         )
 
     model, n_prefix = _build_model(cfg)
-    mc = McConfig(cfg.n_samples, cfg.master_seed, workers=cfg.workers)
+    mc = McConfig(cfg.n_samples, cfg.master_seed)
     plan = _Plan(command, cfg, model, n_prefix, mc)
 
     if command in ("dos-deriv", "telescope"):
@@ -643,15 +649,14 @@ def run(
     config_path: str | None,
     out_dir: str | None = None,
     seed: int | None = None,
-    workers: int | None = None,
     out=None,
     err=None,
 ) -> int:
     """Execute one command; returns the process exit status.
 
     0 success, 2 config/validation problem, 3 numerical failure.  CLI
-    overrides (out_dir, seed, workers) are folded into the config before
-    anything runs, so the manifest records what was actually used.
+    overrides (out_dir, seed) are folded into the config before anything
+    runs, so the manifest records what was actually used.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -664,8 +669,6 @@ def run(
         overrides: dict = {}
         if seed is not None:
             overrides["master_seed"] = seed
-        if workers is not None:
-            overrides["workers"] = workers
         if out_dir is not None:
             overrides["directory"] = out_dir
         if overrides:
@@ -754,12 +757,6 @@ def reproduce(manifest_path: str, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         manifest = RunManifest.from_file(manifest_path)
-        if manifest.code_version != __version__:
-            raise ConfigError(
-                "(manifest)",
-                f"code version {manifest.code_version} does not match "
-                f"installed {__version__}",
-            )
         plan = _prepare(manifest.command, manifest.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=err)
@@ -770,8 +767,7 @@ def reproduce(manifest_path: str, out=None, err=None) -> int:
     except (
         RuntimeError, np.linalg.LinAlgError, FloatingPointError, OverflowError
     ) as exc:
-        # RuntimeError covers NumericalFailure, solver residual guards and
-        # disorder.SamplingError
+        # RuntimeError covers NumericalFailure and the solver residual guards
         print(f"numerical failure: {exc}", file=err)
         return EXIT_NUMERICAL
 
@@ -831,7 +827,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"output directory (default: config, then ${ENV_OUT_DIR}, then .)",
     )
     runp.add_argument("--seed", type=int, default=None, help="master seed override")
-    runp.add_argument("--workers", type=int, default=None, help="worker count override")
 
     repro = sub.add_parser("reproduce", help="re-run a manifest and byte-compare")
     repro.add_argument("manifest", help="path to a run manifest")
@@ -841,13 +836,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.mode == "run":
-        return run(
-            args.command,
-            args.config,
-            out_dir=args.out,
-            seed=args.seed,
-            workers=args.workers,
-        )
+        return run(args.command, args.config, out_dir=args.out, seed=args.seed)
     return reproduce(args.manifest)
 
 

@@ -4,8 +4,8 @@ The family is the symmetric polynomial bump rho_p(x) = c_p x^p (1-x)^p on
 (0, 1), normalized to integrate to one.  Extended by zero it is C^{p-1} on
 the whole line and its (p-1)-th derivative is Lipschitz, so the Hoelder
 exponent of the top continuous derivative is 1.  All derivative bookkeeping
-(sup norms, moments) runs on polynomial coefficients; nothing here is
-fitted or sampled except the rejection sampler.
+(sup norms, moments) runs on polynomial coefficients.  rho_p is exactly the
+Beta(p+1, p+1) law, so sampling is one beta draw and nothing here is fitted.
 """
 
 from __future__ import annotations
@@ -14,15 +14,6 @@ import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-
-# Total proposal budget for one rejection-sampling call.  Acceptance rates for
-# this family stay above 1/sup(rho_p) ~ 1/(2 sqrt(p)), so the cap only trips
-# on a broken density.
-_MAX_PROPOSALS = 10**6
-
-
-class SamplingError(RuntimeError):
-    """Rejection sampling exhausted its proposal budget."""
 
 
 class SingleSiteDensity:
@@ -178,13 +169,8 @@ class SingleSiteDensity:
     # -- sampling ---------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw from rho by rejection from the uniform envelope on (0, 1)."""
-        n = 1 if size is None else int(size)
-        bound = self.sup_derivative(0)
-        out = _rejection(
-            lambda x: npoly.polyval(x, self._derivs[0]), bound, rng, n
-        )
-        return float(out[0]) if size is None else out
+        """Draw from rho, the Beta(p+1, p+1) law; a float when size is None."""
+        return rng.beta(self.p + 1, self.p + 1, size)
 
 
 def _real_roots_in_unit_interval(coeffs) -> np.ndarray:
@@ -194,25 +180,3 @@ def _real_roots_in_unit_interval(coeffs) -> np.ndarray:
     real = roots[np.abs(roots.imag) < 1e-9].real
     return real[(real > 0.0) & (real < 1.0)]
 
-
-def _rejection(target, bound: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vectorized uniform-envelope rejection; deterministic for a given rng state."""
-    out = np.empty(n)
-    filled = 0
-    proposals = 0
-    budget = max(_MAX_PROPOSALS, 100 * n)
-    while filled < n:
-        if proposals >= budget:
-            raise SamplingError(
-                f"rejection sampler used {proposals} proposals for {n} draws"
-            )
-        m = int(1.3 * (n - filled) * bound) + 16
-        m = min(m, budget - proposals)
-        proposals += m
-        x = rng.random(m)
-        u = rng.random(m)
-        acc = x[u * bound <= target(x)]
-        take = min(n - filled, acc.size)
-        out[filled : filled + take] = acc[:take]
-        filled += take
-    return out

@@ -3,17 +3,18 @@
 Determinism contract: sample i of a run draws its own generator seeded by
 (master_seed, i) and always draws the full-length disorder vector of the
 model, so the couplings seen by sample i do not depend on the volume under
-study, the worker count, or any other estimator sharing the seed.  Values are
-stored per sample and reduced in index order, which makes every estimate
+study or on any other estimator sharing the seed.  Values are stored per
+sample and reduced in index order, which makes every estimate
 bit-reproducible and lets coupled quantities (telescoping differences,
 cross-volume comparisons) share their randomness exactly.
 
 Every estimator is one row function of a chunk of samples' couplings
-handed to one driver, `_estimate`: it draws each sample of the chunk,
-slices the draws to the volume, averages the rows with their antithetic
-mirrors where the route asks for it, fills a (n_samples, width) table and
-reduces each column to an Estimate.  There is one entry point per quantity,
-on a grid of points; a single point is a one-point grid.
+handed to one driver, `_estimate`: it runs the chunks in index order, draws
+each sample of a chunk, slices the draws to the volume, averages the rows
+with their antithetic mirrors where the route asks for it, fills a
+(n_samples, width) table and reduces each column to an Estimate.  There is
+one entry point per quantity, on a grid of points; a single point is a
+one-point grid.
 
 Energy derivatives of E[tr(P_0 (h - E - i eps)^{-1})] come in two routes:
 the score route reweights samples by the logarithmic derivatives of the
@@ -25,7 +26,6 @@ each other.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -83,13 +83,10 @@ class McConfig:
 
     n_samples: int
     master_seed: int
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
 
 
 @dataclass(frozen=True)
@@ -179,34 +176,22 @@ def _estimate(
     chunk of S samples and returns (S, width) values, one row per sample and
     independent of the others.  With antithetic a sample's row is
     0.5 * (row(omega) + row(1 - omega)), unbiased because the bump laws are
-    symmetric about 1/2; the mirrors join their chunk's stack.  Workers split
-    the index range into contiguous parts; the table is identical for any
-    worker count, so reductions over it are bit-stable.
+    symmetric about 1/2; the mirrors join their chunk's stack.  Chunks of
+    _CHUNK_SAMPLES run in index order, and the table does not depend on the
+    chunk size, so reductions over it are bit-stable.
     """
     n = mc.n_samples
     values = np.empty((n, width), dtype=dtype)
-
-    def fill(lo: int, hi: int):
-        for c0 in range(lo, hi, _CHUNK_SAMPLES):
-            c1 = min(c0 + _CHUNK_SAMPLES, hi)
-            om = np.array(
-                [draw_disorder(vol.model, mc.master_seed, i) for i in range(c0, c1)]
-            )[:, : vol.n_blocks]
-            if antithetic:
-                both = rows(np.concatenate([om, 1.0 - om]))
-                values[c0:c1] = 0.5 * (both[: c1 - c0] + both[c1 - c0 :])
-            else:
-                values[c0:c1] = rows(om)
-
-    workers = mc.workers if n >= 2 * mc.workers else 1
-    if workers == 1:
-        fill(0, n)
-    else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            for fut in parts:
-                fut.result()
+    for c0 in range(0, n, _CHUNK_SAMPLES):
+        c1 = min(c0 + _CHUNK_SAMPLES, n)
+        om = np.array(
+            [draw_disorder(vol.model, mc.master_seed, i) for i in range(c0, c1)]
+        )[:, : vol.n_blocks]
+        if antithetic:
+            both = rows(np.concatenate([om, 1.0 - om]))
+            values[c0:c1] = 0.5 * (both[: c1 - c0] + both[c1 - c0 :])
+        else:
+            values[c0:c1] = rows(om)
     return [Estimate.from_samples(values[:, k], mc.master_seed) for k in range(width)]
 
 

@@ -64,7 +64,16 @@ class CscPattern:
         self.diag = np.flatnonzero(a.indices == np.repeat(ar, np.diff(a.indptr)))
 
     def resolvent_columns(self, data: np.ndarray, z, columns) -> np.ndarray:
-        """resolvent_columns of the matrix with this pattern and data."""
+        """Columns of (a - z)^{-1}, a the Hermitian matrix with this pattern and data.
+
+        One SuperLU factorization of a - z serves every column: minimum-degree
+        ordering on the pattern of A^T + A, applied symmetrically, with pivots
+        on the diagonal.  No pivot can vanish: every leading block of
+        P (a - z) P^T has imaginary part <= -Im z, so every pivot has modulus
+        >= Im z.  Each column is checked against
+        ||(a - z) x - e|| <= 1e-10 * (||a||_inf + |z|), which a failed
+        factorization or solve fails too.
+        """
         from scipy.sparse import csc_array
         from scipy.sparse.linalg import splu
 
@@ -91,25 +100,6 @@ class CscPattern:
                 f"{_RESIDUAL_REL_TOL:.0e} * {scale:.3e}"
             )
         return x
-
-
-def resolvent_columns(h, z, columns: Sequence[int]) -> np.ndarray:
-    """Columns of (h - z)^{-1} for a dense or scipy-sparse Hermitian h.
-
-    One SuperLU factorization of h - z serves every column: minimum-degree
-    ordering on the pattern of A^T + A, applied symmetrically, with pivots on
-    the diagonal.  No pivot can vanish: every leading block of P (h - z) P^T
-    has imaginary part <= -Im z, so every pivot has modulus >= Im z.  Each
-    column is checked against ||(h - z) x - e|| <= 1e-10 * (||h||_inf + |z|),
-    which a failed factorization or solve fails too.
-    """
-    zc = _as_z(z)
-    import scipy.sparse as sp
-
-    coo = sp.coo_array(h if sp.issparse(h) else np.asarray(h))
-    n = _square_dimension(coo.shape)
-    pattern = CscPattern(coo.row, coo.col, coo.data, n)
-    return pattern.resolvent_columns(pattern.data, zc, columns)
 
 
 def _lu_without_pivoting(a: np.ndarray) -> None:

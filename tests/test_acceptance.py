@@ -293,12 +293,10 @@ def test_criterion_09_two_sided_bound_scaling(capsys):
 
 
 def test_criterion_10_manifest_determinism(capsys, tmp_path):
-    # The same experiment run with 1 and 8 workers must emit byte-identical
-    # CSV curves, and a manifest must reproduce cleanly even after its
-    # worker count is edited.
-    config = tmp_path / "exp.ini"
-    config.write_text(
-        """
+    # The same experiment with run.workers = 1 and = 8 in its config must emit
+    # byte-identical CSV curves, and a manifest must reproduce cleanly even
+    # after its worker count is edited: the key is accepted and ignored.
+    body = """
 [model]
 half_width = 10
 coupling = 4.0
@@ -311,11 +309,12 @@ ell = 1
 n_samples = 300
 master_seed = 11
 """
-    )
     dir1, dir8 = tmp_path / "w1", tmp_path / "w8"
     quiet = {"out": io.StringIO(), "err": io.StringIO()}
-    assert run(None, str(config), out_dir=str(dir1), workers=1, **quiet) == 0
-    assert run(None, str(config), out_dir=str(dir8), workers=8, **quiet) == 0
+    for workers, out_dir in ((1, dir1), (8, dir8)):
+        config = tmp_path / f"exp{workers}.ini"
+        config.write_text(f"{body}workers = {workers}\n")
+        assert run(None, str(config), out_dir=str(out_dir), **quiet) == 0
     bytes1 = (dir1 / "dos-deriv_curve0.csv").read_bytes()
     bytes8 = (dir8 / "dos-deriv_curve0.csv").read_bytes()
     identical = bytes1 == bytes8

@@ -28,7 +28,7 @@ def write_config(path, body):
     return str(path)
 
 
-def toy_config(tmp_path, command, *, n_samples=30, workers=1, **overrides):
+def toy_config(tmp_path, command, *, n_samples=30, **overrides):
     run_keys = {
         "command": command,
         "energies": "-0.5, 0.0, 0.5",
@@ -36,7 +36,6 @@ def toy_config(tmp_path, command, *, n_samples=30, workers=1, **overrides):
         "s": "0.3",
         "n_samples": str(n_samples),
         "master_seed": "11",
-        "workers": str(workers),
         "distances": "1:4",
         "k_min": "2",
         "k_max": "5",
@@ -107,7 +106,6 @@ def test_custom_config_round_trips():
         ell=2,
         n_samples=123,
         master_seed=2**63 + 17,
-        workers=5,
         distances=(1, 3, 5),
         k_min=3,
         k_max=9,
@@ -144,7 +142,6 @@ def test_volume_defaults_to_whole_box():
         ("[run]\neps_values = 0.2, -0.1\n", "run.eps_values"),
         ("[run]\nn_samples = 0\n", "run.n_samples"),
         ("[run]\nmaster_seed = -1\n", "run.master_seed"),
-        ("[run]\nworkers = 0\n", "run.workers"),
         ("[run]\nk_min = 4\nk_max = 2\n", "run.k_max"),
         ("[model]\ncoupling = 0.0\n", "model.coupling"),
         ("[model]\ndimension = 0\n", "model.dimension"),
@@ -201,11 +198,10 @@ def test_run_dos_writes_curve_and_manifest(tmp_path):
 def test_run_overrides_land_in_manifest(tmp_path):
     cfgp = toy_config(tmp_path, "dos")
     other = tmp_path / "elsewhere"
-    code, _, err = run_quiet(None, cfgp, out_dir=str(other), seed=99, workers=2)
+    code, _, err = run_quiet(None, cfgp, out_dir=str(other), seed=99)
     assert code == 0, err
     manifest = RunManifest.from_file(str(other / "dos.manifest.json"))
     assert manifest.config.master_seed == 99
-    assert manifest.config.workers == 2
     assert manifest.config.directory == str(other)
 
 
@@ -282,12 +278,11 @@ def test_only_fracmom_imports_scipy_sparse(tmp_path, command):
 @pytest.mark.parametrize("command", ["dos", "dos-deriv", "telescope", "fracmom"])
 def test_only_fracmom_loads_scipy_and_all_imports_precede_the_run(tmp_path, command):
     # a module first imported inside _execute is start-up cost counted as
-    # compute: the thread pool, numpy.random and SuperLU all load before it
+    # compute: numpy.random and SuperLU both load before it
     extra = {
-        "dos": {"workers": 2},
         "dos-deriv": {"ell": 1},
         # k_max = 12 puts 13 chain sites in the largest prefix: the band sweep
-        "telescope": {"ell": 1, "k_max": 12, "workers": 2},
+        "telescope": {"ell": 1, "k_max": 12},
     }.get(command, {})
     cfgp = toy_config(tmp_path, command, n_samples=4, **extra)
     script = (
@@ -571,16 +566,40 @@ def test_reproduce_rejects_an_older_code_version(tmp_path):
     assert "0.1.0" in err.getvalue() and __version__ in err.getvalue()
 
 
+def test_reproduce_checks_the_version_before_the_config(tmp_path):
+    # another version's config may carry keys this version does not know;
+    # the version mismatch is the error to report
+    from doslab import __version__
+
+    cfgp = toy_config(tmp_path, "dos")
+    assert run_quiet(None, cfgp)[0] == 0
+    mpath = tmp_path / "out" / "dos.manifest.json"
+    payload = json.loads(mpath.read_text())
+    payload["code_version"] = "0.5.0"
+    payload["config"]["run"]["chunk_size"] = "64"
+    mpath.write_text(json.dumps(payload))
+    err = io.StringIO()
+    assert reproduce(str(mpath), out=io.StringIO(), err=err) == 2
+    assert "0.5.0" in err.getvalue() and __version__ in err.getvalue()
+    assert "unknown key" not in err.getvalue()
+
+
 def test_workers_do_not_change_bytes(tmp_path):
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
-    cfg1 = toy_config(tmp_path / "a", "dos-deriv", ell="1", workers=1)
-    cfg8 = toy_config(tmp_path / "b", "dos-deriv", ell="1", workers=8)
-    assert run_quiet(None, cfg1)[0] == 0
-    assert run_quiet(None, cfg8)[0] == 0
-    b1 = (tmp_path / "a" / "out" / "dos-deriv_curve0.csv").read_bytes()
-    b8 = (tmp_path / "b" / "out" / "dos-deriv_curve0.csv").read_bytes()
-    assert b1 == b8
+    # run.workers is a retired key: accepted at any value, ignored, not written
+    curves = []
+    runs = {"none": {}, "one": {"workers": 1}, "eight": {"workers": 8}}
+    for name, extra in runs.items():
+        (tmp_path / name).mkdir()
+        cfgp = toy_config(tmp_path / name, "dos-deriv", ell="1", **extra)
+        assert run_quiet(None, cfgp)[0] == 0
+        out = tmp_path / name / "out"
+        curves.append((out / "dos-deriv_curve0.csv").read_bytes())
+        manifest = json.loads((out / "dos-deriv.manifest.json").read_text())
+        assert "workers" not in manifest["config"]["run"]
+    assert curves[1] == curves[0] and curves[2] == curves[0]
+    cfg = ExperimentConfig.from_text("[run]\nworkers = 0\n")
+    assert cfg == ExperimentConfig()
+    assert ExperimentConfig.from_mapping({"run": {"workers": "8"}}) == cfg
 
 
 # -- argv entry point -------------------------------------------------------------
@@ -592,3 +611,12 @@ def test_main_run_and_reproduce(tmp_path, capsys):
     capsys.readouterr()
     assert main(["reproduce", str(tmp_path / "out" / "ids.manifest.json")]) == 0
     assert "identical" in capsys.readouterr().out
+
+
+def test_workers_flag_is_gone(tmp_path, capsys):
+    cfgp = toy_config(tmp_path, "ids")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "ids", "--config", cfgp, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -86,8 +86,9 @@ def test_sup_derivative_dominates_dense_grid():
         assert grid_max > 0.999 * sup
 
 
-def test_sampler_moments_and_support():
-    rho = SingleSiteDensity(2)
+@pytest.mark.parametrize("p", range(1, 7))
+def test_sampler_moments_and_support(p):
+    rho = SingleSiteDensity(p)
     rng = np.random.default_rng(915)
     x = rho.sample(rng, size=20000)
     assert np.all((x > 0.0) & (x < 1.0))
@@ -96,8 +97,10 @@ def test_sampler_moments_and_support():
     assert abs(x.var() - rho.variance()) < 4 * rho.variance() / math.sqrt(x.size)
 
 
-def test_sampler_matches_cdf():
-    rho = SingleSiteDensity(3)
+@pytest.mark.parametrize("p", range(1, 7))
+def test_sampler_matches_cdf(p):
+    # the exact cdf is the oracle for the beta draw
+    rho = SingleSiteDensity(p)
     rng = np.random.default_rng(62)
     n = 10000
     x = np.sort(rho.sample(rng, size=n))

@@ -89,10 +89,6 @@ def test_estimate_agreement_band():
 def test_config_validation():
     with pytest.raises(ValueError, match="sample"):
         McConfig(n_samples=0, master_seed=0)
-    with pytest.raises(ValueError, match="worker"):
-        McConfig(n_samples=10, master_seed=0, workers=0)
-    ok = McConfig(n_samples=10, master_seed=0)
-    assert ok.workers == 1
 
 
 # -- determinism -------------------------------------------------------------------
@@ -109,8 +105,8 @@ def test_disorder_draws_are_reproducible_and_full_length():
     assert not np.array_equal(a, draw_disorder(model, 13, 7))
 
 
-def test_estimates_are_bit_stable_across_worker_counts():
-    # every estimator on the shared sampling driver, workers 1 against 4
+def test_estimates_are_bit_stable_across_reruns():
+    # every estimator on the shared sampling driver, run twice
     model = chain_model(3, coupling=1.5)
     kwargs = dict(n_samples=64, master_seed=42)
     routes = {
@@ -128,12 +124,10 @@ def test_estimates_are_bit_stable_across_worker_counts():
         ).terms,
     }
     for route, estimator in routes.items():
-        one = estimator(McConfig(workers=1, **kwargs))
-        four = estimator(McConfig(workers=4, **kwargs))
-        assert [e.mean for e in one] == [e.mean for e in four], route
-        assert [e.stderr for e in one] == [e.stderr for e in four], route
-        rerun = estimator(McConfig(workers=1, **kwargs))
+        one = estimator(McConfig(**kwargs))
+        rerun = estimator(McConfig(**kwargs))
         assert [e.mean for e in rerun] == [e.mean for e in one], route
+        assert [e.stderr for e in rerun] == [e.stderr for e in one], route
 
 
 # -- smoothed density and its derivatives -------------------------------------------
@@ -239,14 +233,17 @@ def test_score_route_variance_guard_boundary():
 EPS_GRID = (0.4, 0.15, 0.05)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("chunk", [1, 3])
 @pytest.mark.parametrize("energies", [[-0.7, 0.0, 0.4, 1.1], [0.3]])
 @pytest.mark.parametrize("route", ["dos", "score-1", "score-2", "resolvent-1"])
-def test_eps_grid_in_one_pass_equals_per_eps_calls(route, energies, workers):
+def test_eps_grid_in_one_pass_equals_per_eps_calls(monkeypatch, route, energies, chunk):
     # a column of eps against a row of energies must give, bit for bit, the
-    # estimates of one call per eps; 13 sites, because numpy sums 8 or more
-    # terms of a lone column pairwise
-    mc = McConfig(n_samples=24, master_seed=17, workers=workers)
+    # estimates of one call per eps, at any chunk size; 13 sites, because
+    # numpy sums 8 or more terms of a lone column pairwise
+    import doslab.montecarlo as montecarlo
+
+    monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
+    mc = McConfig(n_samples=24, master_seed=17)
     if route == "dos":
         model = chain_model(6, coupling=2.0)
 
@@ -563,16 +560,16 @@ def test_telescope_terms_are_bit_stable_across_chunks_and_workers(monkeypatch, e
     model = chain_model(8, coupling=2.0, p=4)
     default = montecarlo._CHUNK_SAMPLES
 
-    def run(chunk, workers):
+    def run(chunk):
         monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
-        mc = McConfig(n_samples=40, master_seed=61, workers=workers)
+        mc = McConfig(n_samples=40, master_seed=61)
         r = telescope_series_diagnostic(model, range(2, 11), ell, 0.5, 0.2, mc)
         ests = (*r.terms, r.base, r.direct)
         return [e.mean for e in ests], [e.stderr for e in ests]
 
-    want = run(default, 1)
-    for chunk, workers in [(1, 1), (7, 1), (1, 4), (7, 4), (default, 4)]:
-        assert run(chunk, workers) == want, (chunk, workers)
+    want = run(default)
+    for chunk in (1, 7, default):
+        assert run(chunk) == want, chunk
 
 
 @pytest.mark.parametrize("route", ["dos", "score-1", "score-2"])
@@ -589,9 +586,9 @@ def test_dos_curves_are_bit_stable_across_chunks_and_workers(monkeypatch, route)
     eps = np.array([[0.3], [0.05]])
     default = montecarlo._CHUNK_SAMPLES
 
-    def run(chunk, workers):
+    def run(chunk):
         monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
-        mc = McConfig(n_samples=40, master_seed=63, workers=workers)
+        mc = McConfig(n_samples=40, master_seed=63)
         if route == "dos":
             ests = smoothed_dos_curve(model, 17, [-0.5, 0.4, 1.2], eps, mc)
         else:
@@ -599,9 +596,9 @@ def test_dos_curves_are_bit_stable_across_chunks_and_workers(monkeypatch, route)
             ests = dos_derivative_curve(model, 17, [-0.5, 0.4, 1.2], eps, ell, mc)
         return [e.mean for e in ests], [e.stderr for e in ests]
 
-    want = run(default, 1)
-    for chunk, workers in [(1, 1), (7, 1), (1, 4), (7, 4), (default, 4)]:
-        assert run(chunk, workers) == want, (chunk, workers)
+    want = run(default)
+    for chunk in (1, 7, default):
+        assert run(chunk) == want, chunk
 
 
 def test_telescope_validation():
