@@ -4,8 +4,9 @@ A run is described by a sectioned key=value config (model, disorder, run,
 output), executed by one of six commands, and leaves behind one CSV per
 curve plus a manifest recording the resolved config and per-file checksums.
 Re-running any manifest must reproduce the CSV bytes exactly; plotting
-happens elsewhere, on the CSV files.  The retired key run.workers is
-accepted and ignored, so configs that still set it run unchanged.
+happens elsewhere, on the CSV files.  The retired keys run.workers and
+output.formats are accepted and ignored, so configs that still set them run
+unchanged.
 """
 
 from __future__ import annotations
@@ -124,13 +125,6 @@ def _parse_int_list(path: str, text: str) -> tuple[int, ...]:
     return tuple(_parse_int(path, tok) for tok in text.split(","))
 
 
-def _parse_str_list(path: str, text: str) -> tuple[str, ...]:
-    items = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    if not items:
-        raise ConfigError(path, "list must not be empty")
-    return items
-
-
 def _fmt_list(values, fmt) -> str:
     return ", ".join(fmt(v) for v in values)
 
@@ -172,7 +166,6 @@ class ExperimentConfig:
     k_max: int = 4
     # [output]
     directory: str = ""
-    formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -222,15 +215,14 @@ class ExperimentConfig:
             raise ConfigError(
                 "run.k_max", f"must be >= k_min={self.k_min}, got {self.k_max}"
             )
-        bad = [f for f in self.formats if f not in ("csv", "json")]
-        if bad:
-            raise ConfigError("output.formats", f"unknown formats {bad}")
 
     # -- wire format -------------------------------------------------------
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser(interpolation=None)
+        parser = configparser.ConfigParser(
+            interpolation=None, inline_comment_prefixes=(";",)
+        )
         parser.optionxform = str
         try:
             parser.read_string(text)
@@ -323,7 +315,7 @@ _SCHEMA: dict[str, dict[str, tuple | None]] = {
     },
     "output": {
         "directory": ("directory", lambda path, t: t.strip(), str),
-        "formats": ("formats", _parse_str_list, lambda v: _fmt_list(v, str)),
+        "formats": None,
     },
 }
 
@@ -410,7 +402,6 @@ class RunManifest:
 
 @dataclass
 class _Plan:
-    command: str
     cfg: ExperimentConfig
     model: ModelSpec | None
     n_prefix_sites: int
@@ -448,15 +439,11 @@ def _build_model(cfg: ExperimentConfig) -> tuple[ModelSpec, int]:
     return model, cfg.volume_sites
 
 
-def _prepare(command: str, cfg: ExperimentConfig) -> _Plan:
+def _prepare(cfg: ExperimentConfig) -> _Plan:
     """Everything that can be rejected before any sampling happens."""
-    if command not in COMMANDS:
-        raise ConfigError(
-            "run.command",
-            f"unknown command {command!r}, expected one of {', '.join(COMMANDS)}",
-        )
+    command = cfg.command
     if command == "verify":
-        return _Plan(command, cfg, None, 0, None)
+        return _Plan(cfg, None, 0, None)
     if command == "telescope" and not cfg.s < 0.5:
         raise ConfigError(
             "run.s",
@@ -465,7 +452,7 @@ def _prepare(command: str, cfg: ExperimentConfig) -> _Plan:
 
     model, n_prefix = _build_model(cfg)
     mc = McConfig(cfg.n_samples, cfg.master_seed)
-    plan = _Plan(command, cfg, model, n_prefix, mc)
+    plan = _Plan(cfg, model, n_prefix, mc)
 
     if command in ("dos-deriv", "telescope"):
         try:
@@ -537,25 +524,22 @@ def _csv_bytes(rows: list[tuple[float, float, int, Estimate]]) -> bytes:
 def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
     """Run the command; return {filename: bytes} artifacts and diagnostics."""
     cfg = plan.cfg
-    want_csv = "csv" in cfg.formats
-    want_json = "json" in cfg.formats
+    command = cfg.command
     artifacts: dict[str, bytes] = {}
     diagnostics: dict = {}
 
     def add_curve(index: int, rows) -> None:
-        if want_csv:
-            artifacts[f"{plan.command}_curve{index}.csv"] = _csv_bytes(rows)
+        artifacts[f"{command}_curve{index}.csv"] = _csv_bytes(rows)
 
-    if plan.command == "verify":
+    if command == "verify":
         reports = run_default_verification(seed=cfg.master_seed)
         n_failed = sum(not r.passed for r in reports)
         diagnostics["checks"] = {r.name: bool(r.passed) for r in reports}
         diagnostics["n_failed"] = n_failed
-        if want_json:
-            payload = [json.loads(r.to_json()) for r in reports]
-            artifacts["verify_report.json"] = (
-                json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            ).encode()
+        payload = [json.loads(r.to_json()) for r in reports]
+        artifacts["verify_report.json"] = (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        ).encode()
         if n_failed:
             names = [r.name for r in reports if not r.passed]
             exc = NumericalFailure(
@@ -569,12 +553,12 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
     model, n_prefix, mc = plan.model, plan.n_prefix_sites, plan.mc
     assert model is not None and mc is not None
 
-    if plan.command in ("dos", "dos-deriv"):
+    if command in ("dos", "dos-deriv"):
         # one pass over the samples for the whole grid: a column of eps
         # against the row of energies, estimates returned eps-major
         n_e = len(cfg.energies)
         eps_column = np.asarray(cfg.eps_values)[:, None]
-        if plan.command == "dos":
+        if command == "dos":
             ell = 0
             ests = smoothed_dos_curve(model, n_prefix, cfg.energies, eps_column, mc)
         else:
@@ -585,10 +569,10 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
         for j, eps in enumerate(cfg.eps_values):
             curve = ests[j * n_e : (j + 1) * n_e]
             add_curve(j, [(e, eps, ell, est) for e, est in zip(cfg.energies, curve)])
-    elif plan.command == "ids":
+    elif command == "ids":
         ests = ids_curve(model, n_prefix, cfg.energies, mc)
         add_curve(0, [(e, 0.0, 0, est) for e, est in zip(cfg.energies, ests)])
-    elif plan.command == "fracmom":
+    elif command == "fracmom":
         dists = [d for d, _ in plan.fracmom_targets]
         blocks = [b for _, b in plan.fracmom_targets]
         index = 0
@@ -602,7 +586,7 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
                     index, [(float(d), eps, 0, est) for d, est in zip(dists, ests)]
                 )
                 index += 1
-    elif plan.command == "telescope":
+    elif command == "telescope":
         energy, eps = cfg.energies[0], cfg.eps_values[0]
         report = telescope_series_diagnostic(
             model, range(cfg.k_min, cfg.k_max + 1), cfg.ell, energy, eps, mc
@@ -655,8 +639,8 @@ def run(
     """Execute one command; returns the process exit status.
 
     0 success, 2 config/validation problem, 3 numerical failure.  CLI
-    overrides (out_dir, seed) are folded into the config before anything
-    runs, so the manifest records what was actually used.
+    overrides (command, out_dir, seed) are folded into the config before
+    anything runs, so the manifest records what was actually used.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -671,12 +655,11 @@ def run(
             overrides["master_seed"] = seed
         if out_dir is not None:
             overrides["directory"] = out_dir
+        if command:
+            overrides["command"] = command
         if overrides:
             cfg = replace(cfg, **overrides)
-        command = command or cfg.command
-        if command != cfg.command:
-            cfg = replace(cfg, command=command)
-        plan = _prepare(command, cfg)
+        plan = _prepare(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=err)
         return EXIT_CONFIG
@@ -712,7 +695,7 @@ def run(
         name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()
     }
     manifest = RunManifest(
-        command=command,
+        command=cfg.command,
         config=cfg,
         config_sha256=cfg.sha256(),
         code_version=__version__,
@@ -725,7 +708,7 @@ def run(
         with open(target, "wb") as fh:
             fh.write(data)
         print(f"wrote {target}", file=out)
-    manifest_path = os.path.join(directory, f"{command}.manifest.json")
+    manifest_path = os.path.join(directory, f"{cfg.command}.manifest.json")
     with open(manifest_path, "wb") as fh:
         fh.write(manifest.to_json_bytes())
     print(f"wrote {manifest_path}", file=out)
@@ -757,7 +740,7 @@ def reproduce(manifest_path: str, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         manifest = RunManifest.from_file(manifest_path)
-        plan = _prepare(manifest.command, manifest.config)
+        plan = _prepare(manifest.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=err)
         return EXIT_CONFIG
@@ -817,8 +800,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "command",
         nargs="?",
         default=None,
-        choices=COMMANDS,
-        help="command to run (default: the config's run.command)",
+        help=f"one of {', '.join(COMMANDS)} (default: the config's run.command)",
     )
     runp.add_argument("--config", default=None, help="experiment config file")
     runp.add_argument(
@@ -834,7 +816,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.mode == "run":
         return run(args.command, args.config, out_dir=args.out, seed=args.seed)
     return reproduce(args.manifest)

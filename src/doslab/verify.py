@@ -4,8 +4,8 @@ estimators.
 Each ``verify_*`` function checks one analytic statement on a deterministic
 random corpus and returns a :class:`CheckReport`: an explicit pass/fail with
 the tolerances used, summary statistics, and a serialized witness for the
-worst instance.  Inequality checks always carry an additive slack (1e-10
-unless stated) so that honest floating-point noise cannot flip a true
+worst instance.  Inequality checks always carry an additive slack
+(DEFAULT_SLACK = 1e-10) so that honest floating-point noise cannot flip a true
 statement to "failed".
 
 The checks:
@@ -39,6 +39,28 @@ from .disorder import SingleSiteDensity
 from .quadrature import panel_rule
 
 DEFAULT_SLACK = 1e-10
+
+# stencil step of the finite-difference route in verify_finite_smooth
+_FD_STEP = 0.005
+# verify_resolvent_average_bound: the two node counts compared per evaluation,
+# the relative drift between them that counts as converged, and the
+# perturbation sizes B = A + delta C of the Hoelder slope fit
+_BOUND_NODES = 20
+_BOUND_COARSE_NODES = 16
+_BOUND_CONVERGENCE_TOL = 0.02
+_SLOPE_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
+# verify_resolvent_semigroup_identity: quadrature error allowed on top of the
+# tail bound, Gauss nodes per lambda panel, and the width of a time panel
+_QUAD_BUDGET = 1e-7
+_LAMBDA_NODES = 16
+_T_PANEL_WIDTH = 0.5
+# verify_spectral_averaging: largest relative drift of the sup between
+# consecutive widths, and the relative size below which B's eigenvalues and
+# phi's component outside B's range count as zero
+_STABILITY_TOL = 0.02
+_RANGE_TOL = 1e-8
+# verify_boundary_derivatives: least log-log slope of the boundary error in eps
+_MIN_CONVERGENCE_SLOPE = 0.9
 
 # eig-reconstruction of exp(itX) is accurate while the eigenvector basis is
 # well conditioned; past this we pay for scipy's scaling-and-squaring instead
@@ -452,8 +474,6 @@ def verify_finite_smooth(
     energies=None,
     blocks=None,
     n_nodes: int = 12,
-    fd_step: float = 0.005,
-    slack: float = DEFAULT_SLACK,
 ) -> CheckReport:
     """Check the two routes to d^ell/dE^ell of the smoothed trace agree.
 
@@ -507,14 +527,14 @@ def verify_finite_smooth(
     energies = np.asarray(energies, dtype=float)
 
     fd, form = _finite_smooth_curves(
-        free, coupling, density, eps, ell, energies, blocks, n_nodes, fd_step
+        free, coupling, density, eps, ell, energies, blocks, n_nodes, _FD_STEP
     )
     scale = float(np.max(np.abs(fd)))
     disc = float(np.max(np.abs(form - fd))) / max(scale, 1e-300)
 
     fd2, form2 = _finite_smooth_curves(
         free, coupling, density, eps, ell, energies, blocks,
-        n_nodes + n_nodes // 2, fd_step / 2.0,
+        n_nodes + n_nodes // 2, _FD_STEP / 2.0,
     )
     scale2 = float(np.max(np.abs(fd2)))
     disc2 = float(np.max(np.abs(form2 - fd2))) / max(scale2, 1e-300)
@@ -525,7 +545,7 @@ def verify_finite_smooth(
     return CheckReport(
         name="finite_smooth_derivative_forms",
         passed=bool(refined_ok),
-        slack=slack,
+        slack=DEFAULT_SLACK,
         statistics={
             "ell": ell,
             "n_sites": n_sites,
@@ -585,12 +605,7 @@ def verify_resolvent_average_bound(
     pair: BumpPair | None = None,
     s: float = 0.4,
     z_values=None,
-    deltas=(1e-1, 1e-2, 1e-3, 1e-4),
     n_slope_instances: int = 5,
-    n_nodes: int = 20,
-    coarse_nodes: int = 16,
-    convergence_tol: float = 0.02,
-    slack: float = DEFAULT_SLACK,
 ) -> CheckReport:
     """Empirical two-sided bound for disorder-averaged resolvent differences.
 
@@ -623,22 +638,22 @@ def verify_resolvent_average_bound(
     for index in range(corpus.n_instances):
         a, b, f1, f2, z_own = corpus.bound_instance(index)
         for z in z_values:
-            lhs, rhs = average_bound_terms(a, b, f1, f2, z, s, pair, n_nodes)
+            lhs, rhs = average_bound_terms(a, b, f1, f2, z, s, pair, _BOUND_NODES)
             lhs_c, rhs_c = average_bound_terms(
-                a, b, f1, f2, z, s, pair, coarse_nodes
+                a, b, f1, f2, z, s, pair, _BOUND_COARSE_NODES
             )
             scale = max(abs(rhs), abs(lhs), 1e-300)
             drift = max(abs(lhs - lhs_c), abs(rhs - rhs_c)) / scale
-            if drift > convergence_tol:
+            if drift > _BOUND_CONVERGENCE_TOL:
                 # kink panels converge slowly; escalate before flagging
                 n_escalated += 1
                 lhs_f, rhs_f = average_bound_terms(
-                    a, b, f1, f2, z, s, pair, n_nodes + 8, rhs_panels=3
+                    a, b, f1, f2, z, s, pair, _BOUND_NODES + 8, rhs_panels=3
                 )
                 scale = max(abs(rhs_f), abs(lhs_f), 1e-300)
                 drift = max(abs(lhs - lhs_f), abs(rhs - rhs_f)) / scale
                 lhs, rhs = lhs_f, rhs_f
-                if drift > convergence_tol:
+                if drift > _BOUND_CONVERGENCE_TOL:
                     unconverged.append(
                         {"index": index, "z": z, "drift": drift}
                     )
@@ -659,14 +674,14 @@ def verify_resolvent_average_bound(
     slopes = []
     for index in range(min(n_slope_instances, corpus.n_instances)):
         lhs_by_delta = []
-        for delta in deltas:
+        for delta in _SLOPE_DELTAS:
             a, b, f1, f2, z_own = dataclasses.replace(
                 slope_corpus, delta=float(delta)
             ).bound_instance(index)
-            lhs, _ = average_bound_terms(a, b, f1, f2, z_own, s, pair, n_nodes)
+            lhs, _ = average_bound_terms(a, b, f1, f2, z_own, s, pair, _BOUND_NODES)
             lhs_by_delta.append(lhs)
         slopes.append(
-            float(np.polyfit(np.log(deltas), np.log(lhs_by_delta), 1)[0])
+            float(np.polyfit(np.log(_SLOPE_DELTAS), np.log(lhs_by_delta), 1)[0])
         )
     min_slope = float(min(slopes))
 
@@ -678,7 +693,7 @@ def verify_resolvent_average_bound(
     return CheckReport(
         name="resolvent_average_two_sided_bound",
         passed=passed,
-        slack=slack,
+        slack=DEFAULT_SLACK,
         statistics={
             "s": s,
             "n_instances": corpus.n_instances,
@@ -703,7 +718,6 @@ def verify_semigroup_hoelder(
     corpus: Corpus,
     s_values=(0.3, 0.5, 0.7),
     t_values=(0.1, 0.5, 1.0, 2.0, 5.0, 10.0),
-    slack: float = DEFAULT_SLACK,
 ) -> CheckReport:
     """Hoelder bound for contraction semigroups generated by iX, Im X >= 0:
 
@@ -745,7 +759,7 @@ def verify_semigroup_hoelder(
                 "generator_distance": delta,
                 "dim": x.shape[0],
             }
-        n_violations += int(np.count_nonzero(margins > slack))
+        n_violations += int(np.count_nonzero(margins > DEFAULT_SLACK))
     passed = n_violations == 0
     if not passed:
         x, y = corpus.pair(worst["index"])
@@ -754,7 +768,7 @@ def verify_semigroup_hoelder(
     return CheckReport(
         name="semigroup_hoelder_in_generator",
         passed=passed,
-        slack=slack,
+        slack=DEFAULT_SLACK,
         statistics={
             "n_instances": corpus.n_instances,
             "n_checks": int(corpus.n_instances * s_arr.size * t_arr.size),
@@ -772,7 +786,7 @@ def verify_semigroup_hoelder(
 def _fourier_factor(density, support, ts):
     """integral of g(lam) exp(i t lam) dlam over the support, per t."""
     lo, hi = support
-    lam, w = panel_rule(lo, hi, 16, 8)
+    lam, w = panel_rule(lo, hi, _LAMBDA_NODES, 8)
     g = density.eval((lam - lo) / (hi - lo)) / (hi - lo)
     return np.exp(1j * np.multiply.outer(ts, lam)) @ (w * g)  # (T,)
 
@@ -782,10 +796,6 @@ def verify_resolvent_semigroup_identity(
     density: SingleSiteDensity | None = None,
     support: tuple[float, float] = (1.0, 2.0),
     t_max: float = 1e3,
-    quad_budget: float = 1e-7,
-    n_lambda_nodes: int = 16,
-    t_panel_width: float = 0.5,
-    slack: float = DEFAULT_SLACK,
 ) -> CheckReport:
     """Averaged resolvent of a strictly dissipative matrix as a time integral:
 
@@ -829,7 +839,7 @@ def verify_resolvent_semigroup_identity(
         d = a.shape[0]
         eye = np.eye(d)
 
-        lam, w = panel_rule(lo, hi, n_lambda_nodes, 8)
+        lam, w = panel_rule(lo, hi, _LAMBDA_NODES, 8)
         g = density.eval((lam - lo) / (hi - lo)) / (hi - lo)
         stack = np.linalg.inv(
             a[None, :, :] + lam[:, None, None] * eye[None, :, :]
@@ -838,7 +848,7 @@ def verify_resolvent_semigroup_identity(
         lhs = np.einsum("i,ijk->jk", w * g, stack)
 
         t_eff = float(min(t_max, 46.0 / q))
-        n_panels = max(4, int(math.ceil(t_eff / t_panel_width)))
+        n_panels = max(4, int(math.ceil(t_eff / _T_PANEL_WIDTH)))
         ts, wt = panel_rule(0.0, t_eff, 8, n_panels)
         ghat = _fourier_factor(density, support, ts)
         semigroup = _batched_expi(a, ts)
@@ -856,19 +866,19 @@ def verify_resolvent_semigroup_identity(
                 "t_eff": t_eff,
                 "max_resolvent_norm": float(resolvent_norms.max()),
             }
-    tol = float(max(tail_bounds)) + quad_budget
+    tol = float(max(tail_bounds)) + _QUAD_BUDGET
     max_disc = float(max(discrepancies))
-    passed = max_disc <= tol + slack
+    passed = max_disc <= tol + DEFAULT_SLACK
     return CheckReport(
         name="resolvent_as_time_integral",
         passed=passed,
-        slack=slack,
+        slack=DEFAULT_SLACK,
         statistics={
             "n_instances": len(discrepancies),
             "max_discrepancy": max_disc,
             "tolerance": tol,
             "max_tail_bound": float(max(tail_bounds)),
-            "quad_budget": quad_budget,
+            "quad_budget": _QUAD_BUDGET,
             "t_max": t_max,
         },
         witness=worst,
@@ -898,10 +908,7 @@ def verify_spectral_averaging(
     mu: SingleSiteDensity | None = None,
     energies=None,
     eps_list=(0.006, 0.003, 0.001),
-    stability_tol: float = 0.02,
     force_quadrature: bool = False,
-    range_tol: float = 1e-8,
-    slack: float = DEFAULT_SLACK,
 ) -> CheckReport:
     """Averaging the spectral measure over a coupling with bounded density
     yields a measure with bounded density.
@@ -938,18 +945,18 @@ def verify_spectral_averaging(
     phi_norm = float(np.linalg.norm(phi))
     if phi_norm == 0.0 or np.max(np.abs(bw)) <= _STRUCTURE_TOL:
         # degenerate: B = 0 forces phi = 0 and F vanishes identically
-        if phi_norm > range_tol:
+        if phi_norm > _RANGE_TOL:
             raise ValueError("phi outside the range of B")
         return CheckReport(
             name="spectral_averaging_bounded_density",
             passed=True,
-            slack=slack,
+            slack=DEFAULT_SLACK,
             statistics={"sup_values": [0.0] * len(eps_arr), "degenerate": True},
             witness=None,
         )
-    keep = bw > range_tol * bw[-1]
+    keep = bw > _RANGE_TOL * bw[-1]
     residual = phi - bv[:, keep] @ (bv[:, keep].conj().T @ phi)
-    if np.linalg.norm(residual) > range_tol * phi_norm:
+    if np.linalg.norm(residual) > _RANGE_TOL * phi_norm:
         raise ValueError(
             "phi outside the range of B: residual "
             f"{float(np.linalg.norm(residual) / phi_norm):.3e}"
@@ -995,7 +1002,7 @@ def verify_spectral_averaging(
     ) if drifts.size > 1 else True
     passed = (
         bool(np.all(np.isfinite(sup_arr)))
-        and bool(np.all(drifts <= stability_tol))
+        and bool(np.all(drifts <= _STABILITY_TOL))
         and drift_decay_ok
     )
     stats = {
@@ -1009,7 +1016,7 @@ def verify_spectral_averaging(
     return CheckReport(
         name="spectral_averaging_bounded_density",
         passed=passed,
-        slack=slack,
+        slack=DEFAULT_SLACK,
         statistics=stats,
         witness=None if passed else {"sup_values": sup_values, "drifts": drifts},
     )
@@ -1040,8 +1047,6 @@ def verify_boundary_derivatives(
     energies=None,
     interior_margin: float = 0.1,
     exterior_points=(-1.0, -2.0, 2.0, 3.0),
-    min_convergence_slope: float = 0.9,
-    slack: float = DEFAULT_SLACK,
 ) -> CheckReport:
     """Uniform boundedness as the strip shrinks, plus first-order boundary
     convergence, for the smoothed density and its derivatives.
@@ -1081,7 +1086,7 @@ def verify_boundary_derivatives(
         for k, eps in enumerate(eps_arr):
             values = np.imag(stieltjes_transform(rho, j, energies + 1j * eps))
             sup_table[j, k] = float(np.max(np.abs(values)))
-    bounded = np.all(sup_table <= caps[:, None] + slack)
+    bounded = np.all(sup_table <= caps[:, None] + DEFAULT_SLACK)
 
     errors = np.empty(len(eps_arr))
     target = rho.eval(energies[interior])
@@ -1106,17 +1111,17 @@ def verify_boundary_derivatives(
             )
             bound = eps / dist**2
             exterior_worst = max(exterior_worst, val - bound)
-            if val > bound + slack:
+            if val > bound + DEFAULT_SLACK:
                 exterior_ok = False
 
-    passed = bool(bounded) and slope >= min_convergence_slope and exterior_ok
+    passed = bool(bounded) and slope >= _MIN_CONVERGENCE_SLOPE and exterior_ok
     ji, ki = np.unravel_index(
         np.argmax(sup_table - caps[:, None]), sup_table.shape
     )
     return CheckReport(
         name="boundary_derivative_bounds",
         passed=passed,
-        slack=slack,
+        slack=DEFAULT_SLACK,
         statistics={
             "max_order": m,
             "eps_list": eps_arr.tolist(),

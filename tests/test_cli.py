@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,10 +111,15 @@ def test_custom_config_round_trips():
         k_min=3,
         k_max=9,
         directory="some/dir",
-        formats=("csv",),
     )
     assert ExperimentConfig.from_text(cfg.to_text()) == cfg
     assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
+
+
+def test_readme_config_block_parses_to_the_defaults():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    assert ExperimentConfig.from_text(block) == ExperimentConfig()
 
 
 def test_grid_shorthands():
@@ -147,7 +153,6 @@ def test_volume_defaults_to_whole_box():
         ("[model]\ndimension = 0\n", "model.dimension"),
         ("[model]\nhalf_width = 2\nvolume_sites = 9\n", "model.volume_sites"),
         ("[model]\nhopping = nan\n", "model.hopping"),
-        ("[output]\nformats = csv, png\n", "output.formats"),
         ("[model]\nbanana = 1\n", "model.banana"),
         ("[fruit]\nbanana = 1\n", "fruit"),
     ],
@@ -602,6 +607,23 @@ def test_workers_do_not_change_bytes(tmp_path):
     assert ExperimentConfig.from_mapping({"run": {"workers": "8"}}) == cfg
 
 
+def test_formats_is_retired_and_every_run_writes_its_csv(tmp_path):
+    # output.formats is accepted at any value, ignored, and not written
+    cfgp = toy_config(tmp_path, "dos")
+    with open(cfgp, "a") as fh:
+        fh.write("formats = json\n")
+    code, _, err = run_quiet(None, cfgp)
+    assert code == 0, err
+    out = tmp_path / "out"
+    assert (out / "dos_curve0.csv").exists()
+    manifest = json.loads((out / "dos.manifest.json").read_text())
+    assert "formats" not in manifest["config"]["output"]
+    assert list(manifest["outputs"]) == ["dos_curve0.csv"]
+    rout = io.StringIO()
+    assert reproduce(str(out / "dos.manifest.json"), out=rout, err=io.StringIO()) == 0
+    assert "dos_curve0.csv: identical" in rout.getvalue()
+
+
 # -- argv entry point -------------------------------------------------------------
 
 
@@ -611,6 +633,23 @@ def test_main_run_and_reproduce(tmp_path, capsys):
     capsys.readouterr()
     assert main(["reproduce", str(tmp_path / "out" / "ids.manifest.json")]) == 0
     assert "identical" in capsys.readouterr().out
+
+
+def test_unknown_flag_is_named_before_anything_runs(tmp_path, capsys):
+    cfgp = toy_config(tmp_path, "ids")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfgp, "--bogus", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "--bogus" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_unknown_command_names_the_config_field(tmp_path, capsys):
+    cfgp = toy_config(tmp_path, "ids")
+    assert main(["run", "bogus", "--config", cfgp]) == 2
+    assert "run.command" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_workers_flag_is_gone(tmp_path, capsys):

@@ -7,10 +7,11 @@ from doslab.lattice import (
     FreeOperatorSpec,
     ModelSpec,
     ProjectionFamily,
-    SiteSpace,
+    _check_unit_increment,
     assemble_hamiltonian,
     build_box_enumeration,
 )
+from doslab.montecarlo import _Volume
 
 
 def chain_model(half_width=6, coupling=2.0, p=2, rank=1):
@@ -30,6 +31,7 @@ def chain_model(half_width=6, coupling=2.0, p=2, rank=1):
 def test_one_dimensional_enumeration_is_frozen():
     space = build_box_enumeration(1, 2)
     assert space.sites == [(0,), (1,), (-1,), (2,), (-2,)]
+    assert_array_equal(space.coords, [[0], [1], [-1], [2], [-2]])
     assert space.alpha == 1.0
     assert space.dimension == 1 and space.half_width == 2
 
@@ -85,19 +87,10 @@ def test_distance_matrix_is_a_metric():
 
 def test_shuffled_enumeration_is_rejected():
     good = build_box_enumeration(1, 2)
-    sites = [good.sites[0], good.sites[3], good.sites[1], good.sites[2], good.sites[4]]
-    coords = np.array(sites, dtype=np.int64)
-
-    def dist(i, j):
-        return int(np.max(np.abs(coords[i] - coords[j])))
-
+    shuffled = good.coords[[0, 3, 1, 2, 4]]  # (2) joins before (1), at distance 2
     with pytest.raises(ValueError, match="unit-increment"):
-        SiteSpace(sites, dist, alpha=1.0, coords=coords)
-
-
-def test_duplicate_sites_are_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        SiteSpace([(0,), (1,), (0,)], lambda i, j: 1, alpha=None)
+        _check_unit_increment(shuffled)
+    _check_unit_increment(good.coords)
 
 
 def test_box_validation():
@@ -114,7 +107,8 @@ def test_box_validation():
 
 def test_contiguous_blocks_partition():
     fam = ProjectionFamily.contiguous(5, rank=2)
-    assert [list(b) for b in fam.blocks] == [[0, 1], [2, 3], [4]]
+    blocks = [list(fam.sites_of_block(n)) for n in range(len(fam))]
+    assert blocks == [[0, 1], [2, 3], [4]]
     assert fam.rank_max == 2
     assert fam.blocks_for_prefix(2) == 1
     assert fam.blocks_for_prefix(4) == 2
@@ -122,13 +116,6 @@ def test_contiguous_blocks_partition():
     assert fam.prefix_sites(2) == 4
     with pytest.raises(ValueError, match="align"):
         fam.blocks_for_prefix(3)
-
-
-def test_non_partition_blocks_are_rejected():
-    with pytest.raises(ValueError, match="partition"):
-        ProjectionFamily([[0, 1], [1, 2]], 3)
-    with pytest.raises(ValueError, match="partition"):
-        ProjectionFamily([[0], [2]], 3)
 
 
 def test_projector_matrices_resolve_identity():
@@ -174,7 +161,8 @@ def test_nearest_neighbor_matches_brute_force_pairs(dimension, half_width, with_
         for j, b in enumerate(space.sites):
             if i < j and sum(abs(x - y) for x, y in zip(a, b)) == 1:
                 want[(i, j)] = amp * (np.exp(1j * phase(a, b)) if with_phase else 1.0)
-    assert spec.hopping == want
+    i, j, values = spec._pairs
+    assert dict(zip(zip(i.tolist(), j.tolist()), values.tolist())) == want
     # one phase call per pair, the earlier site of the enumeration first
     assert sorted(built) == sorted(
         (space.sites[i], space.sites[j]) for i, j in want if with_phase
@@ -198,6 +186,29 @@ def test_restrictions_are_leading_principal_blocks():
     h_full = assemble_hamiltonian(model, om, 13)
     for n in (1, 4, 9):
         assert_array_equal(assemble_hamiltonian(model, om[:n], n), h_full[:n, :n])
+
+
+@pytest.mark.parametrize("dimension,half_width", [(1, 3), (2, 1)])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_assembly_adds_the_coupled_block_projections(dimension, half_width, rank):
+    # h - h0 = coupling * sum_n omega_n P_n, P_n built from sites_of_block(n)
+    space = build_box_enumeration(dimension, half_width)
+    n = len(space)
+    model = ModelSpec(
+        site_space=space,
+        projections=ProjectionFamily.contiguous(n, rank),
+        free=FreeOperatorSpec.nearest_neighbor(space, amplitude=0.6 + 0.8j),
+        coupling=1.7,
+    )
+    om = np.random.default_rng(rank).random(model.n_blocks)
+    disorder = np.zeros((n, n))
+    for b in range(model.n_blocks):
+        cols = np.eye(n)[:, model.projections.sites_of_block(b)]
+        disorder += om[b] * (cols @ cols.T)
+    disorder *= model.coupling
+    h = assemble_hamiltonian(model, om, n)
+    assert_array_equal(h - model.free.matrix(n), disorder)
+    assert_array_equal(_Volume(model, n).diagonals(om[None])[0], np.diag(disorder))
 
 
 def test_free_chain_spectrum_window():
@@ -279,18 +290,6 @@ def test_model_validations():
         ModelSpec(space, ProjectionFamily.contiguous(2), free, coupling=1.0)
     with pytest.raises(ValueError, match="one SingleSiteDensity"):
         ModelSpec(space, fam, free, 1.0, density=[SingleSiteDensity(2)] * 3)
-
-
-def test_hopping_conflicts_and_bounds():
-    with pytest.raises(ValueError, match="diagonal"):
-        FreeOperatorSpec({(1, 1): 1.0}, np.zeros(3), hop_range=0)
-    with pytest.raises(ValueError, match="outside"):
-        FreeOperatorSpec({(0, 7): 1.0}, np.zeros(3), hop_range=1)
-    with pytest.raises(ValueError, match="conflicting"):
-        FreeOperatorSpec({(0, 1): 1.0, (1, 0): 2.0}, np.zeros(3), hop_range=1)
-    # mirrored entries that agree after conjugation are fine
-    spec = FreeOperatorSpec({(0, 1): 1j, (1, 0): -1j}, np.zeros(2), hop_range=1)
-    assert spec.hopping == {(0, 1): 1j}
 
 
 def test_block_distance_uses_site_metric():
