@@ -8,14 +8,14 @@ certifies the operator inequalities the estimators rely on by quadrature.
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 # exported names by submodule, each loaded on first access (PEP 562): a chain
 # run then loads no scipy, and `python -m doslab.cli` finds no doslab.cli
 # imported before it runs
 _SUBMODULE_NAMES = {
     "cli": ("ConfigError", "ExperimentConfig", "RunManifest", "reproduce", "run"),
-    "disorder": ("SingleSiteDensity",),
+    "disorder": ("SingleSiteDensity", "stieltjes_transform"),
     "lattice": (
         "FreeOperatorSpec",
         "ModelSpec",
@@ -38,7 +38,6 @@ _SUBMODULE_NAMES = {
         "Corpus",
         "run_default_verification",
         "smoothstep",
-        "stieltjes_transform",
         "verify_boundary_derivatives",
         "verify_finite_smooth",
         "verify_resolvent_average_bound",

@@ -40,7 +40,6 @@ from .montecarlo import (
     smoothed_dos_curve,
     telescope_series_diagnostic,
 )
-from .verify import run_default_verification
 
 ENV_OUT_DIR = "DOSLAB_OUT"
 COMMANDS = ("dos", "dos-deriv", "ids", "fracmom", "telescope", "verify")
@@ -342,9 +341,11 @@ def _fields(mapping: dict) -> dict:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record of one run: inputs, environment, output checksums."""
+    """Provenance record of one run: inputs, environment, output checksums.
 
-    command: str
+    The command is the config's run.command; it is not stored twice.
+    """
+
     config: ExperimentConfig
     config_sha256: str
     code_version: str
@@ -356,7 +357,6 @@ class RunManifest:
         payload = {
             "kind": "doslab-run-manifest",
             "code_version": self.code_version,
-            "command": self.command,
             "config": self.config.to_mapping(),
             "config_sha256": self.config_sha256,
             "wall_time_s": self.wall_time_s,
@@ -384,7 +384,6 @@ class RunManifest:
                     f"code version {version} does not match installed {__version__}",
                 )
             return cls(
-                command=payload["command"],
                 config=ExperimentConfig.from_mapping(payload["config"]),
                 config_sha256=payload["config_sha256"],
                 code_version=version,
@@ -439,10 +438,29 @@ def _build_model(cfg: ExperimentConfig) -> tuple[ModelSpec, int]:
     return model, cfg.volume_sites
 
 
+def _load_verification():
+    """run_default_verification, importing doslab.verify on first use.
+
+    Only the verify command needs that module, so no other command pays for
+    compiling and loading it.  A name already bound here (a test double, a
+    tracing wrapper) is kept.
+    """
+    from .verify import run_default_verification
+
+    return globals().setdefault("run_default_verification", run_default_verification)
+
+
+def __getattr__(name: str):
+    if name == "run_default_verification":
+        return _load_verification()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _prepare(cfg: ExperimentConfig) -> _Plan:
     """Everything that can be rejected before any sampling happens."""
     command = cfg.command
     if command == "verify":
+        _load_verification()
         return _Plan(cfg, None, 0, None)
     if command == "telescope" and not cfg.s < 0.5:
         raise ConfigError(
@@ -532,7 +550,7 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
         artifacts[f"{command}_curve{index}.csv"] = _csv_bytes(rows)
 
     if command == "verify":
-        reports = run_default_verification(seed=cfg.master_seed)
+        reports = _load_verification()(seed=cfg.master_seed)
         n_failed = sum(not r.passed for r in reports)
         diagnostics["checks"] = {r.name: bool(r.passed) for r in reports}
         diagnostics["n_failed"] = n_failed
@@ -695,7 +713,6 @@ def run(
         name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()
     }
     manifest = RunManifest(
-        command=cfg.command,
         config=cfg,
         config_sha256=cfg.sha256(),
         code_version=__version__,

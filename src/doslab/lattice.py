@@ -24,9 +24,6 @@ class SiteSpace:
     """Box {-L..L}^d under the sup metric, enumerated shell by shell.
 
     sites are coordinate tuples and coords the same points as an (n, d) array.
-    alpha = 1/d is the growth exponent: the distance from x_0 to the complement
-    of the first N sites grows like N**alpha.  growth_constant is the measured
-    constant r_G = min_N dist(x_0, complement) / N**alpha over the box.
     """
 
     def __init__(self, dimension: int, half_width: int):
@@ -49,9 +46,7 @@ class SiteSpace:
         self.coords = np.array(self.sites, dtype=np.int64)
         self.dimension = d
         self.half_width = L
-        self.alpha = 1.0 / d
         _check_unit_increment(self.coords)
-        self.growth_constant = _measure_growth_constant(self.coords, L + 1, self.alpha)
 
     def __len__(self):
         return len(self.sites)
@@ -96,19 +91,6 @@ def _check_unit_increment(coords: np.ndarray) -> None:
         )
 
 
-def _measure_growth_constant(coords: np.ndarray, beyond: float, alpha: float) -> float:
-    # distance from x_0 to everything not yet enumerated, over N = 1..n-1.
-    # Measured, not assumed: take the running minimum over the tail of the
-    # enumeration; the exterior of the box sits at distance beyond = L+1.
-    n = len(coords)
-    if n < 2:
-        return float("inf")
-    from_origin = np.max(np.abs(coords - coords[0]), axis=1)
-    tail_min = np.minimum.accumulate(from_origin[::-1].astype(float))[::-1]
-    d0 = np.minimum(tail_min[1:], float(beyond))
-    return float(np.min(d0 / np.arange(1, n) ** alpha))
-
-
 class ProjectionFamily:
     """Partition of the site indices into contiguous blocks of rank sites.
 
@@ -123,7 +105,6 @@ class ProjectionFamily:
         self.n_sites = int(n_sites)
         self._cum_sites = np.append(np.arange(0, self.n_sites, rank), self.n_sites)
         self._sizes = np.diff(self._cum_sites)
-        self.rank_max = int(self._sizes.max())
 
     def __len__(self):
         return len(self._sizes)

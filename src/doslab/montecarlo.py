@@ -16,6 +16,13 @@ with their antithetic mirrors where the route asks for it, fills a
 one entry point per quantity, on a grid of points; a single point is a
 one-point grid.
 
+`dos` and the score route of `dos-deriv` integrate the probe block's own
+coupling exactly: tr(P_0 G) = sum_k 1/(lambda omega_0 - mu_k), where the mu_k
+(block_coupling_poles) do not depend on omega_0, so a sample's row is
+E[row | the other couplings], one Stieltjes transform of the single-site law
+per mu_k.  Each `dos` row is then at most rank * sup rho / lambda (a Wegner
+bound), whatever eps.
+
 Energy derivatives of E[tr(P_0 (h - E - i eps)^{-1})] come in two routes:
 the score route reweights samples by the logarithmic derivatives of the
 single-site law, and the resolvent route evaluates l! tr(P_0 G^{l+1})
@@ -35,8 +42,9 @@ import numpy as np
 # of the first sample
 import numpy.random  # noqa: F401
 
+from .disorder import stieltjes_transform
 from .lattice import ModelSpec
-from .spectral import CscPattern, block_resolvent_traces, nested_block_traces
+from .spectral import CscPattern, block_coupling_poles, nested_block_traces
 from .spectral import _weighted_resolvent_power, eigen_weights
 
 # samples per rows() call; bounds the memory of a chunk's lane stack
@@ -161,9 +169,20 @@ class _Volume:
         """(S, n_sites) coupled diagonals of a chunk of S samples' couplings."""
         return self.model.coupling * np.repeat(oms, self.sizes, axis=1)
 
-    def traces(self, oms: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """(S, zs.size) tr(P_0 (h - z)^{-1}) for a chunk of S samples."""
-        return block_resolvent_traces(self.h0, self.diagonals(oms), zs, self.block0)
+    def coupling_transforms(self, oms: np.ndarray, zs: np.ndarray, ell: int):
+        """T_j = E[tr(P_0 (h - z)^{-1}) rho^(j)(omega_0) / rho(omega_0) | omega_rest].
+
+        One (S, zs.size) array per j = 0..ell for a chunk of S samples:
+        T_j = lambda^{-1} sum_k S_{rho^(j)}(mu_k / lambda), with S the
+        Stieltjes transform and mu_k the block's coupling poles.  T_0 is the
+        conditional mean of the trace itself.
+        """
+        lam = self.model.coupling
+        u = block_coupling_poles(self.h0, self.diagonals(oms), zs, self.block0) / lam
+        return [
+            stieltjes_transform(self.model.density, j, u).sum(axis=-1) / lam
+            for j in range(ell + 1)
+        ]
 
 
 def _estimate(
@@ -223,8 +242,10 @@ def smoothed_dos_curve(
     eps is a scalar or an array that broadcasts against energies, e.g. a
     column of eps values against a row of energies; estimates come in the
     flattened (C) order of the broadcast grid.  Each chunk of samples takes
-    one block_resolvent_traces call for the whole grid (a Schur recursion on
-    a chain, one eigh per sample elsewhere), and each grid point gets the
+    one block_coupling_poles call for the whole grid (a Schur recursion on
+    a chain, one eigh per sample elsewhere), and a sample's row is the
+    conditional mean over the probe block's coupling,
+    sum_k Im S_rho(mu_k / lambda) / (pi lambda).  Each grid point gets the
     bytes a call with that point alone would give.  Every eps must be
     positive.
     """
@@ -232,7 +253,7 @@ def smoothed_dos_curve(
     vol = _Volume(model, n_prefix_sites)
 
     def rows(oms):
-        return np.imag(vol.traces(oms, zs)) / np.pi
+        return np.imag(vol.coupling_transforms(oms, zs, 0)[0]) / np.pi
 
     return _estimate(vol, mc, zs.size, rows, dtype=np.float64)
 
@@ -269,10 +290,15 @@ def dos_derivative_curve(
     smoothed_dos_curve: all (E, eps) elements share each sample's draw,
     traces and score weight.
 
-    method "score" multiplies the trace by the sampled log-density weights
-    (antithetic in omega -> 1 - omega, which cancels the odd part of the
-    weight); method "resolvent" evaluates ell! tr(P_0 G^{ell+1}) per sample,
-    which is the same derivative without reweighting.
+    method "score" reweights by the log-density weights of the product law,
+    with the probe block's coupling integrated exactly: the weight
+    B_ell(S_1, ..., S_ell) is a complete Bell polynomial of the score sums,
+    and since rho B_j(log-derivatives of rho) = rho^(j), its conditional mean
+    over omega_0 is sum_j C(ell, j) B_(ell-j)(sums over the other blocks) T_j
+    (see _Volume.coupling_transforms); the other blocks are antithetic in
+    omega -> 1 - omega, which cancels the odd part of their weight.  Method
+    "resolvent" evaluates ell! tr(P_0 G^{ell+1}) per sample, which is the
+    same derivative without reweighting.
     """
     zs = _spectral_parameters(energies, eps)
     if ell < 0:
@@ -284,8 +310,13 @@ def dos_derivative_curve(
         lam_pow = model.coupling ** (-ell)
 
         def rows(oms):
-            weight = model.density.score_factor(oms, ell) * lam_pow
-            return vol.traces(oms, zs) * weight[:, None]
+            ts = vol.coupling_transforms(oms, zs, ell)
+            # complete Bell polynomials of the other blocks' score sums
+            rest = oms[:, 1:]
+            bell = [model.density.score_factor(rest, k)[:, None] for k in range(ell + 1)]
+            return lam_pow * sum(
+                math.comb(ell, j) * bell[ell - j] * t for j, t in enumerate(ts)
+            )
 
         return _estimate(vol, mc, zs.size, rows, antithetic=ell > 0)
     if method != "resolvent":

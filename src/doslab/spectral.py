@@ -127,13 +127,13 @@ def _lu_without_pivoting(a: np.ndarray) -> None:
             )
 
 
-def _check_residual(resid: np.ndarray, scale: np.ndarray) -> None:
+def _check_residual(resid: np.ndarray, scale: np.ndarray, what: str = "LU") -> None:
     """Raise unless every lane meets resid <= 1e-10 * scale; NaN fails."""
     bad = np.flatnonzero(~(resid <= _RESIDUAL_REL_TOL * scale))
     if bad.size:
         i = bad[0]
         raise RuntimeError(
-            f"LU residual {resid[i]:.3e} exceeds "
+            f"{what} residual {resid[i]:.3e} exceeds "
             f"{_RESIDUAL_REL_TOL:.0e} * {scale[i]:.3e}"
         )
 
@@ -310,70 +310,152 @@ def _schur_pivots(ar, t2, z, res2):
     own; |s_k + t2[k-1] / s_{k-1} - a_k|^2 is folded into res2.
     """
     er, ay = z.real[:, None], -z.imag[:, None]
-    gx = gy = 0.0
+    # work arrays reused across steps; only the yielded pivots are new
+    gx, gy = np.zeros(res2.shape), np.zeros(res2.shape)
+    ax, u, v, r2 = (np.empty(res2.shape) for _ in range(4))
     for k in range(len(ar)):
-        ax, t = ar[k] - er, t2[k - 1] if k else 0.0
-        u, v = t * gx, t * gy
+        t = t2[k - 1] if k else 0.0
+        np.subtract(ar[k], er, out=ax)
+        np.multiply(gx, t, out=u)
+        np.multiply(gy, t, out=v)
         sx, sy = ax - u, ay + v
-        np.maximum(res2, (sx + u - ax) ** 2 + (sy - v - ay) ** 2, out=res2)
+        # (sx + u - ax)^2 + (sy - v - ay)^2, in the buffers of u and v
+        u += sx
+        u -= ax
+        u *= u
+        np.subtract(sy, v, out=v)
+        v -= ay
+        v *= v
+        u += v
+        np.maximum(res2, u, out=res2)
         yield sx, sy
-        r2 = sx * sx + sy * sy
-        gx, gy = sx / r2, sy / r2
+        np.multiply(sx, sx, out=r2)
+        np.multiply(sy, sy, out=v)
+        r2 += v
+        np.divide(sx, r2, out=gx)
+        np.divide(sy, r2, out=gy)
 
 
-def block_resolvent_traces(
+def block_coupling_poles(
     h0: np.ndarray, diagonals: np.ndarray, zs, block_sites: Sequence[int]
 ) -> np.ndarray:
-    """(lanes, zs.size) tr(P (h - z)^{-1}), h = h0 + diag(diagonals[lane]).
+    """(lanes, zs.size, r) eigenvalues mu_k of W(z) for the probe block B of r sites.
 
-    z runs over zs flattened; P projects onto block_sites.  When the coupling
-    graph of h0 is one simple path (every 1-d box and prefix of one, any
-    block rank and phase), a left Schur recursion along it up to the last
-    block site, s_k = a_k - |h_{k-1,k}|^2 / s_{k-1} with a_k = h_kk - z, and
-    its mirror from the right end down to the first serve all lanes and z of
-    a pass; block site p takes the twisted pivot 1/G_pp = sL_p + sR_p - a_p.
-    Every pivot has imaginary part <= -Im z, so none vanishes.  The diagonal
-    of L D U - (h - z), rebuilt from each pivot, is checked against
-    1e-10 * (||h||_inf + |z|) per lane and z.  Other volumes take
-    eigen_weights per lane.
+    Lane i is h = h0 + diag(diagonals[i]), whose diagonal takes one value d
+    on B: the block's coupling.  By the Schur complement
+    P_B (h - z)^{-1} P_B = (d - W)^{-1} with W = z - h0[B, B] + Sigma(z), and
+    Sigma does not depend on d, so tr(P_B (h - z)^{-1}) = sum_k 1/(d - mu_k)
+    at every d.  The numerical range of W lies in Im >= Im z, and so does
+    every mu_k.  z runs over zs flattened.
+
+    When the coupling graph of h0 is one simple path that visits B's sites
+    in a row (every 1-d box and prefix of one, any block rank and phase), a
+    left Schur recursion s_k = a_k - |h_{k-1,k}|^2 / s_{k-1}, a_k = h_kk - z,
+    up to the last block site and its mirror from the right end down to the
+    first serve all lanes and z of a pass.  W is then h0's r x r segment
+    with |t|^2 / s added from the pivot just before B and from the one just
+    after it; for r = 1 it is the scalar z - h0_pp + Sigma_L + Sigma_R, so
+    zero hopping gives mu = z.  Every pivot has imaginary part <= -Im z, so
+    none vanishes, and the diagonal of L D U - (h - z) rebuilt from each
+    pivot is checked against 1e-10 * (||h||_inf + |z|) per lane and z.
+    Other volumes take one eigh per lane: mu_k = d - 1/g_k, g_k the
+    eigenvalues of P_B (h - z)^{-1} P_B.
+
+    Guard: sum_k 1/(d - mu_k) must match tr(P_B (h - z)^{-1}), from the
+    twisted pivots 1/G_pp = sL_p + sR_p - a_p or from the eigen-sum, within
+    1e-10 * (||h||_inf + |z|) * r / Im(z)^2: the most a backward error at the
+    residual scale can move a trace whose resolvent has norm <= 1 / Im z.
+    NaN fails both checks.
     """
     h0, n, diags = _lane_stack(h0, diagonals)
     z = np.array([_as_z(v) for v in np.ravel(zs)])
     sites = np.asarray(block_sites, dtype=np.int64)
     if sites.size == 0 or sites.min() < 0 or sites.max() >= n:
         raise ValueError(f"block sites must be non-empty and lie in [0, {n})")
-    path = _path_order(h0)
-    out = np.zeros((len(diags), z.size), dtype=np.complex128)
-    if path is None:
-        for lane, d in zip(out, diags):
-            h = h0.copy()
-            h[np.arange(n), np.arange(n)] += d
-            lane[:] = _weighted_resolvent_power(*eigen_weights(h, sites), z, 1)
-        return out
-    pos = sorted(np.argsort(path)[sites].tolist())
+    d = diags[:, sites[0]]
+    if np.any(diags[:, sites] != d[:, None]):
+        raise ValueError("each lane's diagonal must take one value on the block sites")
     off = np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
     ar = np.diagonal(h0).real + diags
     scale = np.max(off + np.abs(ar), axis=1)[:, None] + np.abs(z)
+    path = _path_order(h0)
+    pos = None if path is None else np.sort(np.argsort(path)[sites])
+    if pos is None or pos[-1] - pos[0] != sites.size - 1:
+        mu, tr = _eigen_poles(h0, diags, z, sites, d)
+    else:
+        mu, tr = _schur_poles(h0, ar, z, path, int(pos[0]), int(pos[-1]), scale)
+    gap = np.abs(np.sum(1.0 / (d[:, None, None] - mu), axis=-1) - tr)
+    _check_residual(
+        (gap * z.imag**2 / sites.size).ravel(), scale.ravel(), "block trace"
+    )
+    return mu
+
+
+def _schur_poles(h0, ar, z, path, p0, p1, scale):
+    """mu and tr(P_B G) per lane and z by the two-sided Schur recursion.
+
+    ar is the (lanes, n) real diagonal of h; B sits at path positions p0..p1.
+    """
+    n, r, lanes = len(path), p1 - p0 + 1, len(ar)
     ar, t2 = ar.T[path], (h0[path[:-1], path[1:]] * h0[path[1:], path[:-1]]).real
+    seg = h0[np.ix_(path[p0 : p1 + 1], path[p0 : p1 + 1])]
     er, ay = z.real[:, None], -z.imag[:, None]
+    mu = np.empty((lanes, z.size, r), dtype=np.complex128)
+    tr = np.empty((lanes, z.size), dtype=np.complex128)
     step = max(1, _RECURSION_CELLS // z.size)
-    for i in range(0, len(diags), step):
-        a, tr = ar[:, i : i + step], out[i : i + step].T
-        res2 = np.zeros(tr.shape)
-        left = _schur_pivots(a, t2, z, res2)
-        sl = {k: s for k, s in zip(range(pos[-1] + 1), left) if k in pos}
-        right = _schur_pivots(a[::-1], t2[::-1], z, res2)
-        sr = {k: s for k, s in zip(range(n - 1, pos[0] - 1, -1), right) if k in pos}
-        for p in pos:
+    for i in range(0, lanes, step):
+        a = ar[:, i : i + step]
+        res2 = np.zeros((z.size, a.shape[1]))
+        left = _schur_pivots(a[: p1 + 1], t2, z, res2)
+        sl = {k: s for k, s in enumerate(left) if k >= p0 - 1}
+        right = _schur_pivots(a[::-1][: n - p0], t2[::-1], z, res2)
+        sr = {n - 1 - j: s for j, s in enumerate(right) if n - 1 - j <= p1 + 1}
+        trace = np.zeros((2, *res2.shape))
+        for p in range(p0, p1 + 1):
             (lx, ly), (rx, ry), ax = sl[p], sr[p], a[p] - er
             sx, sy = lx + rx - ax, ly + ry - ay
             dx, dy = sx - lx - rx + ax, sy - ly - ry + ay
             np.maximum(res2, dx * dx + dy * dy, out=res2)
             r2 = sx * sx + sy * sy
-            tr.real += sx / r2
-            tr.imag -= sy / r2
+            trace[0] += sx / r2
+            trace[1] -= sy / r2
         _check_residual(np.sqrt(res2).T.ravel(), scale[i : i + step].ravel())
-    return out
+        # W = z - h0[B, B] plus |t|^2 / s from the pivots on either side of B
+        sig_l = t2[p0 - 1] / (sl[p0 - 1][0] + 1j * sl[p0 - 1][1]) if p0 else 0.0
+        sig_r = t2[p1] / (sr[p1 + 1][0] + 1j * sr[p1 + 1][1]) if p1 < n - 1 else 0.0
+        if r == 1:
+            w = (z[:, None] - seg[0, 0] + sig_l + sig_r)[..., None]
+        else:
+            w = np.empty((*res2.shape, r, r), dtype=np.complex128)
+            w[...] = z[:, None, None, None] * np.eye(r) - seg
+            w[..., 0, 0] += sig_l
+            w[..., -1, -1] += sig_r
+            w = np.linalg.eigvals(w)
+        mu[i : i + step] = w.transpose(1, 0, 2)
+        tr[i : i + step].real = trace[0].T
+        tr[i : i + step].imag = trace[1].T
+    return mu, tr
+
+
+def _eigen_poles(h0, diags, z, sites, d):
+    """mu and tr(P_B G) per lane and z from one eigendecomposition per lane."""
+    n = len(h0)
+    mu = np.empty((len(diags), z.size, sites.size), dtype=np.complex128)
+    tr = np.empty((len(diags), z.size), dtype=np.complex128)
+    for lane, dl in enumerate(diags):
+        h = h0.copy()
+        h[np.arange(n), np.arange(n)] += dl
+        evals, vecs = np.linalg.eigh(h)
+        vb = vecs[sites]
+        # P_B G P_B = V_B diag(1 / (E - z)) V_B^*, one r x r matrix per z;
+        # each entry is summed along its own contiguous row, so its bytes do
+        # not depend on how many z share the call
+        outer = vb[:, None, :] * vb.conj()[None, :, :]
+        g = np.sum(outer * (1.0 / (evals - z[:, None]))[:, None, None, :], axis=-1)
+        tr[lane] = np.trace(g, axis1=1, axis2=2)
+        g = g[..., 0] if sites.size == 1 else np.linalg.eigvals(g)
+        mu[lane] = d[lane] - 1.0 / g
+    return mu, tr
 
 
 def eigen_weights(h: np.ndarray, block_sites: Sequence[int]):

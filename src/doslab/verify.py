@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disorder import SingleSiteDensity
+from .disorder import SingleSiteDensity, stieltjes_transform
 from .quadrature import panel_rule
 
 DEFAULT_SLACK = 1e-10
@@ -302,79 +302,6 @@ class BumpPair:
 
     def cutoff_support(self) -> tuple[float, float]:
         return (-2.5 * self.r - 1.0, -self.r / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# exact Stieltjes transforms of polynomial densities
-
-
-def _stieltjes_division(coeffs: np.ndarray, zs: np.ndarray):
-    """Near-field form: q(x) = (x - z) b(x) + q(z), so the integral over
-    (0,1) of q(x)/(x - z) is integral(b) + q(z)(log(1-z) - log(-z))."""
-    desc = np.asarray(coeffs, dtype=float)[::-1]  # descending powers
-    rem = np.full(zs.shape, desc[0], dtype=complex)
-    quot_integral = np.zeros(zs.shape, dtype=complex)
-    degree = len(desc) - 1
-    for k, c in enumerate(desc[1:], start=1):
-        # rem currently holds the quotient coefficient of x^(degree - k)
-        quot_integral += rem / (degree - k + 1.0)
-        rem = rem * zs + c
-    log_term = np.log(1.0 - zs) - np.log(-zs)
-    return quot_integral + rem * log_term
-
-
-def _stieltjes_series(coeffs: np.ndarray, zs: np.ndarray):
-    """Far-field form: -sum_k m_k / z^(k+1) with m_k the moments of q.
-    Converges geometrically for |z| > 1; used from |z| >= 2."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    j = np.arange(len(coeffs))
-    out = np.zeros(zs.shape, dtype=complex)
-    zinv = 1.0 / zs
-    power = zinv.copy()
-    scale = 0.0
-    for k in range(90):
-        moment = float(np.sum(coeffs / (j + k + 1.0)))
-        term = moment * power
-        out -= term
-        scale = max(scale, float(np.max(np.abs(term))))
-        # leading moments can vanish identically, so never break early
-        if k >= 10 and np.all(np.abs(term) < 1e-18 * scale):
-            break
-        power = power * zinv
-    return out
-
-
-def _stieltjes_poly(coeffs: np.ndarray, zs: np.ndarray):
-    """integral over (0,1) of q(x) / (x - z) for a polynomial q.
-
-    The closed division form cancels catastrophically once |z| dwarfs the
-    support, so the far field switches to the moment series."""
-    zs = np.asarray(zs, dtype=complex)
-    out = np.empty(zs.shape, dtype=complex)
-    far = np.abs(zs) >= 2.0
-    if np.any(~far):
-        out[~far] = _stieltjes_division(coeffs, zs[~far])
-    if np.any(far):
-        out[far] = _stieltjes_series(coeffs, zs[far])
-    return out
-
-
-def stieltjes_transform(rho: SingleSiteDensity, order: int, zs):
-    """integral of rho^(order)(x) / (x - z) dx for z off [0, 1].
-
-    Equals the order-th E-derivative of the transform of rho itself as long
-    as order <= continuity_order + 1 (the boundary terms of integration by
-    parts vanish there).
-    """
-    if not 0 <= order <= rho.continuity_order + 1:
-        raise ValueError(
-            f"order {order} outside [0, {rho.continuity_order + 1}]"
-        )
-    zs = np.asarray(zs, dtype=complex)
-    if np.any(zs.imag == 0):
-        raise ValueError("transform evaluated on the real axis")
-    out = _stieltjes_poly(rho.derivative_coefficients(order), zs)
-    return out if out.ndim else complex(out)
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def test_run_dos_writes_curve_and_manifest(tmp_path):
     assert int(first[6]) == 30
 
     manifest = RunManifest.from_file(str(outdir / "dos.manifest.json"))
-    assert manifest.command == "dos"
+    assert manifest.config.command == "dos"
     assert manifest.config.coupling == 4.0
     assert manifest.code_version
     assert manifest.wall_time_s >= 0.0
@@ -278,6 +278,26 @@ def test_only_fracmom_imports_scipy_sparse(tmp_path, command):
     done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-1] == str(command == "fracmom")
+
+
+@pytest.mark.parametrize("command", ["dos", "telescope", "fracmom", "verify"])
+def test_only_verify_loads_the_verify_module(tmp_path, command):
+    # doslab.verify is the largest module; other commands never import it,
+    # and verify imports it while preparing, before the timed run
+    extra = {"ell": "1"} if command == "telescope" else {}
+    cfgp = toy_config(tmp_path, command, n_samples=4, **extra)
+    call = (
+        f"cli._prepare(cli.ExperimentConfig.from_file({cfgp!r}))"
+        if command == "verify"
+        else f"assert cli.run(None, {cfgp!r}, out=io.StringIO()) == 0"
+    )
+    script = (
+        f"import io, sys\nfrom doslab import cli\n{call}\n"
+        "print('doslab.verify' in sys.modules)\n"
+    )
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == str(command == "verify")
 
 
 @pytest.mark.parametrize("command", ["dos", "dos-deriv", "telescope", "fracmom"])

@@ -197,3 +197,88 @@ def test_score_factor_matches_the_sums_it_replaced():
     assert np.array_equal(
         rho.score_factor(pts, 2), s1 * s1 + rho.log_curvature(pts).sum(axis=1)
     )
+
+
+# -- exact Stieltjes transforms -------------------------------------------------------
+
+
+def quad_transform(rho, order, u):
+    """integral of rho^(order)(x) / (x - u) over (0, 1) by adaptive quadrature.
+
+    Close above the support, where rho^(order) is not small at Re u (away
+    from the ends, or at any point for order = p, whose rho^(p) jumps at the
+    ends), the pole is subtracted at a = Re u and integral 1/(x - u) =
+    log(1 - 1/u) added back in closed form.  Elsewhere the integral is taken
+    as order! times that of rho / (x - u)^(order + 1) (integration by parts),
+    whose integrand does not cancel the way rho^(order) does.  Breakpoints
+    at a +- 4^k dist(u, [0, 1]) hand the adaptive rule the scales of the pole.
+    """
+    a = min(max(u.real, 0.0), 1.0)
+    scales = abs(u - a) * 4.0 ** np.arange(12)
+    points = np.concatenate([a - scales, [a], a + scales])
+    points = points[(points > 0.0) & (points < 1.0)]
+    inner = 0.05 < a < 0.95 or (order == rho.p and 0.0 < a < 1.0)
+    if inner and abs(u.imag) <= 0.1:
+        qa = rho.eval(a, order)
+
+        def f(x):
+            return (rho.eval(x, order) - qa) / (x - u)
+
+        rest = qa * np.log(1.0 - 1.0 / u)
+    else:
+        fac = math.factorial(order)
+
+        def f(x):
+            return fac * rho.eval(x) / (x - u) ** (order + 1)
+
+        rest = 0.0
+    value = quad(
+        f, 0.0, 1.0, points=points, limit=400, epsabs=0.0, epsrel=1e-13,
+        complex_func=True,
+    )[0]
+    return value + rest
+
+
+def transform_grid():
+    # |u| from 1e-2 to 1e3 in three directions, the ends and the interior
+    # of the support at Im u down to 1e-3, and both sides of the switches
+    # between the three forms: the ellipse |u| + |u - 1| = 1.0 and the
+    # circle |u - 1/2| = 1
+    ring = np.geomspace(1e-2, 1e3, 6)[:, None] * np.exp(1j * np.array([0.2, 1.3, 3.0]))
+    strip = np.array([x + 1j * y for x in (0.0, 0.3, 0.5, 1.0) for y in (1e-3, 0.05)])
+    switches = 0.5 + np.array([0.99, 1.01])[:, None] * np.exp(1j * np.array([0.3, 1.7]))
+    ellipse = 0.5 + 0.5 * np.cosh(
+        np.array([0.55, 0.57])[:, None] + 1j * np.array([0.4, 1.5])
+    )
+    return np.concatenate([ring.ravel(), strip, switches.ravel(), ellipse.ravel()])
+
+
+# epsrel 1e-13 is close to what double precision allows, and QUADPACK warns
+# of roundoff where it stops short of it; the 1e-12 comparison is the check
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("p", range(1, 7))
+def test_stieltjes_transform_matches_adaptive_quadrature_to_1e12(p):
+    from doslab.disorder import stieltjes_transform
+
+    rho = SingleSiteDensity(p)
+    us = transform_grid()
+    for order in range(p + 1):
+        got = stieltjes_transform(rho, order, us)
+        want = np.array([quad_transform(rho, order, u) for u in us])
+        rel = np.abs(got - want) / np.abs(want)
+        worst = int(np.argmax(rel))
+        assert rel[worst] <= 1e-12, (order, us[worst], rel[worst])
+        # rho is real
+        assert np.array_equal(stieltjes_transform(rho, order, us.conj()), got.conj())
+
+
+@pytest.mark.parametrize("p, order", [(2, 0), (2, 1), (4, 2), (6, 3)])
+def test_stieltjes_transform_of_a_point_does_not_depend_on_the_batch(p, order):
+    # every form, and long arrays, where numpy's vector loops take over
+    rho = SingleSiteDensity(p)
+    rng = np.random.default_rng(p + order)
+    us = rng.uniform(-2.0, 3.0, 600) + 1j * rng.uniform(1e-3, 1.5, 600)
+    from doslab.disorder import stieltjes_transform
+
+    got = stieltjes_transform(rho, order, us)
+    assert all(got[i] == stieltjes_transform(rho, order, u) for i, u in enumerate(us))

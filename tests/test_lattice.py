@@ -32,7 +32,6 @@ def test_one_dimensional_enumeration_is_frozen():
     space = build_box_enumeration(1, 2)
     assert space.sites == [(0,), (1,), (-1,), (2,), (-2,)]
     assert_array_equal(space.coords, [[0], [1], [-1], [2], [-2]])
-    assert space.alpha == 1.0
     assert space.dimension == 1 and space.half_width == 2
 
 
@@ -52,23 +51,6 @@ def test_shells_are_enumerated_in_order():
     # shell r holds (2r+1)^2 - (2r-1)^2 sites
     for r in range(4):
         assert radii.count(r) == (8 * r if r else 1)
-
-
-def test_growth_constant_is_measured_and_positive():
-    for d, L in [(1, 10), (2, 4), (3, 2)]:
-        space = build_box_enumeration(d, L)
-        assert space.alpha == pytest.approx(1.0 / d)
-        assert space.growth_constant is not None
-        assert 0.0 < space.growth_constant <= 2.0
-        # min over N of dist(x_0, sites N..n-1 or the exterior at L + 1) / N**alpha
-        n = len(space)
-        ratios = []
-        for N in range(1, n):
-            rest = [space.distance(0, k) for k in range(N, n)] + [L + 1]
-            ratios.append(min(rest) / N**space.alpha)
-        assert space.growth_constant == min(ratios)
-    # the chain 0, +1, -1, ...: N = 2 leaves site -1 at distance 1
-    assert build_box_enumeration(1, 10).growth_constant == 0.5
 
 
 def test_distance_matrix_is_a_metric():
@@ -109,7 +91,7 @@ def test_contiguous_blocks_partition():
     fam = ProjectionFamily.contiguous(5, rank=2)
     blocks = [list(fam.sites_of_block(n)) for n in range(len(fam))]
     assert blocks == [[0, 1], [2, 3], [4]]
-    assert fam.rank_max == 2
+    assert list(fam.block_sizes()) == [2, 2, 1]
     assert fam.blocks_for_prefix(2) == 1
     assert fam.blocks_for_prefix(4) == 2
     assert fam.blocks_for_prefix(5) == 3

@@ -135,7 +135,9 @@ def test_estimates_are_bit_stable_across_reruns():
 
 def test_smoothed_dos_matches_convolution_oracle():
     # no hopping: the probe block sees only its own coupling, so the mean is
-    # the single-site law smoothed by the Cauchy kernel
+    # the single-site law smoothed by the Cauchy kernel; the coupling is
+    # integrated exactly, so every sample gives that value and the stderr
+    # vanishes
     model = chain_model(2, coupling=1.0, hopping=0.0)
     mc = McConfig(n_samples=3000, master_seed=5)
     for energy, eps in [(0.2, 0.2), (0.5, 0.05), (0.9, 0.2)]:
@@ -144,7 +146,8 @@ def test_smoothed_dos_matches_convolution_oracle():
             model.density,
             lambda x: (eps / np.pi) / ((x - energy) ** 2 + eps**2),
         )
-        assert abs(est.mean - oracle) < 4 * est.stderr, (energy, eps)
+        assert abs(est.mean - oracle) <= 1e-9, (energy, eps)
+        assert est.stderr <= 1e-12, (energy, eps)
 
 
 def test_dos_derivative_order_zero_is_the_raw_trace():
@@ -293,6 +296,109 @@ def test_single_energy_equals_the_same_point_of_a_grid(route):
         )[0]
     assert single.mean == first.mean
     assert single.stderr == first.stderr
+
+
+# -- the probe block's coupling, integrated exactly -----------------------------------
+
+
+def block_model(dimension, half_width, rank, phase, p):
+    space = build_box_enumeration(dimension, half_width)
+    amp = complex(math.cos(phase), math.sin(phase)) if phase else 1.0
+    return ModelSpec(
+        site_space=space,
+        projections=ProjectionFamily.contiguous(len(space), rank),
+        free=FreeOperatorSpec.nearest_neighbor(space, amplitude=amp),
+        coupling=2.0,
+        density=SingleSiteDensity(p),
+    )
+
+
+# a rank-1 chain and a rank-3 chain with a phase (Schur route), and a rank-5
+# 2-d box with a phase (eigh route)
+CONDITIONED_CASES = {
+    "chain-rank1": (1, 6, 1, 0.0),
+    "chain-rank3-phase": (1, 7, 3, 0.4),
+    "box2d-rank5-phase": (2, 2, 5, 0.7),
+}
+
+
+def coupling_integral_oracle(model, om, zs, ell):
+    """Per-sample row with omega_0 integrated against rho by Gauss-Legendre.
+
+    The integrand rho(x) B_ell(scores of (x, omega_rest)) tr(P_0 (h - z)^{-1})
+    has its poles at Im x >= Im z / lambda, so panels of width
+    Im z / lambda resolve them; every trace is a dense inverse.
+    """
+    lam, rho = model.coupling, model.density
+    n = model.projections.prefix_sites(len(om))
+    block = model.projections.sites_of_block(0)
+    n_panels = int(np.ceil(lam / np.min(zs.imag)))
+    x, w = panel_rule(0.0, 1.0, n_nodes=16, n_panels=n_panels)
+    out = np.zeros(zs.size, dtype=complex)
+    for xk, wk in zip(x, w):
+        full = np.concatenate([[xk], om[1:]])
+        h = assemble_hamiltonian(model, full, n)
+        tr = [
+            np.trace(np.linalg.inv(h - z * np.eye(n))[np.ix_(block, block)])
+            for z in zs
+        ]
+        weight = wk * rho.eval(xk) * rho.score_factor(full, ell) * lam ** (-ell)
+        out += weight * np.array(tr)
+    return out
+
+
+@pytest.mark.parametrize("route", ["dos", "score-1", "score-2"])
+@pytest.mark.parametrize(
+    "case", [*CONDITIONED_CASES, "chain-rank1-eigh", "chain-rank3-phase-eigh"]
+)
+def test_conditioned_rows_match_the_dense_coupling_quadrature(monkeypatch, case, route):
+    import doslab.spectral as spectral
+
+    if case.endswith("-eigh"):
+        # the chains on the eigh route as well: no path, no Schur recursion
+        monkeypatch.setattr(spectral, "_path_order", lambda h0: None)
+        case = case[: -len("-eigh")]
+    dimension, half_width, rank, phase = CONDITIONED_CASES[case]
+    ell = 0 if route == "dos" else int(route[-1])
+    model = block_model(dimension, half_width, rank, phase, p=max(2, 2 * ell))
+    n = len(model.site_space)
+    energies, eps = np.array([-0.7, 0.4, 1.9]), 0.1
+    zs = energies + 1j * eps
+    for seed in (3, 4):
+        # one sample: the estimate is that sample's row
+        mc = McConfig(n_samples=1, master_seed=seed)
+        om = draw_disorder(model, seed, 0)
+        if route == "dos":
+            got = [e.mean for e in smoothed_dos_curve(model, n, energies, eps, mc)]
+            want = coupling_integral_oracle(model, om, zs, 0).imag / np.pi
+        else:
+            ests = dos_derivative_curve(model, n, energies, eps, ell, mc)
+            got = [complex(e.mean) for e in ests]
+            # the other blocks' antithetic mirror
+            want = 0.5 * (
+                coupling_integral_oracle(model, om, zs, ell)
+                + coupling_integral_oracle(model, 1.0 - om, zs, ell)
+            )
+        gap = np.abs(np.array(got) - want)
+        assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("case", list(CONDITIONED_CASES))
+def test_every_dos_row_obeys_the_wegner_bound(case):
+    # Im S_rho(u) <= pi sup rho, so each of the rank poles adds at most
+    # sup rho / lambda, at any eps; the sampled trace (1/pi) Im tr(P_0 G)
+    # reaches rank / (pi eps) instead
+    from doslab.montecarlo import _Volume
+
+    dimension, half_width, rank, phase = CONDITIONED_CASES[case]
+    model = block_model(dimension, half_width, rank, phase, p=2)
+    vol = _Volume(model, len(model.site_space))
+    zs = np.linspace(-4.0, 6.0, 41) + 1e-3j
+    oms = np.array([draw_disorder(model, 11, i) for i in range(64)])
+    rows = np.imag(vol.coupling_transforms(oms, zs, 0)[0]) / np.pi
+    bound = rank * model.density.sup_derivative(0) / model.coupling
+    assert np.all(rows >= 0.0)
+    assert np.all(rows <= bound * (1.0 + 1e-12))
 
 
 # -- integrated density of states ----------------------------------------------------
@@ -515,11 +621,15 @@ def test_telescope_partial_sums_close_exactly_at_order_zero():
 
 
 def test_telescope_terms_match_independent_volume_estimates():
+    # the resolvent route samples omega_0 like the telescope does (the score
+    # route integrates it), so the identity holds draw for draw
     model = chain_model(4, coupling=2.0)
     mc = McConfig(n_samples=300, master_seed=33)
     term = telescope_series_diagnostic(model, range(3, 4), 0, 0.2, 0.5, mc).terms[0]
-    small = dos_derivative_curve(model, 3, [0.2], 0.5, ell=0, mc=mc)[0]
-    large = dos_derivative_curve(model, 4, [0.2], 0.5, ell=0, mc=mc)[0]
+    small, large = (
+        dos_derivative_curve(model, n, [0.2], 0.5, 0, mc, method="resolvent")[0]
+        for n in (3, 4)
+    )
     assert_allclose(
         complex(term.mean),
         complex(large.mean) - complex(small.mean),
@@ -581,7 +691,7 @@ def test_dos_curves_are_bit_stable_across_chunks_and_workers(monkeypatch, route)
     def dense(*args):
         raise AssertionError("eigh route taken")
 
-    monkeypatch.setattr(spectral, "eigen_weights", dense)
+    monkeypatch.setattr(spectral, "_eigen_poles", dense)
     model = chain_model(8, coupling=2.0, p=4)
     eps = np.array([[0.3], [0.05]])
     default = montecarlo._CHUNK_SAMPLES

@@ -16,7 +16,7 @@ from doslab.lattice import (
 from doslab.montecarlo import McConfig, draw_disorder, ids_curve
 from doslab.spectral import (
     CscPattern,
-    block_resolvent_traces,
+    block_coupling_poles,
     eigen_weights,
     nested_block_traces,
 )
@@ -354,26 +354,49 @@ def test_band_sweep_carries_the_residual_guard(monkeypatch):
         nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
 
 
-# -- full-volume block traces -----------------------------------------------------
+# -- probe-block coupling poles ----------------------------------------------------
 
 ZS = np.array([[-2.5 + 0.05j, 0.3 + 0.1j], [1.0 + 0.5j, 3.2 + 0.2j]])
 
 
-def dense_block_traces(h0, diagonals, zs, block):
+def dense_block_resolvents(h0, diagonals, zs, block):
+    """(lanes, z, r, r) P_B (h - z)^{-1} P_B by dense inversion."""
     out = []
     for d in diagonals:
         h = h0 + np.diag(d)
         out.append([
-            np.trace(np.linalg.inv(h - z * np.eye(len(h)))[np.ix_(block, block)])
+            np.linalg.inv(h - z * np.eye(len(h)))[np.ix_(block, block)]
             for z in zs.ravel()
         ])
     return np.array(out)
 
 
+def assert_poles_match_dense(h0, diagonals, zs, block, mu):
+    """sum_k 1/(d - mu_k) is the dense block trace, and the mu_k are the
+    eigenvalues of W = d - (P_B G P_B)^{-1}, every one with Im mu >= Im z."""
+    g = dense_block_resolvents(h0, diagonals, zs, block)
+    d = diagonals[:, block[0]]
+    assert mu.shape == (len(diagonals), zs.size, len(block))
+    want = np.trace(g, axis1=2, axis2=3)
+    got = np.sum(1.0 / (d[:, None, None] - mu), axis=-1)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    w = d[:, None, None, None] * np.eye(len(block)) - np.linalg.inv(g)
+    want_mu = np.sort_complex(np.linalg.eigvals(w).reshape(-1, len(block)))
+    got_mu = np.sort_complex(mu.reshape(-1, len(block)))
+    assert np.max(np.abs(got_mu - want_mu)) <= 1e-10 * np.max(np.abs(want_mu))
+    assert np.all(mu.imag >= zs.ravel().imag[None, :, None] * (1 - 1e-12))
+
+
 @pytest.mark.parametrize(
     "rank, phase, size",
-    [(1, 0.0, 65), (5, 0.7, 65), (1, 0.0, 20), (13, 0.0, 65), (1, 0.0, 1), (1, 0.0, 2)],
-    ids=["rank1", "rank5-phase", "prefix20", "rank13", "one-site", "two-sites"],
+    [
+        (1, 0.0, 65), (5, 0.7, 65), (1, 0.0, 20), (13, 0.0, 65), (1, 0.0, 1),
+        (1, 0.0, 2), (3, 0.4, 21),
+    ],
+    ids=[
+        "rank1", "rank5-phase", "prefix20", "rank13", "one-site", "two-sites",
+        "rank3-phase",
+    ],
 )
 def test_schur_recursion_matches_the_dense_oracle(monkeypatch, rank, phase, size):
     import doslab.spectral as spectral
@@ -381,28 +404,34 @@ def test_schur_recursion_matches_the_dense_oracle(monkeypatch, rank, phase, size
     h0, diagonals, block0, _ = chain_lanes(9, rank, phase)
     h0, diagonals = h0[:size, :size], diagonals[:, :size]
     block = [s for s in block0 if s < size]
-    forbid(monkeypatch, "eigen_weights")
-    got = block_resolvent_traces(h0, diagonals, ZS, block)
-    assert got.shape == (9, ZS.size)
-    want = dense_block_traces(h0, diagonals, ZS, block)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    forbid(monkeypatch, "_eigen_poles")
+    got = block_coupling_poles(h0, diagonals, ZS, block)
+    assert_poles_match_dense(h0, diagonals, ZS, block, got)
     # per-lane values do not depend on how lanes or z values are batched
     for batch in (4, 1):
         parts = [
-            block_resolvent_traces(h0, diagonals[i : i + batch], ZS, block)
+            block_coupling_poles(h0, diagonals[i : i + batch], ZS, block)
             for i in range(0, 9, batch)
         ]
         assert np.array_equal(np.concatenate(parts), got)
     for j, z in enumerate(ZS.ravel()):
-        alone = block_resolvent_traces(h0, diagonals, [z], block)
+        alone = block_coupling_poles(h0, diagonals, [z], block)
         assert np.array_equal(alone[:, 0], got[:, j])
     # nor on how many lanes x z share one pass of the recursion
     monkeypatch.setattr(spectral, "_RECURSION_CELLS", 7)
-    assert np.array_equal(block_resolvent_traces(h0, diagonals, ZS, block), got)
+    assert np.array_equal(block_coupling_poles(h0, diagonals, ZS, block), got)
 
 
-@pytest.mark.parametrize("case", ["box2d", "zero-hopping", "ring"])
+def test_rank_one_pole_without_hopping_is_z():
+    # a lone site on the Schur route: W = z - h0_pp exactly, no eigvals call
+    h0, diagonals, _, _ = chain_lanes(3, half_width=0)
+    mu = block_coupling_poles(h0, diagonals, ZS, [0])
+    assert np.array_equal(mu[..., 0], np.broadcast_to(ZS.ravel(), (3, ZS.size)))
+
+
+@pytest.mark.parametrize("case", ["box2d", "zero-hopping", "ring", "box2d-rank5-phase"])
 def test_eigh_route_is_taken_off_a_path(monkeypatch, case):
+    block = [0]
     if case == "ring":
         # a closed chain: every site has two neighbours, but n couplings
         h0 = np.diag(np.ones(7), 1)
@@ -410,38 +439,75 @@ def test_eigh_route_is_taken_off_a_path(monkeypatch, case):
         h0 = h0 + h0.T
         diagonals = np.random.default_rng(2).random((3, 8))
     else:
-        model = box_model(2, 2) if case == "box2d" else box_model(1, 4, hopping=False)
+        if case == "box2d":
+            model = box_model(2, 2)
+        elif case == "zero-hopping":
+            model = box_model(1, 4, hopping=False)
+        else:
+            model = box_model(2, 2, rank=5, phase=0.7)
         h0 = model.free.matrix(len(model.site_space))
-        diagonals = np.array([2.0 * draw_disorder(model, 3, i) for i in range(3)])
+        sizes = model.projections.block_sizes()
+        diagonals = np.array(
+            [2.0 * np.repeat(draw_disorder(model, 3, i), sizes) for i in range(3)]
+        )
+        block = list(model.projections.sites_of_block(0))
     forbid(monkeypatch, "_schur_pivots")
-    got = block_resolvent_traces(h0, diagonals, ZS, [0])
-    want = dense_block_traces(h0, diagonals, ZS, [0])
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    got = block_coupling_poles(h0, diagonals, ZS, block)
+    assert_poles_match_dense(h0, diagonals, ZS, block, got)
+    for j, z in enumerate(ZS.ravel()):
+        alone = block_coupling_poles(h0, diagonals, [z], block)
+        assert np.array_equal(alone[:, 0], got[:, j])
 
 
-def test_block_resolvent_traces_validation():
+def test_block_coupling_poles_validation():
     h0, diagonals, _, _ = chain_lanes(2, half_width=3)
     with pytest.raises(ValueError, match="lanes"):
-        block_resolvent_traces(h0, diagonals[0], ZS, [0])
+        block_coupling_poles(h0, diagonals[0], ZS, [0])
     with pytest.raises(ValueError, match="block sites"):
-        block_resolvent_traces(h0, diagonals, ZS, [7])
+        block_coupling_poles(h0, diagonals, ZS, [7])
     with pytest.raises(ValueError, match="block sites"):
-        block_resolvent_traces(h0, diagonals, ZS, [])
+        block_coupling_poles(h0, diagonals, ZS, [])
     with pytest.raises(ValueError, match="imaginary"):
-        block_resolvent_traces(h0, diagonals, [0.5 + 0.2j, 0.3], [0])
+        block_coupling_poles(h0, diagonals, [0.5 + 0.2j, 0.3], [0])
+    # the block's coupling is one value per lane
+    with pytest.raises(ValueError, match="one value"):
+        block_coupling_poles(h0, diagonals, ZS, [0, 1])
 
 
 def test_schur_recursion_carries_the_residual_guard(monkeypatch):
     import doslab.spectral as spectral
 
     h0, diagonals, block0, _ = chain_lanes(4, half_width=5)
-    forbid(monkeypatch, "eigen_weights")
-    assert np.all(np.isfinite(block_resolvent_traces(h0, diagonals, ZS, block0)))
+    forbid(monkeypatch, "_eigen_poles")
+    assert np.all(np.isfinite(block_coupling_poles(h0, diagonals, ZS, block0)))
     # a NaN residual fails the check instead of slipping past a ">" test
     bad = h0.copy()
     bad[5, 7] = bad[7, 5] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
-        block_resolvent_traces(bad, diagonals, ZS, block0)
+        block_coupling_poles(bad, diagonals, ZS, block0)
     monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
     with pytest.raises(RuntimeError, match="residual"):
-        block_resolvent_traces(h0, diagonals, ZS, block0)
+        block_coupling_poles(h0, diagonals, ZS, block0)
+
+
+@pytest.mark.parametrize("route", ["_schur_poles", "_eigen_poles"])
+def test_block_trace_guard_fails_a_planted_nan(monkeypatch, route):
+    import doslab.spectral as spectral
+
+    if route == "_schur_poles":
+        h0, diagonals, block, _ = chain_lanes(3, rank=3, phase=0.4, half_width=10)
+    else:
+        model = box_model(2, 2, rank=5, phase=0.7)
+        h0 = model.free.matrix(len(model.site_space))
+        diagonals = np.repeat(np.array([[0.3], [1.1], [1.7]]), 25, axis=1)
+        block = list(model.projections.sites_of_block(0))
+    kernel = getattr(spectral, route)
+
+    def planted(*args):
+        mu, tr = kernel(*args)
+        mu[1, 2, 0] = np.nan
+        return mu, tr
+
+    monkeypatch.setattr(spectral, route, planted)
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="block trace"):
+        block_coupling_poles(h0, diagonals, ZS, block)

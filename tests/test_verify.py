@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from doslab.disorder import SingleSiteDensity
+from doslab.disorder import SingleSiteDensity, stieltjes_transform
 from doslab.verify import (
     _EIG_COND_LIMIT,
     BumpPair,
@@ -22,7 +22,6 @@ from doslab.verify import (
     average_bound_terms,
     averaging_corpus,
     smoothstep,
-    stieltjes_transform,
     verify_boundary_derivatives,
     verify_finite_smooth,
     verify_resolvent_average_bound,
