@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .disorder import SingleSiteDensity
+from .disorder import TRANSFORM_MAX_P, SingleSiteDensity
 from .lattice import (
     FreeOperatorSpec,
     ModelSpec,
@@ -467,6 +467,12 @@ def _prepare(cfg: ExperimentConfig) -> _Plan:
             "run.s",
             f"telescoping needs a fractional exponent below 1/2, got {cfg.s}",
         )
+    if command in ("dos", "dos-deriv") and cfg.p > TRANSFORM_MAX_P:
+        raise ConfigError(
+            "disorder.p",
+            f"{command} integrates the probe block's coupling with a transform "
+            f"certified to 1e-12 only for p <= {TRANSFORM_MAX_P}, got p = {cfg.p}",
+        )
 
     model, n_prefix = _build_model(cfg)
     mc = McConfig(cfg.n_samples, cfg.master_seed)
@@ -494,6 +500,10 @@ def _prepare(cfg: ExperimentConfig) -> _Plan:
                 )
             plan.fracmom_targets.append((d, by_distance[d]))
     elif command == "telescope":
+        if cfg.dimension >= 2:
+            # a box takes the dense LU: its scipy.linalg BLAS counts as
+            # start-up, not as the first solve
+            import scipy.linalg  # noqa: F401
         if cfg.k_max + 1 > model.n_blocks:
             raise ConfigError(
                 "run.k_max",

@@ -180,6 +180,10 @@ class SingleSiteDensity:
 
 # -- exact Stieltjes transforms ----------------------------------------------------
 
+# largest p for which stieltjes_transform is certified to 1e-12 relative: the
+# near-field closed form cancels by a factor that grows with p
+TRANSFORM_MAX_P = 6
+
 # Ellipse parameters of the near field (the Bernstein ellipses of [0, 1]):
 # inside the small one the closed form keeps a relative error below 1e-12
 # for every p <= 6 and order <= p; the large one contains the whole disk
@@ -260,7 +264,7 @@ def stieltjes_transform(rho: SingleSiteDensity, order: int, zs):
     as order <= continuity_order + 1 (the boundary terms of integration by
     parts vanish there).  Each z is evaluated on its own by one of three
     forms (see _transform_tables), so its bytes do not depend on the other
-    points of the call.  Relative error at most 1e-12 for p <= 6.
+    points of the call.  Relative error at most 1e-12 for p <= TRANSFORM_MAX_P.
     """
     if not 0 <= order <= rho.continuity_order + 1:
         raise ValueError(f"order {order} outside [0, {rho.continuity_order + 1}]")

@@ -300,16 +300,26 @@ def test_only_verify_loads_the_verify_module(tmp_path, command):
     assert done.stdout.split()[-1] == str(command == "verify")
 
 
-@pytest.mark.parametrize("command", ["dos", "dos-deriv", "telescope", "fracmom"])
+@pytest.mark.parametrize(
+    "command", ["dos", "dos-deriv", "telescope", "fracmom", "verify", "box-telescope"]
+)
 def test_only_fracmom_loads_scipy_and_all_imports_precede_the_run(tmp_path, command):
     # a module first imported inside _execute is start-up cost counted as
-    # compute: numpy.random and SuperLU both load before it
+    # compute: numpy.random, numpy.ma (verify's quantile), SuperLU and, for a
+    # box telescope's dense LU, scipy.linalg all load before it; only fracmom
+    # and the box telescope load scipy at all
     extra = {
         "dos-deriv": {"ell": 1},
         # k_max = 12 puts 13 chain sites in the largest prefix: the band sweep
         "telescope": {"ell": 1, "k_max": 12},
+        "box-telescope": {"ell": 1, "k_max": 8},
     }.get(command, {})
-    cfgp = toy_config(tmp_path, command, n_samples=4, **extra)
+    cfgp = toy_config(tmp_path, command.removeprefix("box-"), n_samples=4, **extra)
+    if command == "box-telescope":
+        box = Path(cfgp)
+        box.write_text(
+            box.read_text().replace("half_width = 10", "dimension = 2\nhalf_width = 2")
+        )
     script = (
         "import io, sys\nfrom doslab import cli\n"
         "execute, seen = cli._execute, []\n"
@@ -324,7 +334,8 @@ def test_only_fracmom_loads_scipy_and_all_imports_precede_the_run(tmp_path, comm
     )
     done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == f"{command == 'fracmom'} []"
+    loads_scipy = command in ("fracmom", "box-telescope")
+    assert done.stdout.strip() == f"{loads_scipy} []"
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -428,6 +439,26 @@ def test_run_deriv_score_variance_guard_exits_2(tmp_path):
     assert code == 2
     assert "run.ell" in err
     assert "p >= 2*ell" in err
+
+
+@pytest.mark.parametrize("command", ["dos", "dos-deriv"])
+def test_run_beyond_the_certified_transform_exits_2(tmp_path, command):
+    # both integrate the probe block's coupling with stieltjes_transform,
+    # which is certified to 1e-12 only for p <= 6
+    body = Path(toy_config(tmp_path, command, n_samples=4, ell=1)).read_text()
+
+    def run_at(p, cmd=command):
+        text = body.replace("p = 2", f"p = {p}").replace(
+            f"command = {command}", f"command = {cmd}"
+        )
+        return run_quiet(None, write_config(tmp_path / f"{cmd}-p{p}.ini", text))
+
+    code, _, err = run_at(7)
+    assert code == 2
+    assert "disorder.p" in err and "p <= 6" in err
+    assert run_at(6)[0] == 0
+    # ids takes no transform and keeps every p
+    assert run_at(7, "ids")[0] == 0
 
 
 # -- verify command ---------------------------------------------------------------

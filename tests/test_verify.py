@@ -13,13 +13,16 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from doslab.disorder import SingleSiteDensity, stieltjes_transform
+from doslab.quadrature import panel_rule
 from doslab.verify import (
     _EIG_COND_LIMIT,
     BumpPair,
     CheckReport,
     Corpus,
     _batched_expi,
+    _spectral_norms,
     average_bound_terms,
+    bound_lhs,
     averaging_corpus,
     smoothstep,
     verify_boundary_derivatives,
@@ -245,6 +248,111 @@ def test_average_bound_terms_vanish_for_equal_operators():
     lhs, rhs = average_bound_terms(a, a, f1, f2, z, 0.4, BumpPair())
     assert lhs == 0.0
     assert rhs == 0.0
+
+
+def inverse_bound_terms(a, b, f1, f2, z, s, pair, n_nodes=20, rhs_panels=2):
+    """(LHS, RHS) from one inverse per node and z, the route before the
+    shared eigendecomposition."""
+    d = a.shape[0]
+    w, v = np.linalg.eigh(f1 + f2)
+    fh = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+
+    def norms(x_nodes):
+        out = np.empty((len(x_nodes), len(x_nodes)))
+        diffs = np.empty((len(x_nodes), len(x_nodes), d, d), dtype=complex)
+        for i, x1 in enumerate(x_nodes):
+            for j, x2 in enumerate(x_nodes):
+                h = x1 * f1 + x2 * f2 - z * np.eye(d)
+                diff = fh @ (np.linalg.inv(a + h) - np.linalg.inv(b + h)) @ fh
+                diffs[i, j] = diff
+                out[i, j] = np.linalg.norm(diff, 2)
+        return diffs, out
+
+    x, wx = panel_rule(0.0, pair.r, n_nodes, 1)
+    wd1, wd2 = wx * pair.density1(x), wx * pair.density2(x)
+    diffs, _ = norms(x)
+    lhs = np.linalg.norm(np.einsum("i,j,ijkl->kl", wd1, wd2, diffs), 2)
+    lo, hi = pair.cutoff_support()
+    y, wy = panel_rule(lo, hi, n_nodes, rhs_panels)
+    wc = wy * pair.cutoff(y)
+    _, rhs_norms = norms(y)
+    return lhs, float(wc @ rhs_norms**s @ wc)
+
+
+def complex_bound_instance(d, seed):
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return (g + g.conj().T) / 2.0
+
+    def psd():
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return m @ m.conj().T / d
+
+    return hermitian(), hermitian(), psd(), psd()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_eigen_route_matches_per_node_inverses(d):
+    pair = BumpPair()
+    zs = [-1.0 + 0.2j, 0.5j, 1.0 + 0.2j]
+    a, b, f1, f2, _ = Corpus(1, dim_min=d, dim_max=d, seed=40 + d).bound_instance(0)
+    cases = [(a, b, f1, f2), complex_bound_instance(d, 50 + d)]
+    for a, b, f1, f2 in cases:
+        lhs, rhs = average_bound_terms(a, b, f1, f2, zs, 0.4, pair, n_nodes=8)
+        for z, l, r in zip(zs, lhs, rhs):
+            l_ref, r_ref = inverse_bound_terms(a, b, f1, f2, z, 0.4, pair, n_nodes=8)
+            assert_allclose(l, l_ref, rtol=1e-12)
+            assert_allclose(r, r_ref, rtol=1e-12)
+
+
+def test_one_z_does_not_depend_on_the_others_in_the_call():
+    a, b, f1, f2, z = Corpus(1, dim_min=5, dim_max=5, seed=61).bound_instance(0)
+    pair = BumpPair()
+    alone = average_bound_terms(a, b, f1, f2, [z], 0.4, pair)
+    for others in ([z, 0.5j], [1.0 + 0.2j, z, -1.0 + 0.2j, 0.5 + 1.0j]):
+        shared = average_bound_terms(a, b, f1, f2, others, 0.4, pair)
+        k = others.index(z)
+        assert_allclose(shared[0][k], alone[0][0], rtol=1e-13)
+        assert_allclose(shared[1][k], alone[1][0], rtol=1e-13)
+    # a lone z gives values of its own shape
+    lhs, rhs = average_bound_terms(a, b, f1, f2, z, 0.4, pair)
+    assert lhs.shape == rhs.shape == ()
+    assert lhs == alone[0][0] and rhs == alone[1][0]
+
+
+def test_slope_path_lhs_equals_the_full_call():
+    pair = BumpPair()
+    for delta in (1e-1, 1e-4):
+        corpus = Corpus(3, dim_min=2, dim_max=5, seed=62, delta=delta)
+        for index in range(3):
+            a, b, f1, f2, z = corpus.bound_instance(index)
+            full, _ = average_bound_terms(a, b, f1, f2, z, 0.4, pair)
+            assert bound_lhs(a, b, f1, f2, z, pair) == full
+
+
+def test_spectral_norms_match_svd():
+    rng = np.random.default_rng(63)
+    real = rng.standard_normal((7, 5, 5))
+    cplx = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+    for stack in (real, cplx, real[0], rng.standard_normal((4, 3, 6))):
+        expected = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        assert_allclose(_spectral_norms(stack), expected, rtol=1e-13)
+    zeros = _spectral_norms(np.zeros((3, 4, 4), dtype=complex))
+    assert np.array_equal(zeros, np.zeros(3))
+
+
+def test_bound_terms_reject_non_hermitian_input():
+    a, b, f1, f2, z = Corpus(1, dim_min=3, dim_max=3, seed=64).bound_instance(0)
+    skew = a.copy()
+    skew[0, 1] += 1e-3
+    pair = BumpPair()
+    for args in ((skew, b, f1, f2), (a, skew, f1, f2), (a, b, skew, f2), (a, b, f1, skew)):
+        with pytest.raises(ValueError, match="Hermitian"):
+            average_bound_terms(*args, z, 0.4, pair)
+        with pytest.raises(ValueError, match="Hermitian"):
+            bound_lhs(*args, z, pair)
 
 
 def test_resolvent_average_bound_small_corpus():
