@@ -8,7 +8,7 @@ certifies the operator inequalities the estimators rely on by quadrature.
 
 import importlib
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 # exported names by submodule, each loaded on first access (PEP 562): a chain
 # run then loads no scipy, and `python -m doslab.cli` finds no doslab.cli
@@ -21,7 +21,6 @@ _SUBMODULE_NAMES = {
         "ModelSpec",
         "ProjectionFamily",
         "SiteSpace",
-        "assemble_hamiltonian",
         "build_box_enumeration",
     ),
     "montecarlo": (

@@ -592,7 +592,7 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
         else:
             ell = cfg.ell
             ests = dos_derivative_curve(
-                model, n_prefix, cfg.energies, eps_column, ell, mc, method="score"
+                model, n_prefix, cfg.energies, eps_column, ell, mc
             )
         for j, eps in enumerate(cfg.eps_values):
             curve = ests[j * n_e : (j + 1) * n_e]

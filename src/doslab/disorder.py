@@ -71,16 +71,6 @@ class SingleSiteDensity:
                 out[inside] = npoly.polyval(xi, self._derivs[order])
         return float(out[0]) if scalar else out
 
-    def cdf(self, x):
-        """Exact distribution function, clamped to [0, 1] outside the support."""
-        anti = npoly.polyint(self._derivs[0])  # vanishes at 0 by construction
-        xa = np.asarray(x, dtype=float)
-        return npoly.polyval(np.clip(xa, 0.0, 1.0), anti)
-
-    def variance(self) -> float:
-        # Var of a symmetric Beta(p+1, p+1) law
-        return 1.0 / (4.0 * (2.0 * self.p + 3.0))
-
     # -- score pieces (used by the derivative estimators) ---------------------
 
     def log_derivative(self, x):
@@ -152,12 +142,6 @@ class SingleSiteDensity:
         return s1 * s1 + np.cumsum(self.log_curvature(xa), axis=-1)
 
     # -- derivative norms ------------------------------------------------------
-
-    def derivative_coefficients(self, order: int) -> np.ndarray:
-        """Ascending polynomial coefficients of rho^(order) on [0, 1]."""
-        if not 0 <= order <= self.p:
-            raise ValueError(f"derivative order {order} outside [0, {self.p}]")
-        return self._derivs[order].copy()
 
     def sup_derivative(self, order: int) -> float:
         """sup over [0, 1] of |rho^(order)|, located through critical points."""

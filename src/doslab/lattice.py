@@ -1,4 +1,4 @@
-"""The shell-ordered box, its block projections, and random-operator assembly.
+"""The shell-ordered box, its block projections, and the random-operator model.
 
 A SiteSpace fixes the enumeration x_0, x_1, ... used everywhere downstream:
 finite volumes are index prefixes, so "grow the volume by one site" is just
@@ -50,10 +50,6 @@ class SiteSpace:
 
     def __len__(self):
         return len(self.sites)
-
-    def distance(self, i: int, j: int) -> int:
-        """Sup metric between sites by enumeration index."""
-        return int(np.max(np.abs(self.coords[i] - self.coords[j])))
 
 
 def build_box_enumeration(dimension: int, half_width: int) -> SiteSpace:
@@ -235,31 +231,3 @@ class ModelSpec:
         a = c[self.projections.sites_of_block(n)]
         b = c[self.projections.sites_of_block(k)]
         return int(np.abs(a[:, None, :] - b[None, :, :]).max(axis=2).min())
-
-
-def assemble_hamiltonian(
-    model: ModelSpec, omega: np.ndarray, n_prefix_sites: int
-) -> np.ndarray:
-    """Dense finite-volume Hamiltonian on the leading n_prefix_sites sites.
-
-    omega holds one coupling per block of the prefix; the prefix must align
-    with block boundaries.  Entries must lie in the closed support [0, 1] of
-    the single-site laws.
-    """
-    n_all = len(model.site_space)
-    if not 1 <= n_prefix_sites <= n_all:
-        raise ValueError(f"prefix size {n_prefix_sites} outside [1, {n_all}]")
-    n_blocks = model.projections.blocks_for_prefix(n_prefix_sites)
-    om = np.asarray(omega, dtype=float)
-    if om.shape != (n_blocks,):
-        raise ValueError(
-            f"expected {n_blocks} block couplings for a {n_prefix_sites}-site prefix, "
-            f"got shape {om.shape}"
-        )
-    if om.size and (om.min() < 0.0 or om.max() > 1.0):
-        raise ValueError("disorder values must lie in the support [0, 1]")
-    h = model.free.matrix(n_prefix_sites)
-    sizes = model.projections.block_sizes()[:n_blocks]
-    diag = np.repeat(om, sizes) * model.coupling
-    h[np.arange(n_prefix_sites), np.arange(n_prefix_sites)] += diag
-    return h

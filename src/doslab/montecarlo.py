@@ -16,18 +16,19 @@ with their antithetic mirrors where the route asks for it, fills a
 one entry point per quantity, on a grid of points; a single point is a
 one-point grid.
 
-`dos` and the score route of `dos-deriv` integrate the probe block's own
-coupling exactly: tr(P_0 G) = sum_k 1/(lambda omega_0 - mu_k), where the mu_k
+`dos` and `dos-deriv` integrate the probe block's own coupling exactly:
+tr(P_0 G) = sum_k 1/(lambda omega_0 - mu_k), where the mu_k
 (block_coupling_poles) do not depend on omega_0, so a sample's row is
 E[row | the other couplings], one Stieltjes transform of the single-site law
 per mu_k.  Each `dos` row is then at most rank * sup rho / lambda (a Wegner
 bound), whatever eps.
 
-Energy derivatives of E[tr(P_0 (h - E - i eps)^{-1})] come in two routes:
-the score route reweights samples by the logarithmic derivatives of the
-single-site law, and the resolvent route evaluates l! tr(P_0 G^{l+1})
-exactly per sample.  Routes agree in expectation; tests hold them against
-each other.
+Energy derivatives of E[tr(P_0 (h - E - i eps)^{-1})] take one route, the
+score route: every E-derivative moves onto the couplings and, by parts, onto
+the single-site law, so a sample is reweighted by the logarithmic
+derivatives of its couplings' density.  The tests hold it against
+l! E[tr(P_0 G^{l+1})], the same derivative taken exactly per sample from one
+eigendecomposition, a kernel the score route does not share.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ import numpy.random  # noqa: F401
 
 from .disorder import stieltjes_transform
 from .lattice import ModelSpec
-from .spectral import CscPattern, block_coupling_poles, nested_block_traces
-from .spectral import _weighted_resolvent_power, eigen_weights
+from .spectral import CscPattern, block_coupling_poles, eigen_weights
+from .spectral import nested_block_traces
 
 # samples per rows() call; bounds the memory of a chunk's lane stack
 _CHUNK_SAMPLES = 256
@@ -78,11 +79,6 @@ class Estimate:
         else:
             mean = complex(mean)
         return cls(mean, stderr, n, seed)
-
-    def agrees_with(self, other: "Estimate", n_sigma: float = 4.0) -> bool:
-        """Two-sample comparison at n_sigma combined standard errors."""
-        gap = abs(complex(self.mean) - complex(other.mean))
-        return gap <= n_sigma * math.hypot(self.stderr, other.stderr)
 
 
 @dataclass(frozen=True)
@@ -161,9 +157,6 @@ class _Volume:
             om_prefix, self.sizes
         )
         return h
-
-    def eigen_weights(self, om_prefix: np.ndarray):
-        return eigen_weights(self.hamiltonian(om_prefix), self.block0)
 
     def diagonals(self, oms: np.ndarray) -> np.ndarray:
         """(S, n_sites) coupled diagonals of a chunk of S samples' couplings."""
@@ -269,7 +262,7 @@ def ids_curve(
     es = np.asarray(energies, dtype=float)
 
     def row(om):
-        evals, w = vol.eigen_weights(om)
+        evals, w = eigen_weights(vol.hamiltonian(om), vol.block0)
         return np.sum(w[:, None] * (evals[:, None] <= es[None, :]), axis=0)
 
     return _estimate(vol, mc, es.size, _each(row), dtype=np.float64)
@@ -282,7 +275,6 @@ def dos_derivative_curve(
     eps: float | np.ndarray,
     ell: int,
     mc: McConfig,
-    method: str = "score",
 ) -> list[Estimate]:
     """d^ell/dE^ell E[tr(P_0 (h - E - i eps)^{-1})] on an energy grid.
 
@@ -290,46 +282,31 @@ def dos_derivative_curve(
     smoothed_dos_curve: all (E, eps) elements share each sample's draw,
     traces and score weight.
 
-    method "score" reweights by the log-density weights of the product law,
+    Samples are reweighted by the log-density weights of the product law,
     with the probe block's coupling integrated exactly: the weight
     B_ell(S_1, ..., S_ell) is a complete Bell polynomial of the score sums,
     and since rho B_j(log-derivatives of rho) = rho^(j), its conditional mean
     over omega_0 is sum_j C(ell, j) B_(ell-j)(sums over the other blocks) T_j
     (see _Volume.coupling_transforms); the other blocks are antithetic in
-    omega -> 1 - omega, which cancels the odd part of their weight.  Method
-    "resolvent" evaluates ell! tr(P_0 G^{ell+1}) per sample, which is the
-    same derivative without reweighting.
+    omega -> 1 - omega, which cancels the odd part of their weight.
     """
     zs = _spectral_parameters(energies, eps)
     if ell < 0:
         raise ValueError("derivative order must be non-negative")
     vol = _Volume(model, n_prefix_sites)
+    model.density.check_score_order(ell)
+    lam_pow = model.coupling ** (-ell)
 
-    if method == "score":
-        model.density.check_score_order(ell)
-        lam_pow = model.coupling ** (-ell)
+    def rows(oms):
+        ts = vol.coupling_transforms(oms, zs, ell)
+        # complete Bell polynomials of the other blocks' score sums
+        rest = oms[:, 1:]
+        bell = [model.density.score_factor(rest, k)[:, None] for k in range(ell + 1)]
+        return lam_pow * sum(
+            math.comb(ell, j) * bell[ell - j] * t for j, t in enumerate(ts)
+        )
 
-        def rows(oms):
-            ts = vol.coupling_transforms(oms, zs, ell)
-            # complete Bell polynomials of the other blocks' score sums
-            rest = oms[:, 1:]
-            bell = [model.density.score_factor(rest, k)[:, None] for k in range(ell + 1)]
-            return lam_pow * sum(
-                math.comb(ell, j) * bell[ell - j] * t for j, t in enumerate(ts)
-            )
-
-        return _estimate(vol, mc, zs.size, rows, antithetic=ell > 0)
-    if method != "resolvent":
-        raise ValueError(f"unknown method {method!r}")
-    if ell > 6:
-        raise ValueError(f"resolvent powers above 7 are not supported (ell={ell})")
-    fac = float(math.factorial(ell))
-
-    def row(om):
-        evals, w = vol.eigen_weights(om)
-        return fac * _weighted_resolvent_power(evals, w, zs, ell + 1)
-
-    return _estimate(vol, mc, zs.size, _each(row))
+    return _estimate(vol, mc, zs.size, rows, antithetic=ell > 0)
 
 
 # -- fractional moments ----------------------------------------------------------

@@ -94,11 +94,7 @@ class CscPattern:
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             x = np.full_like(rhs, np.nan)
         resid = np.linalg.norm(a @ x - rhs, axis=0)
-        if not np.all(resid <= _RESIDUAL_REL_TOL * scale):
-            raise RuntimeError(
-                f"resolvent solve residual {resid.max(initial=0.0):.3e} exceeds "
-                f"{_RESIDUAL_REL_TOL:.0e} * {scale:.3e}"
-            )
+        _check_residual(resid, np.full(resid.shape, scale), "resolvent solve")
         return x
 
 
@@ -252,9 +248,10 @@ def nested_block_traces(
     lane are checked, max |L U - (h - z)| <= 1e-10 * (||h||_inf + |z|), which
     bounds the backward error of every prefix at once.
 
-    With b the bandwidth of h0 on the largest prefix m, all lanes share one
-    band sweep when (b + 1)^2 <= m (every chain, ordered 0, +1, -1, ..., has
-    b = 2); otherwise each lane takes a dense blocked LU.
+    With b the bandwidth of h0 on the largest prefix, all lanes share one
+    band sweep when b <= 2 (every chain and prefix of one, ordered 0, +1,
+    -1, ...); otherwise (the 2-d and 3-d boxes) each lane takes a dense
+    blocked LU.
     """
     zc = _as_z(z)
     h0, n, diags = _lane_stack(h0, diagonals)
@@ -272,7 +269,7 @@ def nested_block_traces(
     rhs[sites, np.arange(sites.size)] = 1.0
     rows, cols = np.nonzero(h0[:m, :m])
     b = int(np.max(np.abs(rows - cols), initial=0))
-    if (b + 1) ** 2 <= m:
+    if b <= 2:
         tr, resid, scale = _band_prefix_traces(h0, diags, zc, rhs, m, b)
     else:
         lanes = [_dense_prefix_traces(h0, d, zc, rhs, m) for d in diags]
@@ -468,13 +465,3 @@ def eigen_weights(h: np.ndarray, block_sites: Sequence[int]):
     idx = np.asarray(block_sites, dtype=np.int64)
     weights = np.sum(np.abs(evecs[idx, :]) ** 2, axis=0)
     return evals, weights
-
-
-def _weighted_resolvent_power(evals, weights, zs, power: int):
-    """sum_j w_j / (lambda_j - z)^power for each z of zs, flattened.
-
-    Each z is summed pairwise along its own contiguous row, so its bytes do
-    not depend on how many other z share the call.
-    """
-    terms = weights[:, None] / (evals[:, None] - zs.reshape(1, -1)) ** power
-    return np.ascontiguousarray(terms.T).sum(axis=1)

@@ -133,16 +133,17 @@ class Corpus:
 
     Every instance is generated from ``default_rng((seed, index))`` so the
     corpus is reproducible bit for bit and instances can be materialized in
-    any order.  ``delta > 0`` switches pair draws from independent pairs to
-    perturbative ones, ``B = A + delta * C`` with ``C`` Hermitian of unit
-    spectral norm.
+    any order.  ``matrix`` draws strictly dissipative matrices (Im part >=
+    min_imag) and ``pair`` dissipative ones (Im part >= 0), the generators of
+    the two semigroup checks.  ``bound_instance`` draws the Hermitian pairs
+    of the two-sided bound; ``delta > 0`` makes its B the perturbation
+    ``A + delta * C`` of A, with ``C`` Hermitian of unit spectral norm.
     """
 
     n_instances: int
     dim_min: int = 2
     dim_max: int = 6
     seed: int = 0
-    dissipative: bool = False
     min_imag: float = 0.5
     delta: float = 0.0
 
@@ -153,8 +154,8 @@ class Corpus:
             raise ValueError(
                 f"bad dimension range [{self.dim_min}, {self.dim_max}]"
             )
-        if self.dissipative and self.min_imag < 0:
-            raise ValueError("dissipative corpus needs min_imag >= 0")
+        if self.min_imag < 0:
+            raise ValueError(f"imaginary floor must be >= 0, got {self.min_imag}")
         if self.delta < 0:
             raise ValueError(f"perturbation scale must be >= 0, got {self.delta}")
 
@@ -183,12 +184,10 @@ class Corpus:
             raise AssertionError(f"generated matrix not Hermitian: defect {herm}")
 
     def matrix(self, index: int) -> np.ndarray:
-        """One matrix: Hermitian, or strictly dissipative (Im part >= min_imag)."""
+        """One strictly dissipative matrix H + iQ, Q >= min_imag."""
         rng, d = self._rng_and_dim(index)
         h = self._hermitian(rng, d)
         self._check_structure(h)
-        if not self.dissipative:
-            return h
         q = self.min_imag * np.eye(d) + self._psd(rng, d)
         self._check_structure(q)
         lo = float(np.linalg.eigvalsh((q + q.T) / 2.0)[0])
@@ -197,31 +196,18 @@ class Corpus:
         return h + 1j * q
 
     def pair(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two matrices of equal shape and structure (independent, or A and
-        a delta-perturbation of A when delta > 0)."""
+        """Two independent dissipative matrices H + iQ of equal shape, Q >= 0."""
         rng, d = self._rng_and_dim(index)
         ha = self._hermitian(rng, d)
         hb = self._hermitian(rng, d)
-        if self.dissipative:
-            qa = self._psd(rng, d)
-            qb = self._psd(rng, d)
-            a = ha + 1j * qa
-            b = hb + 1j * qb
-        else:
-            a, b = ha, hb
-        if self.delta > 0:
-            c = self._hermitian(rng, d)
-            if self.dissipative:
-                c = c + 1j * self._psd(rng, d)
-            c = c / np.linalg.norm(c, 2)
-            b = a + self.delta * c
+        a = ha + 1j * self._psd(rng, d)
+        b = hb + 1j * self._psd(rng, d)
         for m in (a, b):
             self._check_structure(m.real + 0.0)
-            if self.dissipative:
-                im = (m - m.conj().T) / 2j
-                lo = float(np.linalg.eigvalsh(im)[0])
-                if lo < -_STRUCTURE_TOL:
-                    raise AssertionError(f"dissipative part not PSD: {lo}")
+            im = (m - m.conj().T) / 2j
+            lo = float(np.linalg.eigvalsh(im)[0])
+            if lo < -_STRUCTURE_TOL:
+                raise AssertionError(f"dissipative part not PSD: {lo}")
         return a, b
 
     def bound_instance(self, index: int):
@@ -691,8 +677,6 @@ def verify_semigroup_hoelder(
     violation beyond the slack fails the check with the offending pair
     serialized in the witness.
     """
-    if not corpus.dissipative:
-        raise ValueError("semigroup corpus must be dissipative")
     s_arr = np.asarray(s_values, dtype=float)
     if np.any((s_arr <= 0) | (s_arr >= 1)):
         raise ValueError(f"exponents must lie in (0, 1), got {s_values}")
@@ -747,21 +731,14 @@ def verify_semigroup_hoelder(
 # averaged resolvent as a truncated oscillatory time integral
 
 
-def _fourier_factor(density, support, ts):
-    """integral of g(lam) exp(i t lam) dlam over the support, per t."""
-    lo, hi = support
-    lam, w = panel_rule(lo, hi, _LAMBDA_NODES, 8)
-    g = density.eval((lam - lo) / (hi - lo)) / (hi - lo)
-    return np.exp(1j * np.multiply.outer(ts, lam)) @ (w * g)  # (T,)
-
-
 def verify_resolvent_semigroup_identity(
-    instances,
+    instances: list[np.ndarray],
     density: SingleSiteDensity | None = None,
     support: tuple[float, float] = (1.0, 2.0),
     t_max: float = 1e3,
 ) -> CheckReport:
-    """Averaged resolvent of a strictly dissipative matrix as a time integral:
+    """Averaged resolvent of each strictly dissipative matrix A of instances
+    as a time integral:
 
         integral g(lam) (A + lam)^(-1) dlam
             = -i * integral_0^inf exp(itA) ghat(t) dt,
@@ -782,12 +759,11 @@ def verify_resolvent_semigroup_identity(
         raise ValueError("density support must sit at positive shifts")
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    if isinstance(instances, Corpus):
-        if not instances.dissipative:
-            raise ValueError("identity corpus must be dissipative")
-        instances = [
-            instances.matrix(index) for index in range(instances.n_instances)
-        ]
+    # one lambda rule for every instance: g's weights serve the averaged
+    # resolvent and its Fourier factor ghat alike
+    lam, w = panel_rule(lo, hi, _LAMBDA_NODES, 8)
+    g = density.eval((lam - lo) / (hi - lo)) / (hi - lo)
+    wg = w * g
 
     discrepancies = []
     tail_bounds = []
@@ -803,18 +779,16 @@ def verify_resolvent_semigroup_identity(
         d = a.shape[0]
         eye = np.eye(d)
 
-        lam, w = panel_rule(lo, hi, _LAMBDA_NODES, 8)
-        g = density.eval((lam - lo) / (hi - lo)) / (hi - lo)
         stack = np.linalg.inv(
             a[None, :, :] + lam[:, None, None] * eye[None, :, :]
         )
         resolvent_norms = _spectral_norms(stack)
-        lhs = np.einsum("i,ijk->jk", w * g, stack)
+        lhs = np.einsum("i,ijk->jk", wg, stack)
 
         t_eff = float(min(t_max, 46.0 / q))
         n_panels = max(4, int(math.ceil(t_eff / _T_PANEL_WIDTH)))
         ts, wt = panel_rule(0.0, t_eff, 8, n_panels)
-        ghat = _fourier_factor(density, support, ts)
+        ghat = np.exp(1j * np.multiply.outer(ts, lam)) @ wg  # (T,)
         semigroup = _batched_expi(a, ts)
         rhs = -1j * np.einsum("t,tjk->jk", wt * ghat, semigroup)
 
@@ -1115,6 +1089,7 @@ def run_default_verification(seed: int = 0) -> list[CheckReport]:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((3, 3))
     free = (g + g.T) / 2.0
+    identity_corpus = Corpus(30, dim_min=2, dim_max=6, seed=seed + 2)
 
     reports = [
         verify_finite_smooth(np.zeros((1, 1)), ell=0),
@@ -1123,13 +1098,10 @@ def run_default_verification(seed: int = 0) -> list[CheckReport]:
             Corpus(40, dim_min=2, dim_max=5, seed=seed)
         ),
         verify_semigroup_hoelder(
-            Corpus(300, dim_min=2, dim_max=6, seed=seed + 1, dissipative=True)
+            Corpus(300, dim_min=2, dim_max=6, seed=seed + 1)
         ),
         verify_resolvent_semigroup_identity(
-            Corpus(
-                30, dim_min=2, dim_max=6, seed=seed + 2,
-                dissipative=True, min_imag=0.5,
-            )
+            [identity_corpus.matrix(i) for i in range(identity_corpus.n_instances)]
         ),
         verify_boundary_derivatives(),
     ]

@@ -1,0 +1,98 @@
+"""Reference implementations the tests hold the program against.
+
+No `doslab run` command reaches any of these: each is a slower or more
+literal route to a quantity the program computes another way (dense
+assembly, a closed-form law, an exact per-sample derivative), kept here so a
+test can compare two computations that share no kernel.  Import them as
+`from oracles import ...`.
+"""
+
+import math
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from doslab import montecarlo
+from doslab.montecarlo import Estimate
+from doslab.spectral import eigen_weights
+
+
+def assemble_hamiltonian(model, omega: np.ndarray, n_prefix_sites: int) -> np.ndarray:
+    """Dense finite-volume Hamiltonian on the leading n_prefix_sites sites.
+
+    omega holds one coupling per block of the prefix; the prefix must align
+    with block boundaries.  Entries must lie in the closed support [0, 1] of
+    the single-site laws.
+    """
+    n_all = len(model.site_space)
+    if not 1 <= n_prefix_sites <= n_all:
+        raise ValueError(f"prefix size {n_prefix_sites} outside [1, {n_all}]")
+    n_blocks = model.projections.blocks_for_prefix(n_prefix_sites)
+    om = np.asarray(omega, dtype=float)
+    if om.shape != (n_blocks,):
+        raise ValueError(
+            f"expected {n_blocks} block couplings for a {n_prefix_sites}-site prefix, "
+            f"got shape {om.shape}"
+        )
+    if om.size and (om.min() < 0.0 or om.max() > 1.0):
+        raise ValueError("disorder values must lie in the support [0, 1]")
+    h = model.free.matrix(n_prefix_sites)
+    sizes = model.projections.block_sizes()[:n_blocks]
+    diag = np.repeat(om, sizes) * model.coupling
+    h[np.arange(n_prefix_sites), np.arange(n_prefix_sites)] += diag
+    return h
+
+
+def site_distance(space, i: int, j: int) -> int:
+    """Sup metric between two sites of a SiteSpace, by enumeration index."""
+    return int(np.max(np.abs(space.coords[i] - space.coords[j])))
+
+
+def cdf(rho, x):
+    """Exact distribution function of rho_p = c_p x^p (1-x)^p, clamped to
+    [0, 1] outside the support."""
+    density = rho.normalization * npoly.polypow([0.0, 1.0, -1.0], rho.p)
+    anti = npoly.polyint(density)  # vanishes at 0 by construction
+    return npoly.polyval(np.clip(np.asarray(x, dtype=float), 0.0, 1.0), anti)
+
+
+def variance(rho) -> float:
+    """Variance of rho_p, the symmetric Beta(p+1, p+1) law."""
+    return 1.0 / (4.0 * (2.0 * rho.p + 3.0))
+
+
+def agrees(a: Estimate, b: Estimate, n_sigma: float = 4.0) -> bool:
+    """Two-sample comparison at n_sigma combined standard errors."""
+    gap = abs(complex(a.mean) - complex(b.mean))
+    return gap <= n_sigma * math.hypot(a.stderr, b.stderr)
+
+
+def weighted_resolvent_power(evals, weights, zs, power: int):
+    """sum_j w_j / (lambda_j - z)^power for each z of zs, flattened.
+
+    Each z is summed pairwise along its own contiguous row, so its bytes do
+    not depend on how many other z share the call.
+    """
+    terms = weights[:, None] / (evals[:, None] - zs.reshape(1, -1)) ** power
+    return np.ascontiguousarray(terms.T).sum(axis=1)
+
+
+def resolvent_power_curve(model, n_prefix_sites, energies, eps, ell, mc):
+    """ell! E[tr(P_0 (h - E - i eps)^{-(ell+1)})] on an energy grid.
+
+    The ell-th E-derivative of E[tr(P_0 (h - E - i eps)^{-1})] taken exactly
+    per sample, from one eigendecomposition of the densely assembled h, with
+    every coupling sampled (omega_0 included): the independent reference for
+    the score route of dos_derivative_curve.  Samples, grid order and
+    reduction are those of the program's estimators.
+    """
+    zs = montecarlo._spectral_parameters(energies, eps)
+    vol = montecarlo._Volume(model, n_prefix_sites)
+    fac = float(math.factorial(ell))
+
+    def row(om):
+        h = assemble_hamiltonian(model, om, vol.n_sites)
+        evals, w = eigen_weights(h, vol.block0)
+        return fac * weighted_resolvent_power(evals, w, zs, ell + 1)
+
+    return montecarlo._estimate(vol, mc, zs.size, montecarlo._each(row))

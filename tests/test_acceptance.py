@@ -37,6 +37,7 @@ from doslab.montecarlo import (
 )
 from doslab.quadrature import panel_rule
 from doslab.verify import averaging_corpus
+from oracles import resolvent_power_curve
 
 
 def chain(half_width, coupling, hopping=1.0, p=2):
@@ -62,14 +63,15 @@ def verdict(capsys, index, ok, detail):
 
 def test_criterion_01_derivative_identity(capsys):
     # 64-site chain, coupling 2, first energy derivative: the reweighted
-    # score estimator must agree with the squared-resolvent trace on shared
-    # disorder draws, within 4 combined stderr at all 11 grid points.
+    # score estimator must agree with the squared-resolvent trace (one eigh
+    # per sample, oracles.py) on shared disorder draws, within 4 combined
+    # stderr at all 11 grid points.
     started = time.perf_counter()
     model = chain(32, 2.0)
     energies = np.linspace(-2.0, 4.0, 11)
     mc = McConfig(n_samples=20_000, master_seed=2024)
-    score = dos_derivative_curve(model, 64, energies, 0.2, 1, mc, method="score")
-    oracle = dos_derivative_curve(model, 64, energies, 0.2, 1, mc, method="resolvent")
+    score = dos_derivative_curve(model, 64, energies, 0.2, 1, mc)
+    oracle = resolvent_power_curve(model, 64, energies, 0.2, 1, mc)
     worst = 0.0
     for a, b in zip(score, oracle):
         gap = abs(complex(a.mean) - complex(b.mean))
@@ -199,9 +201,7 @@ def test_criterion_05_derivative_form_quadrature(capsys):
 def test_criterion_06_semigroup_hoelder(capsys):
     # 10^4 dissipative pairs up to dimension 8, three exponents, six times:
     # not a single Hoelder-in-generator violation beyond 1e-10 slack.
-    corpus = Corpus(
-        10_000, dim_min=2, dim_max=8, seed=12, dissipative=True, min_imag=0.0
-    )
+    corpus = Corpus(10_000, dim_min=2, dim_max=8, seed=12, min_imag=0.0)
     report = verify_semigroup_hoelder(corpus)
     stats = report.statistics
     ok = report.passed and stats["n_violations"] == 0
@@ -219,10 +219,9 @@ def test_criterion_06_semigroup_hoelder(capsys):
 def test_criterion_07_resolvent_time_integral(capsys):
     # 100 dissipative instances up to dimension 6: the averaged resolvent
     # equals the truncated semigroup time integral to 1e-6 in operator norm.
-    corpus = Corpus(
-        100, dim_min=2, dim_max=6, seed=3, dissipative=True, min_imag=0.5
-    )
-    report = verify_resolvent_semigroup_identity(corpus, t_max=1e3)
+    corpus = Corpus(100, dim_min=2, dim_max=6, seed=3, min_imag=0.5)
+    matrices = [corpus.matrix(i) for i in range(corpus.n_instances)]
+    report = verify_resolvent_semigroup_identity(matrices, t_max=1e3)
     worst = report.statistics["max_discrepancy"]
     ok = report.passed and worst <= 1e-6
     verdict(
@@ -295,11 +294,16 @@ def test_criterion_09_two_sided_bound_scaling(capsys):
     assert drift <= 0.10
 
 
-def test_criterion_10_manifest_determinism(capsys, tmp_path):
-    # The same experiment with run.workers = 1 and = 8 in its config must emit
+def test_criterion_10_manifest_determinism(capsys, tmp_path, monkeypatch):
+    # The same experiment run with 256 and with 7 samples per chunk must emit
     # byte-identical CSV curves, and a manifest must reproduce cleanly even
-    # after its worker count is edited: the key is accepted and ignored.
-    body = """
+    # after its retired run.workers key is edited: the key is accepted and
+    # ignored.
+    import doslab.montecarlo as montecarlo
+
+    config = tmp_path / "exp.ini"
+    config.write_text(
+        """
 [model]
 half_width = 10
 coupling = 4.0
@@ -311,18 +315,19 @@ eps_values = 0.3
 ell = 1
 n_samples = 300
 master_seed = 11
+workers = 1
 """
-    dir1, dir8 = tmp_path / "w1", tmp_path / "w8"
+    )
     quiet = {"out": io.StringIO(), "err": io.StringIO()}
-    for workers, out_dir in ((1, dir1), (8, dir8)):
-        config = tmp_path / f"exp{workers}.ini"
-        config.write_text(f"{body}workers = {workers}\n")
+    curves = {}
+    for chunk in (256, 7):
+        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
+        out_dir = tmp_path / f"chunk{chunk}"
         assert run(None, str(config), out_dir=str(out_dir), **quiet) == 0
-    bytes1 = (dir1 / "dos-deriv_curve0.csv").read_bytes()
-    bytes8 = (dir8 / "dos-deriv_curve0.csv").read_bytes()
-    identical = bytes1 == bytes8
+        curves[chunk] = (out_dir / "dos-deriv_curve0.csv").read_bytes()
+    identical = curves[256] == curves[7]
 
-    manifest_path = dir1 / "dos-deriv.manifest.json"
+    manifest_path = tmp_path / "chunk7" / "dos-deriv.manifest.json"
     code_same = reproduce(str(manifest_path), **quiet)
     payload = json.loads(manifest_path.read_text())
     payload["config"]["run"]["workers"] = "8"
@@ -334,7 +339,7 @@ master_seed = 11
         capsys,
         10,
         ok,
-        f"determinism: workers 1 vs 8 byte-identical {identical}, "
+        f"determinism: chunks of 256 vs 7 samples byte-identical {identical}, "
         f"reproduce exit {code_same}, reproduce with edited workers exit "
         f"{code_edited}",
     )

@@ -301,7 +301,11 @@ def test_only_verify_loads_the_verify_module(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "command", ["dos", "dos-deriv", "telescope", "fracmom", "verify", "box-telescope"]
+    "command",
+    [
+        "dos", "dos-deriv", "telescope", "fracmom", "verify", "box-telescope",
+        "short-telescope",
+    ],
 )
 def test_only_fracmom_loads_scipy_and_all_imports_precede_the_run(tmp_path, command):
     # a module first imported inside _execute is start-up cost counted as
@@ -310,11 +314,13 @@ def test_only_fracmom_loads_scipy_and_all_imports_precede_the_run(tmp_path, comm
     # and the box telescope load scipy at all
     extra = {
         "dos-deriv": {"ell": 1},
-        # k_max = 12 puts 13 chain sites in the largest prefix: the band sweep
+        # 13 and 6 chain sites in the largest prefix: the band sweep either way
         "telescope": {"ell": 1, "k_max": 12},
+        "short-telescope": {"ell": 1, "k_max": 5},
         "box-telescope": {"ell": 1, "k_max": 8},
     }.get(command, {})
-    cfgp = toy_config(tmp_path, command.removeprefix("box-"), n_samples=4, **extra)
+    kind = command.removeprefix("box-").removeprefix("short-")
+    cfgp = toy_config(tmp_path, kind, n_samples=4, **extra)
     if command == "box-telescope":
         box = Path(cfgp)
         box.write_text(

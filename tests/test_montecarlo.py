@@ -2,7 +2,8 @@
 
 Every stochastic assertion uses a pinned master seed and a 4-sigma band, so
 the suite is deterministic.  Oracles are independent quadratures against the
-single-site law, never a second call into the code under test.
+single-site law or the reference routes of oracles.py, never a second call
+into the code under test.
 """
 
 import math
@@ -16,7 +17,6 @@ from doslab.lattice import (
     FreeOperatorSpec,
     ModelSpec,
     ProjectionFamily,
-    assemble_hamiltonian,
     build_box_enumeration,
 )
 from doslab.montecarlo import (
@@ -32,6 +32,7 @@ from doslab.montecarlo import (
     telescope_series_diagnostic,
 )
 from doslab.quadrature import panel_rule
+from oracles import agrees, assemble_hamiltonian, cdf, resolvent_power_curve
 
 
 def chain_model(half_width, coupling, p=2, hopping=1.0):
@@ -81,9 +82,9 @@ def test_estimate_single_sample_has_zero_stderr():
 
 def test_estimate_agreement_band():
     a = Estimate(1.00, 0.01, 100, 0)
-    assert a.agrees_with(Estimate(1.02, 0.01, 100, 1))
-    assert not a.agrees_with(Estimate(1.20, 0.01, 100, 1))
-    assert a.agrees_with(Estimate(1.20, 0.01, 100, 1), n_sigma=15)
+    assert agrees(a, Estimate(1.02, 0.01, 100, 1))
+    assert not agrees(a, Estimate(1.20, 0.01, 100, 1))
+    assert agrees(a, Estimate(1.20, 0.01, 100, 1), n_sigma=15)
 
 
 def test_config_validation():
@@ -113,9 +114,6 @@ def test_estimates_are_bit_stable_across_reruns():
         "dos": lambda mc: smoothed_dos_curve(model, 7, [0.5], 0.2, mc),
         "ids": lambda mc: ids_curve(model, 7, [-0.5, 0.5, 1.5], mc),
         "score-1": lambda mc: dos_derivative_curve(model, 7, [0.5], 0.2, 1, mc),
-        "resolvent-1": lambda mc: dos_derivative_curve(
-            model, 7, [0.5], 0.2, 1, mc, method="resolvent"
-        ),
         "fracmom": lambda mc: fractional_moment_profile(
             model, 7, 0.5 + 0.2j, 0, [0, 1, 2, 3], 0.5, mc
         ),
@@ -162,29 +160,23 @@ def test_first_derivative_routes_agree():
     model = chain_model(6, coupling=2.0, p=2)
     mc = McConfig(n_samples=4000, master_seed=31)
     by_score = dos_derivative_curve(model, 13, [0.5], 0.3, ell=1, mc=mc)[0]
-    by_power = dos_derivative_curve(
-        model, 13, [0.5], 0.3, ell=1, mc=mc, method="resolvent"
-    )[0]
-    assert by_score.agrees_with(by_power), (by_score, by_power)
+    by_power = resolvent_power_curve(model, 13, [0.5], 0.3, ell=1, mc=mc)[0]
+    assert agrees(by_score, by_power), (by_score, by_power)
 
 
 def test_second_derivative_routes_agree():
     model = chain_model(4, coupling=2.0, p=4)
     mc = McConfig(n_samples=6000, master_seed=77)
     by_score = dos_derivative_curve(model, 9, [0.8], 0.4, ell=2, mc=mc)[0]
-    by_power = dos_derivative_curve(
-        model, 9, [0.8], 0.4, ell=2, mc=mc, method="resolvent"
-    )[0]
-    assert by_score.agrees_with(by_power), (by_score, by_power)
+    by_power = resolvent_power_curve(model, 9, [0.8], 0.4, ell=2, mc=mc)[0]
+    assert agrees(by_score, by_power), (by_score, by_power)
 
 
 def test_resolvent_route_matches_quadrature_oracle():
     # single uncoupled site: E[tr(P0 G^2)] = integral of rho(x)/(cx - z)^2
     model = chain_model(1, coupling=3.0, hopping=0.0)
     mc = McConfig(n_samples=2000, master_seed=13)
-    est = dos_derivative_curve(
-        model, 1, [1.5], 0.5, ell=1, mc=mc, method="resolvent"
-    )[0]
+    est = resolvent_power_curve(model, 1, [1.5], 0.5, ell=1, mc=mc)[0]
     z = 1.5 + 0.5j
     oracle = density_quadrature(model.density, lambda x: 1.0 / (3.0 * x - z) ** 2)
     assert abs(est.mean - oracle) < 4 * est.stderr
@@ -193,15 +185,13 @@ def test_resolvent_route_matches_quadrature_oracle():
 def test_score_route_scales_with_the_coupling():
     # same disorder, couplings 2 and 4: the weight carries a 1/coupling factor,
     # so a mismatch there would show up as a factor-2 bias against the
-    # resolvent route at either coupling
+    # resolvent-power oracle at either coupling
     for lam in (2.0, 4.0):
         model = chain_model(3, coupling=lam, p=3)
         mc = McConfig(n_samples=5000, master_seed=101)
         a = dos_derivative_curve(model, 7, [0.6], 0.5, ell=1, mc=mc)[0]
-        b = dos_derivative_curve(
-            model, 7, [0.6], 0.5, ell=1, mc=mc, method="resolvent"
-        )[0]
-        assert a.agrees_with(b), lam
+        b = resolvent_power_curve(model, 7, [0.6], 0.5, ell=1, mc=mc)[0]
+        assert agrees(a, b), lam
 
 
 def test_score_route_preconditions():
@@ -212,8 +202,6 @@ def test_score_route_preconditions():
     model = chain_model(2, coupling=1.0, p=3)
     with pytest.raises(ValueError, match="orders up to"):
         dos_derivative_curve(model, 5, [0.0], 0.5, ell=3, mc=mc)
-    with pytest.raises(ValueError, match="method"):
-        dos_derivative_curve(model, 5, [0.0], 0.5, ell=1, mc=mc, method="magic")
     with pytest.raises(ValueError, match="imaginary"):
         smoothed_dos_curve(model, 5, [0.0], -0.1, mc)
 
@@ -254,14 +242,13 @@ def test_eps_grid_in_one_pass_equals_per_eps_calls(monkeypatch, route, energies,
             return smoothed_dos_curve(model, 13, energies, eps, mc)
 
     else:
-        method, ell = route.split("-")
+        kind, ell = route.split("-")
         ell = int(ell)
         model = chain_model(6, coupling=2.0, p=2 * ell)
+        estimator = resolvent_power_curve if kind == "resolvent" else dos_derivative_curve
 
         def curve(eps):
-            return dos_derivative_curve(
-                model, 13, energies, eps, ell, mc, method=method
-            )
+            return estimator(model, 13, energies, eps, ell, mc)
 
     grid = curve(np.array(EPS_GRID)[:, None])
     assert len(grid) == len(EPS_GRID) * len(energies)
@@ -287,13 +274,10 @@ def test_single_energy_equals_the_same_point_of_a_grid(route):
         single = smoothed_dos_curve(model, 13, [energy], eps, mc)[0]
         first = smoothed_dos_curve(model, 13, [energy, other], eps, mc)[0]
     else:
-        method, ell = route.split("-")
-        single = dos_derivative_curve(
-            model, 13, [energy], eps, int(ell), mc, method=method
-        )[0]
-        first = dos_derivative_curve(
-            model, 13, [energy, other], eps, int(ell), mc, method=method
-        )[0]
+        kind, ell = route.split("-")
+        estimator = resolvent_power_curve if kind == "resolvent" else dos_derivative_curve
+        single = estimator(model, 13, [energy], eps, int(ell), mc)[0]
+        first = estimator(model, 13, [energy, other], eps, int(ell), mc)[0]
     assert single.mean == first.mean
     assert single.stderr == first.stderr
 
@@ -409,7 +393,7 @@ def test_ids_matches_the_single_site_law():
     mc = McConfig(n_samples=4000, master_seed=3)
     for energy in (0.4, 1.0, 1.6):
         est = ids_curve(model, 5, [energy], mc)[0]
-        want = float(model.density.cdf(energy / 2.0))
+        want = float(cdf(model.density, energy / 2.0))
         assert abs(est.mean - want) < 4 * est.stderr + 1e-12, energy
 
 
@@ -621,14 +605,13 @@ def test_telescope_partial_sums_close_exactly_at_order_zero():
 
 
 def test_telescope_terms_match_independent_volume_estimates():
-    # the resolvent route samples omega_0 like the telescope does (the score
-    # route integrates it), so the identity holds draw for draw
+    # the resolvent-power oracle samples omega_0 like the telescope does
+    # (dos-deriv integrates it), so the identity holds draw for draw
     model = chain_model(4, coupling=2.0)
     mc = McConfig(n_samples=300, master_seed=33)
     term = telescope_series_diagnostic(model, range(3, 4), 0, 0.2, 0.5, mc).terms[0]
     small, large = (
-        dos_derivative_curve(model, n, [0.2], 0.5, 0, mc, method="resolvent")[0]
-        for n in (3, 4)
+        resolvent_power_curve(model, n, [0.2], 0.5, 0, mc)[0] for n in (3, 4)
     )
     assert_allclose(
         complex(term.mean),

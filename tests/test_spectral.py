@@ -10,7 +10,6 @@ from doslab.lattice import (
     FreeOperatorSpec,
     ModelSpec,
     ProjectionFamily,
-    assemble_hamiltonian,
     build_box_enumeration,
 )
 from doslab.montecarlo import McConfig, draw_disorder, ids_curve
@@ -20,6 +19,7 @@ from doslab.spectral import (
     eigen_weights,
     nested_block_traces,
 )
+from oracles import assemble_hamiltonian
 
 
 def random_hermitian(n, seed, complex_entries=False):
@@ -207,11 +207,14 @@ def box_model(dimension, half_width, rank=1, phase=0.0, hopping=True):
 
 @pytest.mark.parametrize(
     "dimension, half_width, rank, phase",
-    [(1, 32, 1, 0.0), (2, 4, 3, 0.0), (2, 7, 5, 0.7)],
+    [(1, 32, 1, 0.0), (2, 4, 3, 0.0), (2, 7, 5, 0.7), (1, 3, 1, 0.4)],
 )
 def test_nested_block_traces_match_eigen_weights_on_every_prefix(
-    dimension, half_width, rank, phase
+    monkeypatch, dimension, half_width, rank, phase
 ):
+    # a chain takes the band sweep whatever its length
+    if dimension == 1:
+        forbid(monkeypatch, "_dense_prefix_traces")
     model = box_model(dimension, half_width, rank, phase)
     n = len(model.site_space)
     om = draw_disorder(model, 5, 0)
@@ -225,6 +228,11 @@ def test_nested_block_traces_match_eigen_weights_on_every_prefix(
         evals, w = eigen_weights(h[:size, :size], block0)
         want = np.sum(w / (evals - z))
         assert abs(tr - want) <= 1e-12 * abs(want)
+    if n < 9:
+        # a short chain's largest prefix may have any length, bandwidth 0 to 2
+        for m in range(1, len(sizes) + 1):
+            alone = nested_block_traces(h, np.zeros((1, n)), z, block0, sizes[:m])
+            assert_allclose(alone[0], got[:m], rtol=1e-12)
 
 
 def test_nested_block_traces_validation():

@@ -134,8 +134,7 @@ def test_corpus_is_deterministic_and_nested():
 
 
 def test_corpus_structure():
-    corpus = Corpus(12, dim_min=2, dim_max=7, seed=1, dissipative=True,
-                    min_imag=0.4)
+    corpus = Corpus(12, dim_min=2, dim_max=7, seed=1, min_imag=0.4)
     for i in range(12):
         m = corpus.matrix(i)
         assert 2 <= m.shape[0] <= 7
@@ -144,8 +143,9 @@ def test_corpus_structure():
 
 
 def test_corpus_pair_perturbation_scale():
+    # the bound's Hoelder slope fit draws B = A + delta C, ||C|| = 1
     corpus = Corpus(4, dim_min=5, dim_max=5, seed=2, delta=1e-3)
-    a, b = corpus.pair(0)
+    a, b, _, _, _ = corpus.bound_instance(0)
     assert abs(np.linalg.norm(b - a, 2) - 1e-3) < 1e-15
 
 
@@ -164,6 +164,8 @@ def test_corpus_validation():
         Corpus(3, dim_min=5, dim_max=2)
     with pytest.raises(ValueError, match="perturbation"):
         Corpus(3, delta=-0.1)
+    with pytest.raises(ValueError, match="imaginary floor"):
+        Corpus(3, min_imag=-0.1)
 
 
 # -- smoothed-trace derivative forms --------------------------------------------
@@ -386,8 +388,7 @@ def test_resolvent_average_bound_validation():
 
 def test_semigroup_hoelder_corpus_has_no_violations():
     report = verify_semigroup_hoelder(
-        Corpus(200, dim_min=2, dim_max=8, seed=17, dissipative=True,
-               min_imag=0.0)
+        Corpus(200, dim_min=2, dim_max=8, seed=17, min_imag=0.0)
     )
     assert report.passed
     assert report.statistics["n_violations"] == 0
@@ -395,9 +396,7 @@ def test_semigroup_hoelder_corpus_has_no_violations():
 
 
 def test_semigroup_hoelder_validation():
-    with pytest.raises(ValueError, match="dissipative"):
-        verify_semigroup_hoelder(Corpus(2, seed=1, dissipative=False))
-    corpus = Corpus(2, seed=1, dissipative=True)
+    corpus = Corpus(2, seed=1)
     with pytest.raises(ValueError, match="exponents"):
         verify_semigroup_hoelder(corpus, s_values=(1.0,))
     with pytest.raises(ValueError, match="forward"):
@@ -426,9 +425,9 @@ def test_identity_scalar_oracle():
 
 
 def test_identity_corpus_at_full_truncation():
-    corpus = Corpus(8, dim_min=2, dim_max=6, seed=18, dissipative=True,
-                    min_imag=0.5)
-    report = verify_resolvent_semigroup_identity(corpus, t_max=1e3)
+    corpus = Corpus(8, dim_min=2, dim_max=6, seed=18, min_imag=0.5)
+    matrices = [corpus.matrix(i) for i in range(corpus.n_instances)]
+    report = verify_resolvent_semigroup_identity(matrices, t_max=1e3)
     assert report.passed
     assert report.statistics["max_discrepancy"] <= 1e-6
 
@@ -450,8 +449,6 @@ def test_identity_discrepancy_non_increasing_in_t_max():
 def test_identity_rejects_non_dissipative():
     with pytest.raises(ValueError, match="dissipative"):
         verify_resolvent_semigroup_identity([random_symmetric(3, seed=20)])
-    with pytest.raises(ValueError, match="dissipative"):
-        verify_resolvent_semigroup_identity(Corpus(2, seed=1))
 
 
 def test_identity_validation():
