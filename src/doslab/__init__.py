@@ -32,7 +32,6 @@ _SUBMODULE_NAMES = {
         "telescope_series_diagnostic",
     ),
     "verify": (
-        "BumpPair",
         "CheckReport",
         "Corpus",
         "run_default_verification",

@@ -462,11 +462,19 @@ def _prepare(cfg: ExperimentConfig) -> _Plan:
     if command == "verify":
         _load_verification()
         return _Plan(cfg, None, 0, None)
-    if command == "telescope" and not cfg.s < 0.5:
-        raise ConfigError(
-            "run.s",
-            f"telescoping needs a fractional exponent below 1/2, got {cfg.s}",
-        )
+    if command == "telescope":
+        if not cfg.s < 0.5:
+            raise ConfigError(
+                "run.s",
+                f"telescoping needs a fractional exponent below 1/2, got {cfg.s}",
+            )
+        for key in ("energies", "eps_values"):
+            values = getattr(cfg, key)
+            if len(values) != 1:
+                raise ConfigError(
+                    f"run.{key}",
+                    f"telescope takes one value, got {len(values)}",
+                )
     if command in ("dos", "dos-deriv") and cfg.p > TRANSFORM_MAX_P:
         raise ConfigError(
             "disorder.p",
@@ -615,7 +623,7 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
                 )
                 index += 1
     elif command == "telescope":
-        energy, eps = cfg.energies[0], cfg.eps_values[0]
+        (energy,), (eps,) = cfg.energies, cfg.eps_values
         report = telescope_series_diagnostic(
             model, range(cfg.k_min, cfg.k_max + 1), cfg.ell, energy, eps, mc
         )
@@ -762,7 +770,11 @@ def _first_differing_row(old: bytes, new: bytes) -> str:
 
 
 def reproduce(manifest_path: str, out=None, err=None) -> int:
-    """Re-run a manifest and byte-compare the outputs; 0 iff identical."""
+    """Re-run a manifest and byte-compare the outputs.
+
+    0 when identical, 1 on a difference, 3 when the re-run fails; a failed
+    verify run is compared first, since it still writes its report.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
@@ -772,14 +784,19 @@ def reproduce(manifest_path: str, out=None, err=None) -> int:
         print(f"config error: {exc}", file=err)
         return EXIT_CONFIG
 
+    failure = None
     try:
         artifacts, _ = _execute(plan)
     except (
         RuntimeError, np.linalg.LinAlgError, FloatingPointError, OverflowError
     ) as exc:
-        # RuntimeError covers NumericalFailure and the solver residual guards
-        print(f"numerical failure: {exc}", file=err)
-        return EXIT_NUMERICAL
+        # RuntimeError covers NumericalFailure and the solver residual guards;
+        # a failed verify run still carries its report to compare
+        artifacts = getattr(exc, "artifacts", None)
+        if artifacts is None:
+            print(f"numerical failure: {exc}", file=err)
+            return EXIT_NUMERICAL
+        failure = exc
 
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
     mismatches = 0
@@ -808,7 +825,12 @@ def reproduce(manifest_path: str, out=None, err=None) -> int:
     for name in extra:
         print(f"{name}: produced by the re-run but absent from the manifest", file=err)
         mismatches += 1
-    return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
+    if mismatches:
+        return EXIT_MISMATCH
+    if failure is not None:
+        print(f"numerical failure: {failure}", file=err)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from numpy.polynomial import polynomial as npoly
 
 from doslab import montecarlo
 from doslab.montecarlo import Estimate
+from doslab.quadrature import panel_rule
 from doslab.spectral import eigen_weights
 
 
@@ -96,3 +97,23 @@ def resolvent_power_curve(model, n_prefix_sites, energies, eps, ell, mc):
         return fac * weighted_resolvent_power(evals, w, zs, ell + 1)
 
     return montecarlo._estimate(vol, mc, zs.size, montecarlo._each(row))
+
+
+def averaged_imag_quadrature(a, b, phi, mu, energies, eps):
+    """integral mu(t) Im <phi, (A + t B - E - i eps)^(-1) phi> dt for each E.
+
+    Composite Gauss in t on panels a few times narrower than the width-eps
+    resonances, with one eigh of A + t B per node, so any symmetric B works:
+    the reference for the closed-form B = I transform of
+    verify_spectral_averaging.
+    """
+    n_panels = max(16, int(math.ceil(2.0 / eps)))
+    t, wt = panel_rule(0.0, 1.0, 8, n_panels)
+    evals, evecs = np.linalg.eigh(a[None, :, :] + t[:, None, None] * b[None, :, :])
+    coef = np.abs(np.einsum("tij,i->tj", evecs.conj(), phi)) ** 2  # (T, d)
+    out = np.empty(len(energies))
+    for start in range(0, len(energies), 50):
+        sl = slice(start, start + 50)
+        kernel = eps / ((evals[:, :, None] - energies[None, None, sl]) ** 2 + eps**2)
+        out[sl] = np.einsum("t,tj,tjz->z", wt * mu.eval(t), coef, kernel, optimize=True)
+    return out

@@ -201,7 +201,7 @@ def test_criterion_05_derivative_form_quadrature(capsys):
 def test_criterion_06_semigroup_hoelder(capsys):
     # 10^4 dissipative pairs up to dimension 8, three exponents, six times:
     # not a single Hoelder-in-generator violation beyond 1e-10 slack.
-    corpus = Corpus(10_000, dim_min=2, dim_max=8, seed=12, min_imag=0.0)
+    corpus = Corpus(10_000, dim_min=2, dim_max=8, seed=12)
     report = verify_semigroup_hoelder(corpus)
     stats = report.statistics
     ok = report.passed and stats["n_violations"] == 0
@@ -219,7 +219,7 @@ def test_criterion_06_semigroup_hoelder(capsys):
 def test_criterion_07_resolvent_time_integral(capsys):
     # 100 dissipative instances up to dimension 6: the averaged resolvent
     # equals the truncated semigroup time integral to 1e-6 in operator norm.
-    corpus = Corpus(100, dim_min=2, dim_max=6, seed=3, min_imag=0.5)
+    corpus = Corpus(100, dim_min=2, dim_max=6, seed=3)
     matrices = [corpus.matrix(i) for i in range(corpus.n_instances)]
     report = verify_resolvent_semigroup_identity(matrices, t_max=1e3)
     worst = report.statistics["max_discrepancy"]
@@ -239,15 +239,13 @@ def test_criterion_08_spectral_averaging(capsys):
     # Scalar case: the averaged imaginary part must saturate the smoothing
     # cap pi*sup(rho) within 1% at the finest eps.  6x6 corpus: the sup is
     # stable within 2% across the eps ladder.
-    scalar = verify_spectral_averaging(
-        np.array([[0.3]]), np.eye(1), np.array([1.0])
-    )
+    scalar = verify_spectral_averaging(np.array([[0.3]]), np.array([1.0]))
     sup = scalar.statistics["sup_values"][-1]
     cap = scalar.statistics["poisson_cap"]
     deficit = (cap - sup) / cap
     corpus_reports = [
-        verify_spectral_averaging(a, b, phi)
-        for a, b, phi in averaging_corpus(3, dim=6, seed=10)
+        verify_spectral_averaging(a, phi)
+        for a, phi in averaging_corpus(3, dim=6, seed=10)
     ]
     drifts = [max(r.statistics["drifts"]) for r in corpus_reports]
     ok = (

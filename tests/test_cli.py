@@ -32,7 +32,8 @@ def write_config(path, body):
 def toy_config(tmp_path, command, *, n_samples=30, **overrides):
     run_keys = {
         "command": command,
-        "energies": "-0.5, 0.0, 0.5",
+        # telescope takes one energy: the first of the others' grid
+        "energies": "-0.5" if command == "telescope" else "-0.5, 0.0, 0.5",
         "eps_values": "0.3",
         "s": "0.3",
         "n_samples": str(n_samples),
@@ -422,6 +423,17 @@ def test_run_telescope_large_s_exits_2(tmp_path):
     assert "run.s" in err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("energies", "-0.5, 0.0, 0.5"), ("eps_values", "0.3, 0.1")]
+)
+def test_run_telescope_with_more_than_one_value_exits_2(tmp_path, key, value):
+    cfgp = toy_config(tmp_path, "telescope", ell="1", **{key: value})
+    code, _, err = run_quiet(None, cfgp)
+    assert code == 2
+    assert f"run.{key}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_deriv_order_beyond_smoothness_exits_2(tmp_path):
     cfgp = toy_config(tmp_path, "dos-deriv", ell="2")  # p=2 allows ell<=1
     code, _, err = run_quiet(None, cfgp)
@@ -504,6 +516,33 @@ def test_run_verify_failure_exits_3_but_keeps_report(tmp_path, monkeypatch):
     assert "beta" in err
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert [c["passed"] for c in report] == [True, False]
+
+
+def test_reproduce_compares_a_failed_verify_report(tmp_path, monkeypatch):
+    import doslab.cli as cli_mod
+
+    def failing(witness):
+        return lambda seed: [
+            CheckReport(name="alpha", passed=False, slack=1e-10, witness=witness)
+        ]
+
+    monkeypatch.setattr(cli_mod, "run_default_verification", failing({"bad": 1.0}))
+    cfgp = write_config(
+        tmp_path / "v.ini",
+        f"[run]\ncommand = verify\n[output]\ndirectory = {tmp_path}\n",
+    )
+    assert run_quiet(None, cfgp)[0] == 3
+    manifest = str(tmp_path / "verify.manifest.json")
+
+    out_buf, err_buf = io.StringIO(), io.StringIO()
+    assert reproduce(manifest, out=out_buf, err=err_buf) == 3
+    assert "verify_report.json: identical" in out_buf.getvalue()
+    assert "alpha" in err_buf.getvalue()
+
+    monkeypatch.setattr(cli_mod, "run_default_verification", failing({"bad": 2.0}))
+    err_buf = io.StringIO()
+    assert reproduce(manifest, out=io.StringIO(), err=err_buf) == 1
+    assert "verify_report.json: first difference at row" in err_buf.getvalue()
 
 
 def test_non_finite_estimates_exit_3(tmp_path, monkeypatch):
