@@ -8,7 +8,7 @@ certifies the operator inequalities the estimators rely on by quadrature.
 
 import importlib
 
-__version__ = "0.8.1"
+__version__ = "0.9.0"
 
 # exported names by submodule, each loaded on first access (PEP 562): a chain
 # run then loads no scipy, and `python -m doslab.cli` finds no doslab.cli

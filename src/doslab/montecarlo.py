@@ -21,7 +21,8 @@ tr(P_0 G) = sum_k 1/(lambda omega_0 - mu_k), where the mu_k
 (block_coupling_poles) do not depend on omega_0, so a sample's row is
 E[row | the other couplings], one Stieltjes transform of the single-site law
 per mu_k.  Each `dos` row is then at most rank * sup rho / lambda (a Wegner
-bound), whatever eps.
+bound), whatever eps.  `fracmom` does the same for a one-site source block,
+by the rank-one resolvent identity (see fractional_moment_profile).
 
 Energy derivatives of E[tr(P_0 (h - E - i eps)^{-1})] take one route, the
 score route: every E-derivative moves onto the couplings and, by parts, onto
@@ -43,7 +44,7 @@ import numpy as np
 # of the first sample
 import numpy.random  # noqa: F401
 
-from .disorder import stieltjes_transform
+from .disorder import fractional_inverse_moment, stieltjes_transform
 from .lattice import ModelSpec
 from .spectral import CscPattern, block_coupling_poles, eigen_weights
 from .spectral import nested_block_traces
@@ -325,8 +326,19 @@ def fractional_moment_profile(
 
     One sparse factorization per sample serves every target, so the
     per-distance estimates share their disorder realizations.  The pattern of
-    h0 plus the diagonal is built once; a sample only rewrites the diagonal
-    entries of a copy of its data, so no dense matrix is assembled.
+    h0 plus the diagonal and its fill-reducing order are built once; a sample
+    only rewrites the diagonal entries of a copy of its data, so no dense
+    matrix is assembled.
+
+    A source block of one site a has its coupling integrated exactly: with
+    G^ the resolvent at omega_src = 0 and g = G^(a, a), the rank-one
+    resolvent identity gives G(., a) = G^(., a) / (1 + lambda omega_src g),
+    so a sample factors h - z at omega_src = 0 and its row is
+    ||P_t G^ P_a||^s J with J = integral rho(x) |1 + lambda x g|^(-s) dx,
+    one scalar shared by every target (fractional_inverse_moment, at the
+    peak c = -1 / (lambda g), whose Im c >= Im z / lambda).  A source block
+    of rank r > 1 keeps the sampled omega_src: the 2-norm of an r x r block
+    has kinks in omega_src, which no fixed rule integrates exactly.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional exponent s={s} outside (0, 1)")
@@ -338,21 +350,35 @@ def fractional_moment_profile(
     src_sites = model.projections.sites_of_block(source_block)
     tgt_sites = [model.projections.sites_of_block(t) for t in targets]
     pattern = CscPattern(*model.free.entries(vol.n_sites), vol.n_sites)
+    rank_one = len(src_sites) == 1
+    lam = model.coupling
+    min_imag = complex(z).imag / lam  # a lower bound on Im c, c below
 
-    def row(om):
-        data = pattern.data.copy()
-        data[pattern.diag] += model.coupling * np.repeat(om, vol.sizes)
-        cols = pattern.resolvent_columns(data, z, src_sites)
-        out = np.empty(len(targets))
-        for j, idx in enumerate(tgt_sites):
-            block = cols[idx, :]
-            if block.shape == (1, 1):
-                out[j] = abs(block[0, 0])
-            else:
-                out[j] = np.linalg.norm(block, 2)
-        return out**s
+    def rows(oms):
+        if rank_one:
+            oms = oms.copy()
+            oms[:, source_block] = 0.0
+        norms = np.empty((len(oms), len(targets)))
+        g = np.empty(len(oms), dtype=np.complex128)
+        for i, om in enumerate(oms):
+            data = pattern.data.copy()
+            data[pattern.diag] += lam * np.repeat(om, vol.sizes)
+            cols = pattern.resolvent_columns(data, z, src_sites)
+            g[i] = cols[src_sites[0], 0]
+            for j, idx in enumerate(tgt_sites):
+                block = cols[idx, :]
+                if block.shape == (1, 1):
+                    norms[i, j] = abs(block[0, 0])
+                else:
+                    norms[i, j] = np.linalg.norm(block, 2)
+        out = norms**s
+        if rank_one:
+            c = -1.0 / (lam * g)
+            moment = fractional_inverse_moment(model.density, s, c, min_imag)
+            out *= (np.abs(c) ** s * moment)[:, None]
+        return out
 
-    return _estimate(vol, mc, len(targets), _each(row), dtype=np.float64)
+    return _estimate(vol, mc, len(targets), rows, dtype=np.float64)
 
 
 def fit_decay(

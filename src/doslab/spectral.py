@@ -49,32 +49,64 @@ def _as_z(z) -> complex:
 class CscPattern:
     """Compressed-column pattern of an n x n matrix, every diagonal entry stored.
 
-    Built once from (rows, cols, vals) entries, duplicates summed.  data[diag]
-    are the diagonal entries, so a shift or a disorder draw touches only them.
+    Built once from (rows, cols, vals) entries, duplicates summed.  The
+    fill-reducing order of the factorization depends on the pattern alone,
+    so it is computed here, once: SuperLU's minimum-degree order on the
+    pattern of A^T + A.  The pattern and data are stored in that order, as
+    P a P^T, with site i in position _position[i].  data[diag[i]] is the
+    diagonal entry of site i, so a shift or a disorder draw touches only the
+    entries data[diag].
     """
 
     def __init__(self, rows, cols, vals, n: int):
         import scipy.sparse as sp
+        from scipy.sparse.linalg import spilu
 
         ar = np.arange(n)
-        ij = (np.concatenate([rows, ar]), np.concatenate([cols, ar]))
-        a = sp.csc_array((np.concatenate([vals, np.zeros(n)]), ij), shape=(n, n))
-        a.sum_duplicates()
+        rows, cols = np.concatenate([rows, ar]), np.concatenate([cols, ar])
+        vals = np.concatenate([vals, np.zeros(n)])
+
+        def csc(row_pos, col_pos):
+            a = sp.csc_array((vals, (row_pos, col_pos)), shape=(n, n))
+            a.sum_duplicates()
+            diag = np.flatnonzero(a.indices == np.repeat(ar, np.diff(a.indptr)))
+            return a, diag
+
+        # any matrix with this pattern yields the order; a diagonally
+        # dominant one factors without breakdown, and an incomplete factor,
+        # which runs the same ordering step, costs a third of a complete one
+        a, diag = csc(rows, cols)
+        a.data[:] = 1.0
+        a.data[diag] = np.diff(a.indptr) + 1.0
+        lu = spilu(
+            a,
+            drop_tol=0.9,
+            fill_factor=1.0,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        # perm_c[k] is the position of site k
+        self._position = lu.perm_c
+        del a, diag, lu
+        a, diag = csc(self._position[rows], self._position[cols])
         self.indptr, self.indices, self.data = a.indptr, a.indices, a.data
-        self.diag = np.flatnonzero(a.indices == np.repeat(ar, np.diff(a.indptr)))
+        self.diag = diag[self._position]
+        # one complex matrix whose data each factorization overwrites
+        self._shifted = sp.csc_array(
+            (np.zeros(a.nnz, dtype=np.complex128), a.indices, a.indptr), shape=(n, n)
+        )
 
     def resolvent_columns(self, data: np.ndarray, z, columns) -> np.ndarray:
         """Columns of (a - z)^{-1}, a the Hermitian matrix with this pattern and data.
 
-        One SuperLU factorization of a - z serves every column: minimum-degree
-        ordering on the pattern of A^T + A, applied symmetrically, with pivots
-        on the diagonal.  No pivot can vanish: every leading block of
-        P (a - z) P^T has imaginary part <= -Im z, so every pivot has modulus
-        >= Im z.  Each column is checked against
-        ||(a - z) x - e|| <= 1e-10 * (||a||_inf + |z|), which a failed
+        One SuperLU factorization of P (a - z) P^T, in the stored order and
+        with pivots on the diagonal, serves every column.  No pivot can
+        vanish: every leading block of P (a - z) P^T has imaginary part
+        <= -Im z, so every pivot has modulus >= Im z.  Each column is checked
+        against ||(a - z) x - e|| <= 1e-10 * (||a||_inf + |z|), which a failed
         factorization or solve fails too.
         """
-        from scipy.sparse import csc_array
         from scipy.sparse.linalg import splu
 
         zc, n = _as_z(z), len(self.diag)
@@ -82,20 +114,21 @@ class CscPattern:
         if cols.size and (cols.min() < 0 or cols.max() >= n):
             raise ValueError("column index outside the matrix")
         scale = np.bincount(self.indices, np.abs(data), n).max(initial=0.0) + abs(zc)
-        shifted = data.astype(np.complex128)
-        shifted[self.diag] -= zc
-        a = csc_array((shifted, self.indices, self.indptr), shape=(n, n))
+        a = self._shifted
+        a.data[:] = data
+        a.data[self.diag] -= zc
+        # right-hand sides and solutions in the stored order
         rhs = np.zeros((n, cols.size), dtype=np.complex128)
-        rhs[cols, np.arange(cols.size)] = 1.0
+        rhs[self._position[cols], np.arange(cols.size)] = 1.0
         try:
             opts = {"SymmetricMode": True}
-            lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=opts)
-            x = lu.solve(rhs)
+            lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=opts)
+            y = lu.solve(rhs)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            x = np.full_like(rhs, np.nan)
-        resid = np.linalg.norm(a @ x - rhs, axis=0)
+            y = np.full_like(rhs, np.nan)
+        resid = np.linalg.norm(a @ y - rhs, axis=0)
         _check_residual(resid, np.full(resid.shape, scale), "resolvent solve")
-        return x
+        return y[self._position]
 
 
 def _lu_without_pivoting(a: np.ndarray) -> None:

@@ -363,10 +363,13 @@ def _finite_smooth_curves(
         traces = np.sum(
             1.0 / (evals[:, :, None] - zflat[None, None, :]), axis=1
         )  # (m, E*5)
-        h_vals += weights[start:stop] @ traces
-        form += (weights[start:stop] * scores[start:stop]) @ traces[:, center]
+        # fixed-order sums, not BLAS, whose order moves with its thread count
+        h_vals += np.einsum("m,mk->k", weights[start:stop], traces)
+        form += np.einsum(
+            "m,mk->k", weights[start:stop] * scores[start:stop], traces[:, center]
+        )
     h_vals = h_vals.reshape(zs.shape)
-    fd = h_vals @ stencil / fd_step**ell
+    fd = np.einsum("ek,k->e", h_vals, stencil) / fd_step**ell
     return fd, form / coupling**ell
 
 

@@ -99,6 +99,38 @@ def resolvent_power_curve(model, n_prefix_sites, energies, eps, ell, mc):
     return montecarlo._estimate(vol, mc, zs.size, montecarlo._each(row))
 
 
+def source_averaged_fractional_moments(
+    model, n_prefix_sites, z, source_block, target_blocks, s, mc
+):
+    """E[||P_t (h - z)^(-1) P_src||^s] with the source coupling integrated by quadrature.
+
+    Each sample keeps its other couplings; omega_src runs over a composite
+    Gauss rule of 64 panels x 8 nodes on [0, 1] against the single-site law,
+    with one dense solve of the densely assembled h - z per node.  The
+    reference for the source-conditioned rows of fractional_moment_profile:
+    the integrand's peak has width at least Im z / coupling, so panels of
+    width 1/64 resolve it for the models the tests use.
+    """
+    vol = montecarlo._Volume(model, n_prefix_sites)
+    x, w = panel_rule(0.0, 1.0, 8, 64)
+    w = w * model.density.eval(x)
+    n = vol.n_sites
+    src = model.projections.sites_of_block(source_block)
+    tgts = [model.projections.sites_of_block(t) for t in target_blocks]
+
+    def row(om):
+        oms = np.repeat(om[None, :], len(x), axis=0)
+        oms[:, source_block] = x
+        h = np.array([assemble_hamiltonian(model, o, n) for o in oms])
+        g = np.linalg.solve(h - z * np.eye(n), np.eye(n)[:, src])
+        norms = [np.linalg.norm(g[:, t], 2, axis=(1, 2)) for t in tgts]
+        return np.array([np.sum(w * v**s) for v in norms])
+
+    return montecarlo._estimate(
+        vol, mc, len(tgts), montecarlo._each(row), dtype=np.float64
+    )
+
+
 def averaged_imag_quadrature(a, b, phi, mu, energies, eps):
     """integral mu(t) Im <phi, (A + t B - E - i eps)^(-1) phi> dt for each E.
 

@@ -283,3 +283,53 @@ def test_stieltjes_transform_of_a_point_does_not_depend_on_the_batch(p, order):
 
     got = stieltjes_transform(rho, order, us)
     assert all(got[i] == stieltjes_transform(rho, order, u) for i, u in enumerate(us))
+
+
+def quad_inverse_moment(rho, s, c):
+    """integral rho(x) |x - c|^(-s) dx by adaptive quadrature, split at Re c."""
+    peak = [c.real] if 0.0 < c.real < 1.0 else None
+    value, _ = quad(
+        lambda x: rho.eval(x) * abs(x - c) ** (-s),
+        0.0, 1.0, points=peak, limit=500, epsabs=0.0, epsrel=1e-13,
+    )
+    return value
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+def test_fractional_inverse_moment_matches_adaptive_quadrature_to_1e12(p):
+    from doslab.disorder import fractional_inverse_moment
+
+    rho = SingleSiteDensity(p)
+    # peaks inside, at the ends of and outside [0, 1], from width 1e-5 to 3
+    cs = np.array(
+        [complex(re, im) for re in (-1.5, 0.0, 0.23, 0.5, 0.97, 2.5)
+         for im in (1e-5, 1e-2, 0.3, 3.0)]
+    )
+    for s in (0.1, 0.5, 0.9):
+        got = fractional_inverse_moment(rho, s, cs, 1e-5)
+        want = np.array([quad_inverse_moment(rho, s, c) for c in cs])
+        rel = np.abs(got - want) / want
+        worst = int(np.argmax(rel))
+        assert rel[worst] <= 1e-12, (s, cs[worst], rel[worst])
+
+
+def test_fractional_inverse_moment_of_a_point_does_not_depend_on_the_batch():
+    from doslab.disorder import fractional_inverse_moment
+
+    rho = SingleSiteDensity(2)
+    rng = np.random.default_rng(3)
+    cs = rng.uniform(-2.0, 3.0, 300) + 1j * rng.uniform(1e-3, 1.5, 300)
+    got = fractional_inverse_moment(rho, 0.4, cs, 1e-3)
+    for i in (0, 1, 7, 150, 299):
+        assert fractional_inverse_moment(rho, 0.4, cs[i : i + 1], 1e-3)[0] == got[i]
+
+
+def test_fractional_inverse_moment_rejects_the_real_axis():
+    from doslab.disorder import fractional_inverse_moment
+
+    rho = SingleSiteDensity(2)
+    with pytest.raises(ValueError, match="Im c"):
+        fractional_inverse_moment(rho, 0.5, [0.5 + 0.1j, 0.5], 0.1)
+    with pytest.raises(ValueError, match="Im c"):
+        fractional_inverse_moment(rho, 0.5, [0.5 + 0.1j], 0.0)

@@ -32,7 +32,13 @@ from doslab.montecarlo import (
     telescope_series_diagnostic,
 )
 from doslab.quadrature import panel_rule
-from oracles import agrees, assemble_hamiltonian, cdf, resolvent_power_curve
+from oracles import (
+    agrees,
+    assemble_hamiltonian,
+    cdf,
+    resolvent_power_curve,
+    source_averaged_fractional_moments,
+)
 
 
 def chain_model(half_width, coupling, p=2, hopping=1.0):
@@ -436,7 +442,10 @@ def test_fractional_moment_on_site_matches_quadrature():
     s = 1.0 / 3.0
     est = fractional_moment_profile(model, 1, z, 0, [0], s, mc)[0]
     oracle = density_quadrature(model.density, lambda x: np.abs(2.0 * x - z) ** (-s))
-    assert abs(est.mean - oracle) < 4 * est.stderr
+    # the source coupling is integrated exactly, so every sample gives the
+    # oracle's value and the stderr vanishes
+    assert abs(est.mean - oracle) <= 1e-12 * oracle
+    assert est.stderr <= 1e-12
 
 
 def test_fractional_moment_respects_the_shift_bound():
@@ -492,6 +501,45 @@ def test_fractional_moment_matches_dense_oracle_without_dense_assembly(monkeypat
     profile = fractional_moment_profile(model, n, z, 0, targets, s, mc)
     for est, want in zip(profile, np.mean(oracle, axis=0)):
         assert abs(est.mean - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize(
+    "box", [(1, 10, 0.4, 2.0, 0.5 + 0.1j), (2, 2, 0.7, 3.0, 0.4 + 0.2j)],
+    ids=["chain-phase", "box2d-phase"],
+)
+def test_fractional_moment_rank_one_rows_match_source_quadrature(box):
+    # a rank-one source has its coupling integrated exactly: every target's
+    # mean, the source's own included, matches a brute-force rule in
+    # omega_src with one dense solve per node, sample by sample
+    dimension, half_width, phase, coupling, z = box
+    space = build_box_enumeration(dimension, half_width)
+    model = ModelSpec(
+        site_space=space,
+        projections=ProjectionFamily.contiguous(len(space)),
+        free=FreeOperatorSpec.nearest_neighbor(
+            space, amplitude=complex(math.cos(phase), math.sin(phase))
+        ),
+        coupling=coupling,
+        density=SingleSiteDensity(2),
+    )
+    n, targets, s = len(space), [0, 1, 2, 5, 9], 0.4
+    mc = McConfig(n_samples=6, master_seed=19)
+    got = fractional_moment_profile(model, n, z, 0, targets, s, mc)
+    want = source_averaged_fractional_moments(model, n, z, 0, targets, s, mc)
+    for est, ref in zip(got, want):
+        assert abs(est.mean - ref.mean) <= 1e-9 * ref.mean
+        assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
+
+
+def test_fractional_moment_source_rule_carries_its_drift_guard(monkeypatch):
+    import doslab.disorder as disorder
+
+    model = chain_model(2, coupling=1.0)
+    mc = McConfig(n_samples=2, master_seed=0)
+    fractional_moment_profile(model, 5, 0.5 + 0.1j, 0, [1, 2], 0.5, mc)
+    monkeypatch.setattr(disorder, "_GRADED_DRIFT_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="node doubling"):
+        fractional_moment_profile(model, 5, 0.5 + 0.1j, 0, [1, 2], 0.5, mc)
 
 
 def test_fractional_moment_validation():
@@ -658,6 +706,38 @@ def test_telescope_terms_are_bit_stable_across_chunks_and_workers(monkeypatch, e
         mc = McConfig(n_samples=40, master_seed=61)
         r = telescope_series_diagnostic(model, range(2, 11), ell, 0.5, 0.2, mc)
         ests = (*r.terms, r.base, r.direct)
+        return [e.mean for e in ests], [e.stderr for e in ests]
+
+    want = run(default)
+    for chunk in (1, 7, default):
+        assert run(chunk) == want, chunk
+
+
+@pytest.mark.parametrize("rank", [1, 7])
+def test_fractional_moments_are_bit_stable_across_chunks(monkeypatch, rank):
+    import doslab.montecarlo as montecarlo
+
+    # rank 1 takes the source-conditioned rows on a chain, rank 7 the
+    # sampled source on a 2-d box with a phase
+    if rank == 1:
+        model = chain_model(8, coupling=2.0)
+        n, z, targets = 17, 0.5 + 0.1j, [0, 1, 3, 8]
+    else:
+        space = build_box_enumeration(2, 3)
+        model = ModelSpec(
+            site_space=space,
+            projections=ProjectionFamily.contiguous(len(space), rank=7),
+            free=FreeOperatorSpec.nearest_neighbor(space, amplitude=complex(0.6, 0.8)),
+            coupling=3.0,
+            density=SingleSiteDensity(2),
+        )
+        n, z, targets = len(space), 0.4 + 0.1j, [0, 1, 3, 6]
+    default = montecarlo._CHUNK_SAMPLES
+
+    def run(chunk):
+        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
+        mc = McConfig(n_samples=20, master_seed=67)
+        ests = fractional_moment_profile(model, n, z, 0, targets, 0.5, mc)
         return [e.mean for e in ests], [e.stderr for e in ests]
 
     want = run(default)

@@ -196,6 +196,41 @@ def test_finite_smooth_refinement_certificate():
     )
 
 
+def test_finite_smooth_report_does_not_depend_on_blas_threads():
+    # the quadrature sums run in a fixed order, so a report's bytes are the
+    # same at any BLAS thread count
+    import os
+    import subprocess
+    import sys
+
+    import doslab
+
+    script = (
+        "import numpy as np\n"
+        "from doslab.verify import verify_finite_smooth\n"
+        "g = np.random.default_rng(0).standard_normal((3, 3))\n"
+        "print(verify_finite_smooth((g + g.T) / 2, coupling=1.5, eps=0.3, ell=1)"
+        ".to_json())\n"
+    )
+    src = os.path.dirname(os.path.dirname(doslab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": path,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append(done.stdout)
+    assert json.loads(reports[0])["name"] == "finite_smooth_derivative_forms"
+    assert reports[0] == reports[1]
+
+
 def test_finite_smooth_grouped_projections():
     free = random_symmetric(4, seed=6)
     report = verify_finite_smooth(
