@@ -4,9 +4,10 @@ A run is described by a sectioned key=value config (model, disorder, run,
 output), executed by one of six commands, and leaves behind one CSV per
 curve plus a manifest recording the resolved config and per-file checksums.
 Re-running any manifest must reproduce the CSV bytes exactly; plotting
-happens elsewhere, on the CSV files.  The retired keys run.workers and
-output.formats are accepted and ignored, so configs that still set them run
-unchanged.
+happens elsewhere, on the CSV files.  Each config key is the
+ExperimentConfig field it sets, parsed and written by the codec of the
+field's type.  The retired keys run.workers and output.formats are accepted
+and ignored, so configs that still set them run unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -63,6 +64,13 @@ class NumericalFailure(RuntimeError):
     """A run produced non-finite values or a solver gave up."""
 
 
+# what a run may raise once it samples; NumericalFailure and the solvers'
+# residual guards are RuntimeErrors
+_NUMERICAL_ERRORS = (
+    RuntimeError, np.linalg.LinAlgError, FloatingPointError, OverflowError
+)
+
+
 # ---------------------------------------------------------------------------
 # config value codecs
 
@@ -89,43 +97,51 @@ def _parse_float(path: str, text: str) -> float:
     return v
 
 
-def _parse_float_list(path: str, text: str) -> tuple[float, ...]:
-    """Comma list of numbers, or a lo:hi:count uniform-grid shorthand."""
+def _parse_list(path: str, text: str, parse_item, shorthand) -> tuple:
+    """Comma list of items, or the colon shorthand of the item type."""
     text = text.strip()
     if not text:
         raise ConfigError(path, "list must not be empty")
     if ":" in text and "," not in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(path, f"grid shorthand is lo:hi:count, got {text!r}")
-        lo = _parse_float(path, parts[0])
-        hi = _parse_float(path, parts[1])
-        count = _parse_int(path, parts[2])
-        if count < 1:
-            raise ConfigError(path, f"grid needs at least one point, got {count}")
-        return tuple(float(v) for v in np.linspace(lo, hi, count))
-    return tuple(_parse_float(path, tok) for tok in text.split(","))
+        return shorthand(path, text, text.split(":"))
+    return tuple(parse_item(path, tok) for tok in text.split(","))
 
 
-def _parse_int_list(path: str, text: str) -> tuple[int, ...]:
-    """Comma list of integers, or an inclusive lo:hi shorthand."""
-    text = text.strip()
-    if not text:
-        raise ConfigError(path, "list must not be empty")
-    if ":" in text and "," not in text:
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise ConfigError(path, f"range shorthand is lo:hi, got {text!r}")
-        lo = _parse_int(path, parts[0])
-        hi = _parse_int(path, parts[1])
-        if hi < lo:
-            raise ConfigError(path, f"range {lo}:{hi} is empty")
-        return tuple(range(lo, hi + 1))
-    return tuple(_parse_int(path, tok) for tok in text.split(","))
+def _float_grid(path: str, text: str, parts: list[str]) -> tuple[float, ...]:
+    """lo:hi:count, a uniform grid."""
+    if len(parts) != 3:
+        raise ConfigError(path, f"grid shorthand is lo:hi:count, got {text!r}")
+    lo, hi = _parse_float(path, parts[0]), _parse_float(path, parts[1])
+    count = _parse_int(path, parts[2])
+    if count < 1:
+        raise ConfigError(path, f"grid needs at least one point, got {count}")
+    return tuple(float(v) for v in np.linspace(lo, hi, count))
 
 
-def _fmt_list(values, fmt) -> str:
-    return ", ".join(fmt(v) for v in values)
+def _int_range(path: str, text: str, parts: list[str]) -> tuple[int, ...]:
+    """lo:hi, an inclusive range."""
+    if len(parts) != 2:
+        raise ConfigError(path, f"range shorthand is lo:hi, got {text!r}")
+    lo, hi = _parse_int(path, parts[0]), _parse_int(path, parts[1])
+    if hi < lo:
+        raise ConfigError(path, f"range {lo}:{hi} is empty")
+    return tuple(range(lo, hi + 1))
+
+
+# declared field type -> (parse(path, text) -> value, fmt(value) -> text)
+_CODECS = {
+    "int": (_parse_int, str),
+    "float": (_parse_float, _fmt_float),
+    "str": (lambda path, text: text.strip(), str),
+    "tuple[float, ...]": (
+        lambda path, text: _parse_list(path, text, _parse_float, _float_grid),
+        lambda v: ", ".join(map(_fmt_float, v)),
+    ),
+    "tuple[int, ...]": (
+        lambda path, text: _parse_list(path, text, _parse_int, _int_range),
+        lambda v: ", ".join(map(str, v)),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +243,9 @@ class ExperimentConfig:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError("(file)", f"not parseable: {exc}") from None
-        mapping = {sec: dict(parser.items(sec)) for sec in parser.sections()}
-        seen_m = mapping.get("disorder", {}).pop("m", None)
-        kwargs = _fields(mapping)
-        if seen_m is not None:
-            m = _parse_int("disorder.m", seen_m)
-            if "p" in kwargs:
-                raise ConfigError("disorder.m", "give p or m, not both")
-            if m < 0:
-                raise ConfigError("disorder.m", f"must be >= 0, got {m}")
-            kwargs["p"] = m + 1
-        return cls(**kwargs)
+        return cls.from_mapping(
+            {sec: dict(parser.items(sec)) for sec in parser.sections()}
+        )
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -255,14 +263,10 @@ class ExperimentConfig:
 
     def to_mapping(self) -> dict:
         """Canonical {section: {key: string}} form; fixed order, all fields."""
-        out: dict = {}
-        for section, keys in _SCHEMA.items():
-            out[section] = {}
-            for key, entry in keys.items():
-                if entry is not None:
-                    attr, _, fmt = entry
-                    out[section][key] = fmt(getattr(self, attr))
-        return out
+        return {
+            section: {key: _CODEC[key][1](getattr(self, key)) for key in keys}
+            for section, keys in _SECTIONS.items()
+        }
 
     def to_text(self) -> str:
         chunks = []
@@ -276,62 +280,37 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-# key -> (attr, parse(path, text) -> value, fmt(value) -> text), or None for
-# a retired key: accepted on input, ignored, never written
-_SCHEMA: dict[str, dict[str, tuple | None]] = {
-    "model": {
-        "dimension": ("dimension", _parse_int, str),
-        "half_width": ("half_width", _parse_int, str),
-        "volume_sites": ("volume_sites", _parse_int, str),
-        "hopping": ("hopping", _parse_float, _fmt_float),
-        "phase": ("phase", _parse_float, _fmt_float),
-        "coupling": ("coupling", _parse_float, _fmt_float),
-        "block_rank": ("block_rank", _parse_int, str),
-    },
-    "disorder": {
-        "p": ("p", _parse_int, str),
-    },
-    "run": {
-        "command": ("command", lambda path, t: t.strip(), str),
-        "energies": (
-            "energies",
-            _parse_float_list,
-            lambda v: _fmt_list(v, _fmt_float),
-        ),
-        "eps_values": (
-            "eps_values",
-            _parse_float_list,
-            lambda v: _fmt_list(v, _fmt_float),
-        ),
-        "s": ("s", _parse_float, _fmt_float),
-        "ell": ("ell", _parse_int, str),
-        "n_samples": ("n_samples", _parse_int, str),
-        "master_seed": ("master_seed", _parse_int, str),
-        "workers": None,
-        "distances": ("distances", _parse_int_list, lambda v: _fmt_list(v, str)),
-        "k_min": ("k_min", _parse_int, str),
-        "k_max": ("k_max", _parse_int, str),
-    },
-    "output": {
-        "directory": ("directory", lambda path, t: t.strip(), str),
-        "formats": None,
-    },
+# section -> keys, in write order; each key is the ExperimentConfig field it sets
+_SECTIONS = {
+    "model": (
+        "dimension", "half_width", "volume_sites", "hopping", "phase", "coupling",
+        "block_rank",
+    ),
+    "disorder": ("p",),
+    "run": (
+        "command", "energies", "eps_values", "s", "ell", "n_samples", "master_seed",
+        "distances", "k_min", "k_max",
+    ),
+    "output": ("directory",),
 }
+# retired keys: accepted on input, ignored, never written
+_RETIRED = {"run": ("workers",), "output": ("formats",)}
+# field -> codec of its declared type (annotations are strings here)
+_CODEC = {f.name: _CODECS[f.type] for f in fields(ExperimentConfig)}
 
 
 def _fields(mapping: dict) -> dict:
     """ExperimentConfig keyword arguments from {section: {key: text}}."""
     kwargs: dict = {}
     for section, entries in mapping.items():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(section, "unknown section")
         for key, raw in entries.items():
             path = f"{section}.{key}"
-            if key not in _SCHEMA[section]:
+            if key in _SECTIONS[section]:
+                kwargs[key] = _CODEC[key][0](path, raw)
+            elif key not in _RETIRED.get(section, ()):
                 raise ConfigError(path, "unknown key")
-            if _SCHEMA[section][key] is not None:
-                attr, parse, _ = _SCHEMA[section][key]
-                kwargs[attr] = parse(path, raw)
     return kwargs
 
 
@@ -373,26 +352,31 @@ class RunManifest:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError("(manifest)", f"unreadable manifest {path!r}: {exc}") from None
-        if payload.get("kind") != "doslab-run-manifest":
+        if not isinstance(payload, dict) or payload.get("kind") != "doslab-run-manifest":
             raise ConfigError("(manifest)", "not a run manifest")
-        try:
-            # before the config: another version's config may have other keys
-            version = payload["code_version"]
-            if version != __version__:
-                raise ConfigError(
-                    "(manifest)",
-                    f"code version {version} does not match installed {__version__}",
-                )
-            return cls(
-                config=ExperimentConfig.from_mapping(payload["config"]),
-                config_sha256=payload["config_sha256"],
-                code_version=version,
-                wall_time_s=float(payload["wall_time_s"]),
-                outputs=dict(payload["outputs"]),
-                diagnostics=payload.get("diagnostics", {}),
+        # before the config: another version's config may have other keys
+        version = payload.get("code_version")
+        if version != __version__:
+            raise ConfigError(
+                "(manifest)",
+                f"code version {version} does not match installed {__version__}",
             )
+        try:
+            config, sha = payload["config"], payload["config_sha256"]
+            wall, outputs = float(payload["wall_time_s"]), dict(payload["outputs"])
         except KeyError as exc:
             raise ConfigError("(manifest)", f"missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("(manifest)", f"bad wall_time_s or outputs: {exc}") from None
+        if not isinstance(config, dict) or not all(
+            isinstance(table, dict) and all(isinstance(v, str) for v in table.values())
+            for table in config.values()
+        ):
+            raise ConfigError("(manifest)", "config must map sections to {key: text}")
+        diagnostics = payload.get("diagnostics", {})
+        return cls(
+            ExperimentConfig.from_mapping(config), sha, version, wall, outputs, diagnostics
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +541,10 @@ def _csv_bytes(rows: list[tuple[float, float, int, Estimate]]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
-    """Run the command; return {filename: bytes} artifacts and diagnostics."""
+def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict, str | None]:
+    """Run the command; return {filename: bytes} artifacts, diagnostics and
+    the message of a failed verification, None when every check passed.
+    """
     cfg = plan.cfg
     command = cfg.command
     artifacts: dict[str, bytes] = {}
@@ -569,22 +555,15 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
 
     if command == "verify":
         reports = _load_verification()(seed=cfg.master_seed)
-        n_failed = sum(not r.passed for r in reports)
+        failed = [r.name for r in reports if not r.passed]
         diagnostics["checks"] = {r.name: bool(r.passed) for r in reports}
-        diagnostics["n_failed"] = n_failed
-        payload = [json.loads(r.to_json()) for r in reports]
+        diagnostics["n_failed"] = len(failed)
+        payload = [r.to_dict() for r in reports]
         artifacts["verify_report.json"] = (
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         ).encode()
-        if n_failed:
-            names = [r.name for r in reports if not r.passed]
-            exc = NumericalFailure(
-                f"{n_failed} verification check(s) failed: {', '.join(names)}"
-            )
-            exc.artifacts = artifacts
-            exc.diagnostics = diagnostics
-            raise exc
-        return artifacts, diagnostics
+        failure = f"{len(failed)} verification check(s) failed: {', '.join(failed)}"
+        return artifacts, diagnostics, failure if failed else None
 
     model, n_prefix, mc = plan.model, plan.n_prefix_sites, plan.mc
     assert model is not None and mc is not None
@@ -651,7 +630,7 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict]:
             else float(report.fit.r_squared),
             "summability_supported": bool(report.summability_supported),
         }
-    return artifacts, diagnostics
+    return artifacts, diagnostics, None
 
 
 # ---------------------------------------------------------------------------
@@ -686,15 +665,8 @@ def run(
             if config_path is not None
             else ExperimentConfig()
         )
-        overrides: dict = {}
-        if seed is not None:
-            overrides["master_seed"] = seed
-        if out_dir is not None:
-            overrides["directory"] = out_dir
-        if command:
-            overrides["command"] = command
-        if overrides:
-            cfg = replace(cfg, **overrides)
+        overrides = {"master_seed": seed, "directory": out_dir, "command": command or None}
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         plan = _prepare(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=err)
@@ -713,16 +685,8 @@ def run(
 
     started = time.perf_counter()
     try:
-        artifacts, diagnostics = _execute(plan)
-        failure = None
-    except NumericalFailure as exc:
-        # verify builds its report before raising; keep those artifacts
-        artifacts = getattr(exc, "artifacts", {})
-        diagnostics = getattr(exc, "diagnostics", {})
-        failure = exc
-    except (
-        RuntimeError, np.linalg.LinAlgError, FloatingPointError, OverflowError
-    ) as exc:
+        artifacts, diagnostics, failure = _execute(plan)
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=err)
         return EXIT_NUMERICAL
     wall = time.perf_counter() - started
@@ -773,7 +737,8 @@ def reproduce(manifest_path: str, out=None, err=None) -> int:
     """Re-run a manifest and byte-compare the outputs.
 
     0 when identical, 1 on a difference, 3 when the re-run fails; a failed
-    verify run is compared first, since it still writes its report.
+    verify run is compared first, since it still writes its report.  A
+    stored config_sha256 that no longer matches the config is reported.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -783,20 +748,19 @@ def reproduce(manifest_path: str, out=None, err=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=err)
         return EXIT_CONFIG
+    config_sha256 = manifest.config.sha256()
+    if manifest.config_sha256 != config_sha256:
+        print(
+            f"config_sha256: stored {manifest.config_sha256}, but the config "
+            f"hashes to {config_sha256}: it was edited after the run",
+            file=err,
+        )
 
-    failure = None
     try:
-        artifacts, _ = _execute(plan)
-    except (
-        RuntimeError, np.linalg.LinAlgError, FloatingPointError, OverflowError
-    ) as exc:
-        # RuntimeError covers NumericalFailure and the solver residual guards;
-        # a failed verify run still carries its report to compare
-        artifacts = getattr(exc, "artifacts", None)
-        if artifacts is None:
-            print(f"numerical failure: {exc}", file=err)
-            return EXIT_NUMERICAL
-        failure = exc
+        artifacts, _, failure = _execute(plan)
+    except _NUMERICAL_ERRORS as exc:
+        print(f"numerical failure: {exc}", file=err)
+        return EXIT_NUMERICAL
 
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
     mismatches = 0
@@ -865,10 +829,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _build_parser().parse_args(argv)
     if args.mode == "run":
         return run(args.command, args.config, out_dir=args.out, seed=args.seed)
     return reproduce(args.manifest)

@@ -32,7 +32,6 @@ densities, cutoffs, energy grids) are the module constants below.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -138,15 +137,15 @@ class CheckReport:
     statistics: dict = field(default_factory=dict)
     witness: dict | None = None
 
-    def to_json(self, indent: int | None = None) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The report as JSON-ready builtins."""
+        return {
             "name": self.name,
             "passed": bool(self.passed),
             "slack": float(self.slack),
             "statistics": _sanitize(self.statistics),
             "witness": _sanitize(self.witness),
         }
-        return json.dumps(payload, indent=indent)
 
 
 # ---------------------------------------------------------------------------

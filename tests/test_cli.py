@@ -129,16 +129,40 @@ def test_grid_shorthands():
     assert cfg.distances == (2, 3, 4)
 
 
-def test_disorder_accepts_smoothness_count():
-    cfg = ExperimentConfig.from_text("[disorder]\nm = 2\n")
-    assert cfg.p == 3
-    with pytest.raises(ConfigError, match="disorder.m"):
-        ExperimentConfig.from_text("[disorder]\nm = 2\np = 3\n")
+def test_disorder_m_is_an_unknown_key(tmp_path):
+    # m = p - 1 named another m than the paper's (m = p - 2 for this law);
+    # ignoring the key would silently run the default p = 2
+    with pytest.raises(ConfigError, match="disorder.m: unknown key"):
+        ExperimentConfig.from_text("[disorder]\nm = 2\n")
+    cfgp = write_config(tmp_path / "m.ini", "[disorder]\nm = 2\n[run]\ncommand = ids\n")
+    code, _, err = run_quiet(None, cfgp, out_dir=str(tmp_path / "out"))
+    assert code == 2 and "disorder.m" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_volume_defaults_to_whole_box():
     cfg = ExperimentConfig.from_text("[model]\nhalf_width = 5\n")
     assert cfg.volume_sites == 11
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_phase_is_a_gauge_on_a_chain(rank):
+    # on a path the phase moves onto the basis vectors: no estimate changes
+    import numpy as np
+
+    import doslab.cli as cli_mod
+
+    def rows(phase):
+        cfg = ExperimentConfig(
+            half_width=10, phase=phase, block_rank=rank, coupling=2.0, p=4,
+            command="dos-deriv", energies=(-1.0, 0.0, 0.5, 1.5, 3.0), ell=2,
+            n_samples=20,
+        )
+        artifacts = cli_mod._execute(cli_mod._prepare(cfg))[0]
+        text = artifacts["dos-deriv_curve0.csv"].decode().splitlines()
+        return np.loadtxt(text, delimiter=",", skiprows=1)
+
+    np.testing.assert_allclose(rows(0.4), rows(0.0), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -634,6 +658,22 @@ def test_reproduce_detects_edited_seed(tmp_path):
     assert "first difference at row" in err.getvalue()
 
 
+def test_reproduce_names_a_stale_config_hash(tmp_path):
+    cfgp = toy_config(tmp_path, "ids")
+    assert run_quiet(None, cfgp)[0] == 0
+    mpath = tmp_path / "out" / "ids.manifest.json"
+    err = io.StringIO()
+    assert reproduce(str(mpath), out=io.StringIO(), err=err) == 0
+    assert "config_sha256" not in err.getvalue()
+    payload = json.loads(mpath.read_text())
+    payload["config"]["run"]["master_seed"] = "4242"
+    mpath.write_text(json.dumps(payload))
+    err = io.StringIO()
+    assert reproduce(str(mpath), out=io.StringIO(), err=err) == 1
+    lines = [line for line in err.getvalue().splitlines() if "config_sha256" in line]
+    assert len(lines) == 1 and payload["config_sha256"] in lines[0]
+
+
 def test_reproduce_reports_missing_original(tmp_path):
     cfgp = toy_config(tmp_path, "ids")
     assert run_quiet(None, cfgp)[0] == 0
@@ -647,10 +687,32 @@ def test_reproduce_reports_missing_original(tmp_path):
 
 
 def test_reproduce_rejects_garbage_manifest(tmp_path):
+    from doslab import __version__
+
+    cfg = ExperimentConfig()
+    good = {
+        "kind": "doslab-run-manifest",
+        "code_version": __version__,
+        "config": cfg.to_mapping(),
+        "config_sha256": cfg.sha256(),
+        "wall_time_s": 0.5,
+        "outputs": {},
+    }
+    as_number = json.loads(json.dumps(good))
+    as_number["config"]["run"]["n_samples"] = 5
+    garbage = [
+        {},
+        [],
+        {**good, "config": [["run", {"n_samples": "5"}]]},
+        as_number,
+        {**good, "wall_time_s": "abc"},
+    ]
     bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    code = reproduce(str(bad), out=io.StringIO(), err=io.StringIO())
-    assert code == 2
+    for payload in garbage:
+        bad.write_text(json.dumps(payload))
+        err = io.StringIO()
+        assert reproduce(str(bad), out=io.StringIO(), err=err) == 2, payload
+        assert "(manifest)" in err.getvalue()
 
 
 def test_reproduce_rejects_an_older_code_version(tmp_path):

@@ -217,6 +217,21 @@ def test_spectrum_bounds_widen_with_volume():
         prev = (lo, hi)
 
 
+@pytest.mark.parametrize("half_width", [1, 2])
+def test_uniform_phase_is_a_flux_on_a_box(half_width):
+    # every bond carries the phase from its lower to its higher shell index,
+    # so plaquettes enclose a flux and the spectrum moves, unlike on a chain
+    space = build_box_enumeration(2, half_width)
+    v = np.diag(np.random.default_rng(0).uniform(size=len(space)))
+
+    def spectrum(phase):
+        amp = complex(np.cos(phase), np.sin(phase))
+        free = FreeOperatorSpec.nearest_neighbor(space, amplitude=amp)
+        return np.linalg.eigvalsh(free.matrix() + v)
+
+    assert np.max(np.abs(spectrum(0.7) - spectrum(0.0))) > 0.1
+
+
 def test_assembled_matrix_is_hermitian_with_phases():
     space = build_box_enumeration(2, 2)
     free = FreeOperatorSpec.nearest_neighbor(

@@ -206,11 +206,12 @@ def test_finite_smooth_report_does_not_depend_on_blas_threads():
     import doslab
 
     script = (
+        "import json\n"
         "import numpy as np\n"
         "from doslab.verify import verify_finite_smooth\n"
         "g = np.random.default_rng(0).standard_normal((3, 3))\n"
-        "print(verify_finite_smooth((g + g.T) / 2, coupling=1.5, eps=0.3, ell=1)"
-        ".to_json())\n"
+        "report = verify_finite_smooth((g + g.T) / 2, coupling=1.5, eps=0.3, ell=1)\n"
+        "print(json.dumps(report.to_dict()))\n"
     )
     src = os.path.dirname(os.path.dirname(doslab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -390,7 +391,7 @@ def test_resolvent_average_bound_small_corpus():
 def test_resolvent_average_bound_is_deterministic():
     r1 = verify_resolvent_average_bound(Corpus(4, seed=33))
     r2 = verify_resolvent_average_bound(Corpus(4, seed=33))
-    assert r1.to_json() == r2.to_json()
+    assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
 
 
 # -- semigroup Hoelder bound ------------------------------------------------------
@@ -560,7 +561,7 @@ def test_report_json_round_trip():
         statistics={"values": np.array([1.0, 2.0]), "z": 1 + 2j},
         witness={"matrix": np.eye(2), "note": None},
     )
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert payload["name"] == "demo"
     assert payload["statistics"]["values"] == [1.0, 2.0]
     assert payload["statistics"]["z"] == {"re": 1.0, "im": 2.0}
