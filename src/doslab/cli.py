@@ -479,18 +479,17 @@ def _prepare(cfg: ExperimentConfig) -> _Plan:
         # SuperLU and scipy.linalg count as start-up, not as the first solve
         import scipy.sparse.linalg  # noqa: F401
 
-        n_blocks = model.projections.blocks_for_prefix(n_prefix)
-        by_distance: dict[int, int] = {}
-        for b in range(n_blocks):
-            by_distance.setdefault(model.block_distance(0, b), b)
+        dist = model.block_distances(0)[: model.projections.blocks_for_prefix(n_prefix)]
         for d in cfg.distances:
-            if d not in by_distance:
+            # the first block at distance d
+            at = np.flatnonzero(dist == d)
+            if not at.size:
                 raise ConfigError(
                     "run.distances",
                     f"no block at distance {d} from block 0 inside the "
                     f"{n_prefix}-site volume",
                 )
-            plan.fracmom_targets.append((d, by_distance[d]))
+            plan.fracmom_targets.append((d, int(at[0])))
     elif command == "telescope":
         if cfg.dimension >= 2:
             # a box takes the dense LU: its scipy.linalg BLAS counts as

@@ -225,9 +225,10 @@ class ModelSpec:
     def n_blocks(self) -> int:
         return len(self.projections)
 
-    def block_distance(self, n: int, k: int) -> int:
-        """Metric distance between two blocks (minimum over their sites)."""
-        c = self.site_space.coords
-        a = c[self.projections.sites_of_block(n)]
-        b = c[self.projections.sites_of_block(k)]
-        return int(np.abs(a[:, None, :] - b[None, :, :]).max(axis=2).min())
+    def block_distances(self, n: int) -> np.ndarray:
+        """Metric distance from block n to every block (minimum over their sites)."""
+        c, sizes = self.site_space.coords, self.projections.block_sizes()
+        site = np.full(len(c), np.iinfo(np.int64).max)
+        for x in c[self.projections.sites_of_block(n)]:
+            site = np.minimum(site, np.abs(c - x).max(axis=1))
+        return np.minimum.reduceat(site, np.cumsum(sizes) - sizes)

@@ -12,7 +12,7 @@ Every estimator is one row function of a chunk of samples' couplings
 handed to one driver, `_estimate`: it runs the chunks in index order, draws
 each sample of a chunk, slices the draws to the volume, averages the rows
 with their antithetic mirrors where the route asks for it, fills a
-(n_samples, width) table and reduces each column to an Estimate.  There is
+(n_samples, width) table and reduces it to one Estimate per column.  There is
 one entry point per quantity, on a grid of points; a single point is a
 one-point grid.
 
@@ -63,23 +63,16 @@ class Estimate:
     seed: int
 
     @classmethod
-    def from_samples(cls, values: np.ndarray, seed: int) -> "Estimate":
-        values = np.asarray(values)
-        n = values.shape[0]
-        mean = values.mean()
-        if n > 1:
-            if np.iscomplexobj(values):
-                var = values.real.var(ddof=1) + values.imag.var(ddof=1)
-            else:
-                var = values.var(ddof=1)
-            stderr = float(np.sqrt(var / n))
-        else:
-            stderr = 0.0
-        if not np.iscomplexobj(values):
-            mean = float(mean)
-        else:
-            mean = complex(mean)
-        return cls(mean, stderr, n, seed)
+    def from_samples(cls, values: np.ndarray, seed: int) -> list["Estimate"]:
+        """One Estimate per column of the (n_samples, width) table values, each
+        reduced along its own row of the contiguous transpose: the bytes of a
+        reduction of that column alone."""
+        rows = np.ascontiguousarray(np.asarray(values).T)
+        n, cast = rows.shape[1], complex if np.iscomplexobj(rows) else float
+        parts = (rows.real, rows.imag) if cast is complex else (rows,)
+        var = sum(p.var(axis=1, ddof=1) for p in parts) if n > 1 else np.zeros(len(rows))
+        stderr = np.sqrt(var / n)
+        return [cls(cast(m), float(e), n, seed) for m, e in zip(rows.mean(axis=1), stderr)]
 
 
 @dataclass(frozen=True)
@@ -205,7 +198,7 @@ def _estimate(
             values[c0:c1] = 0.5 * (both[: c1 - c0] + both[c1 - c0 :])
         else:
             values[c0:c1] = rows(om)
-    return [Estimate.from_samples(values[:, k], mc.master_seed) for k in range(width)]
+    return Estimate.from_samples(values, mc.master_seed)
 
 
 def _each(row):
@@ -443,8 +436,9 @@ def telescope_series_diagnostic(
     largest volume come from one pass over shared samples.  Each chunk of
     samples, antithetic mirrors included at ell >= 1, takes one
     nested_block_traces call, which yields the trace of every nested volume
-    from one LU of the largest volume per lane (one band sweep for all lanes
-    on a chain), and one cumulative sum of score weights over the blocks.
+    from one pass over the largest volume (one O(n) outward bordering sweep
+    for all lanes on a chain, one LU per lane on a box), and one cumulative
+    sum of score weights over the blocks.
     """
     ks = [int(k) for k in k_range]
     if not ks or ks != list(range(ks[0], ks[-1] + 1)):

@@ -1,8 +1,10 @@
-"""Sparse resolvent columns, nested-prefix and full-volume resolvent traces,
-and probe-block spectral weights.
+"""Sparse resolvent columns, nested-prefix resolvent traces, probe-block
+coupling poles and spectral weights.
 
 Everything here is exact linear algebra at desk scale (dimension a few
-thousand at most); statistical estimation lives in `montecarlo`.
+thousand at most); statistical estimation lives in `montecarlo`.  On a chain
+the nested-prefix traces (outward bordering) and the coupling poles (a
+two-sided Schur recursion) take O(n) sweeps over all lanes of a chunk.
 """
 
 from __future__ import annotations
@@ -183,79 +185,77 @@ def _dense_prefix_traces(h0, d, zc, rhs, m):
     prod = blas.ztrmm(1.0, lu, np.triu(lu), lower=1, diag=1)
     prod[diag, diag] += zc
     resid = np.max(np.abs(prod - h[:m, :m]), initial=0.0)
-    scale = np.linalg.norm(h, np.inf) + abs(zc)
     # columns of L^{-1} and, transposed, rows of U^{-1} at the block sites
     l_inv = blas.ztrsm(1.0, lu, rhs, lower=1, diag=1)
     u_inv = blas.ztrsm(1.0, lu, rhs, trans_a=1)
-    return np.cumsum(np.sum(u_inv * l_inv, axis=1)), resid, scale
+    return np.cumsum(np.sum(u_inv * l_inv, axis=1)), resid
 
 
-def _band_prefix_traces(h0, diags, zc, rhs, m, b):
-    """Cumulative tr(P_0 G_n) over n = 1..m for every lane, one band sweep.
+def _outward_prefix_traces(h0, diags, zc, sites, m):
+    """tr(P G_n) for n = 1..m and every lane by one outward sweep, or None.
 
-    A right-looking LU without pivoting of h - z, h = h0 + diag(lane), whose
-    state is the (b+1) x (b+1) trailing window of every lane.  Step k yields
-    column k of L and row k of U; forward substitution in the same order
-    moves the block columns of L^{-1} (x) and of U^{-T} (y) along, and
-    x_k . y_k is the step-k increment of the trace.  Row k of L U is rebuilt
-    from the last b + 1 rows of L and U and compared with row k of h - z.
+    The sweep applies when each site couples to at most one earlier site,
+    a current end of the volume: the ends start at site 0, and a site
+    replaces the end it attaches to (the first one if none).  Every chain
+    in shell order (0, +1, -1, ...) and every prefix of one qualifies.  The
+    coupling graph is then a forest, so a diagonal unitary gauge makes every
+    coupling |h_xy| and leaves the diagonal of G alone: the sweep runs on
+    the real symmetric |h0|, where G is complex symmetric.  Site q, attached
+    to end e with t = |h_qe|, borders the volume by a rank-one Schur step
+    with pivot s = (h_qq - z) - t^2 G(e, e):
+
+        G'(x, y) = G(x, y) + t^2 G(x, e) G(e, y) / s,
+        G'(x, q) = -t G(x, e) / s,  G'(q, q) = 1 / s,
+
+    so only G between P and the ends, and between the ends, is carried, and
+    tr(P G) gains t^2 sum_{x in P} G(x, e)^2 / s, plus 1 / s if q is in P.
+    A lane's residual is its largest |s + t^2 G(e, e) - (h_qq - z)|.
     """
-    lanes, w = len(diags), b + 1
-    # hb[b + i, b + o] = h0[i, i + o] on the m x m prefix, zero outside it;
-    # the diagonal of each lane's h - z is dz
-    i = np.arange(-b, m + b)[:, None]
-    j = i + np.arange(-b, w)
-    inside = (i >= 0) & (i < m) & (j >= 0) & (j < m)
-    hb = np.where(inside, h0[i.clip(0, m - 1), j.clip(0, m - 1)], 0).astype(complex)
-    hb[:, b] = 0.0
-    dz = np.zeros((lanes, m + b), dtype=np.complex128)
-    dz[:, :m] = (np.diagonal(h0)[:m] + diags[:, :m]) - zc
-    r = np.arange(b)
-    col = hb[np.arange(m + b)[:, None] + r, 2 * b - r]  # col[q] = h0[q - b + r, q]
-    e = np.pad(rhs, ((0, b), (0, 0)))
-    rr, cc = np.indices((w, w))
-    win = np.broadcast_to(hb[b + rr, b + cc - rr], (lanes, w, w)).copy()
-    win[:, np.arange(w), np.arange(w)] = dz[:, :w]
-    x = np.broadcast_to(e[:w], (lanes, w, e.shape[1])).copy()
-    y = x.copy()
-    # at step k: l_rows[:, r, s] = L[k+r, k+r-s] and u_rows[:, s, b+o] = U[k-s, k+o]
-    l_rows = np.zeros((lanes, w, w), dtype=np.complex128)
-    l_rows[:, :, 0] = 1.0
-    u_rows = np.zeros((lanes, w, 2 * b + 1), dtype=np.complex128)
-    inc = np.empty((lanes, m), dtype=np.complex128)
-    resid = np.zeros(lanes)
-    for k in range(m):
-        piv = win[:, 0, 0, None]
-        l = win[:, 1:, 0] / piv
-        yk = y[:, 0] / piv
-        inc[:, k] = np.sum(x[:, 0] * yk, axis=1)
-        # row k of L U against row k of h - z
-        u_rows[:, 0, b:] = win[:, 0]
-        diff = np.sum(l_rows[:, 0, :, None] * u_rows, axis=1) - hb[b + k]
-        diff[:, b] -= dz[:, k]
-        resid = np.maximum(resid, np.abs(diff).max(axis=1))
-        if k + 1 == m:
-            break
-        # shift every window by one; q enters as the last row and column
-        q = k + w
-        x[:, :b] = x[:, 1:] - l[:, :, None] * x[:, :1]
-        x[:, b] = e[q]
-        y[:, :b] = y[:, 1:] - win[:, 0, 1:, None] * yk[:, None]
-        y[:, b] = e[q]
-        win[:, :b, :b] = win[:, 1:, 1:] - l[:, :, None] * win[:, :1, 1:]
-        win[:, b, :b] = hb[b + q, :b]
-        win[:, :b, b] = col[q]
-        win[:, b, b] = dz[:, q]
-        l_rows[:, :b] = l_rows[:, 1:]
-        l_rows[:, b, 1:] = 0.0
-        l_rows[:, r, r + 1] = l
-        u_rows[:, 1:, :-1] = u_rows[:, :-1, 1:]
-        u_rows[:, :, -1] = 0.0
-        u_rows[:, 0] = 0.0
-    a = np.abs(h0)
-    np.fill_diagonal(a, 0.0)
-    scale = np.max(a.sum(axis=1) + np.abs(np.diagonal(h0) + diags), axis=1) + abs(zc)
-    return np.cumsum(inc, axis=1), resid, scale
+    off = h0[:m, :m] != 0
+    later, earlier = np.nonzero(np.tril(off | off.T, -1))
+    hop = np.abs(h0[later, earlier]).tolist()
+    attach = dict(zip(later.tolist(), zip(earlier.tolist(), hop)))
+    if len(attach) < later.size:
+        return None
+    lanes, r = len(diags), sites.size
+    slot = {p: k for k, p in enumerate(sites.tolist())}
+    az = np.add(np.diagonal(h0)[:m, None], diags[:, :m].T, order="C") - zc
+    piv, tg = az.copy(), np.zeros_like(az)
+    # inc[q, k] is P_k's share of what site q adds to the trace
+    inc = np.zeros((m, r, lanes), dtype=np.complex128)
+    # col[j][k] = G(P_k, e_j), diag[j] = G(e_j, e_j), cross = G(e_0, e_1): one
+    # flat array of lanes each, so every product takes the same loop
+    # whatever the number of lanes, and a lane's bytes do not depend on it
+    inv = 1.0 / az[0]
+    col = [[np.zeros(lanes, dtype=np.complex128)] * r for _ in range(2)]
+    diag, cross, ends = [inv, inv], inv, [0, 0]
+    if 0 in slot:
+        col[0][slot[0]] = col[1][slot[0]] = inc[0, slot[0]] = inv
+    for q in range(1, m):
+        e, t = attach.get(q, (ends[0], 0.0))
+        if e not in ends:
+            return None
+        j = ends.index(e)
+        o, t2, ends[j] = 1 - j, t * t, q
+        np.multiply(diag[j], t2, out=tg[q])
+        inv = 1.0 / np.subtract(az[q], tg[q], out=piv[q])
+        f = t2 * inv
+        for x, out in zip(col[j], inc[q]):
+            np.multiply(np.square(x), f, out=out)
+        c = f * cross
+        col[o] = [x + y * c for x, y in zip(col[o], col[j])]
+        diag[o] = diag[o] + cross * c
+        scale_j = -t * inv
+        col[j] = [x * scale_j for x in col[j]]
+        cross, diag[j] = cross * scale_j, inv
+        if q in slot:
+            k = slot[q]
+            col[j][k], col[o][k], inc[q, k] = inv, cross, inv
+    # one running sum, term by term: no reduction whose order could depend
+    # on the number of lanes
+    running = inc.reshape(-1, lanes)
+    tr = np.cumsum(running, axis=0, out=running)[r - 1 :: r].T
+    return tr, np.abs(piv + tg - az).max(axis=0)
 
 
 def nested_block_traces(
@@ -269,22 +269,25 @@ def nested_block_traces(
 
     Lane i is h = h0 + diag(diagonals[i]); the result is (lanes, len(sizes)).
     P projects onto block_sites, which must lie inside the smallest prefix.
-    One LU factorization of h - z without pivoting serves every prefix: the
-    leading n x n block of L U is L_n U_n, and the leading blocks of the
-    triangular inverses are the inverses of the leading blocks, so
+    One pass over the largest prefix serves every smaller one.
+
+    When every site couples to at most one earlier site, and that site is a
+    current end of the volume (every chain and prefix of one, ordered 0, +1,
+    -1, ..., any block rank, phase or zero hopping), all lanes share one
+    outward bordering sweep in O(n) (_outward_prefix_traces), whose pivots
+    are checked.  Otherwise (the 2-d and 3-d boxes) each lane takes one LU
+    factorization of h - z without pivoting: the leading n x n block of L U
+    is L_n U_n, and the leading blocks of the triangular inverses are the
+    inverses of the leading blocks, so
 
         (h_n - z)^{-1}_{ii} = sum_{j < n} (U^{-1})_{ij} (L^{-1})_{ji}
 
-    and each trace is one entry of a cumulative sum over j.  No pivot can
-    vanish: every leading block and Schur complement of h - z has imaginary
-    part <= -Im z, so every pivot has modulus >= Im z.  The factors of every
-    lane are checked, max |L U - (h - z)| <= 1e-10 * (||h||_inf + |z|), which
-    bounds the backward error of every prefix at once.
-
-    With b the bandwidth of h0 on the largest prefix, all lanes share one
-    band sweep when b <= 2 (every chain and prefix of one, ordered 0, +1,
-    -1, ...); otherwise (the 2-d and 3-d boxes) each lane takes a dense
-    blocked LU.
+    and each trace is one entry of a cumulative sum over j; its factors are
+    checked, max |L U - (h - z)|, which bounds the backward error of every
+    prefix at once.  No pivot of either route can vanish: every leading
+    block and Schur complement of h - z has imaginary part <= -Im z, so
+    every pivot has modulus >= Im z.  Each lane's residual must be
+    <= 1e-10 * (||h||_inf + |z|); NaN fails.
     """
     zc = _as_z(z)
     h0, n, diags = _lane_stack(h0, diagonals)
@@ -292,22 +295,23 @@ def nested_block_traces(
     if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.max() > n:
         raise ValueError(f"prefix sizes must be a non-empty list in [1, {n}]")
     sites = np.asarray(block_sites, dtype=np.int64)
-    if sites.size == 0 or sites.min() < 0 or sites.max() >= sizes.min():
+    distinct = len(set(sites.tolist())) == sites.size
+    if sites.size == 0 or not distinct or sites.min() < 0 or sites.max() >= sizes.min():
         raise ValueError(
-            "block sites must be non-empty and lie inside the smallest prefix "
-            f"of {sizes.min()} sites"
+            "block sites must be non-empty, distinct and lie inside the smallest "
+            f"prefix of {sizes.min()} sites"
         )
     m = int(sizes.max())
-    rhs = np.zeros((m, sites.size), dtype=np.complex128)
-    rhs[sites, np.arange(sites.size)] = 1.0
-    rows, cols = np.nonzero(h0[:m, :m])
-    b = int(np.max(np.abs(rows - cols), initial=0))
-    if b <= 2:
-        tr, resid, scale = _band_prefix_traces(h0, diags, zc, rhs, m, b)
+    outward = _outward_prefix_traces(h0, diags, zc, sites, m)
+    if outward is not None:
+        tr, resid = outward
     else:
+        rhs = np.zeros((m, sites.size), dtype=np.complex128)
+        rhs[sites, np.arange(sites.size)] = 1.0
         lanes = [_dense_prefix_traces(h0, d, zc, rhs, m) for d in diags]
-        tr, resid, scale = (np.array(v) for v in zip(*lanes))
-    _check_residual(resid, scale)
+        tr, resid = (np.array(v) for v in zip(*lanes))
+    off = np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
+    _check_residual(resid, np.max(off + np.abs(np.diagonal(h0) + diags), axis=1) + abs(zc))
     return tr[:, sizes - 1]
 
 

@@ -121,12 +121,9 @@ def test_criterion_03_fractional_moment_decay(capsys):
     # Strong coupling, fractional exponent 1/3: the moment profile over
     # distances 1..15 must fit an exponential with positive rate, r^2 >= 0.95.
     model = chain(15, 10.0)
-    n_blocks = model.projections.blocks_for_prefix(31)
-    by_distance = {}
-    for b in range(n_blocks):
-        by_distance.setdefault(model.block_distance(0, b), b)
+    dist = model.block_distances(0)[: model.projections.blocks_for_prefix(31)]
     distances = list(range(1, 16))
-    blocks = [by_distance[d] for d in distances]
+    blocks = [int(np.flatnonzero(dist == d)[0]) for d in distances]
     mc = McConfig(n_samples=2000, master_seed=101)
     profile = fractional_moment_profile(
         model, 31, 1.0 + 0.1j, 0, blocks, 1.0 / 3.0, mc

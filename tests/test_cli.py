@@ -339,7 +339,7 @@ def test_only_fracmom_loads_scipy_and_all_imports_precede_the_run(tmp_path, comm
     # and the box telescope load scipy at all
     extra = {
         "dos-deriv": {"ell": 1},
-        # 13 and 6 chain sites in the largest prefix: the band sweep either way
+        # 13 and 6 chain sites in the largest prefix: the outward sweep either way
         "telescope": {"ell": 1, "k_max": 12},
         "short-telescope": {"ell": 1, "k_max": 5},
         "box-telescope": {"ell": 1, "k_max": 8},

@@ -291,12 +291,14 @@ def test_model_validations():
 
 def test_block_distance_uses_site_metric():
     model = chain_model(half_width=2)
-    assert model.block_distance(0, 3) == 2  # sites (0) and (2)
-    assert model.block_distance(1, 2) == 2  # sites (1) and (-1)
+    # sites 0, 1, -1, 2, -2 in shell order
+    assert model.block_distances(0).tolist() == [0, 1, 1, 2, 2]
+    assert model.block_distances(1)[2] == 2  # sites (1) and (-1)
     rank2 = ModelSpec(
         site_space=model.site_space,
         projections=ProjectionFamily.contiguous(5, rank=2),
         free=model.free,
         coupling=1.0,
     )
-    assert rank2.block_distance(0, 1) == 1  # {0,1} meets {-1,2} at |0-(-1)|
+    # {0,1} meets {-1,2} at |0-(-1)| and {-2} at |0-(-2)|
+    assert rank2.block_distances(0).tolist() == [0, 1, 2]

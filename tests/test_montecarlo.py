@@ -67,7 +67,7 @@ def density_quadrature(rho, f):
 
 def test_estimate_from_real_samples():
     v = np.array([1.0, 2.0, 4.0, 5.0])
-    est = Estimate.from_samples(v, seed=0)
+    [est] = Estimate.from_samples(v[:, None], seed=0)
     assert est.mean == v.mean()
     assert est.stderr == pytest.approx(v.std(ddof=1) / 2.0, rel=1e-14)
     assert est.n_samples == 4
@@ -75,15 +75,38 @@ def test_estimate_from_real_samples():
 
 def test_estimate_from_complex_samples():
     v = np.array([1 + 1j, 2 - 1j, 0 + 0j, 3 + 2j])
-    est = Estimate.from_samples(v, seed=1)
+    [est] = Estimate.from_samples(v[:, None], seed=1)
     want = math.sqrt(v.real.var(ddof=1) + v.imag.var(ddof=1)) / 2.0
     assert est.mean == v.mean()
     assert est.stderr == pytest.approx(want, rel=1e-14)
 
 
 def test_estimate_single_sample_has_zero_stderr():
-    est = Estimate.from_samples(np.array([3.5]), seed=0)
+    [est] = Estimate.from_samples(np.array([[3.5]]), seed=0)
     assert est.stderr == 0.0
+
+
+@pytest.mark.parametrize("shape", [(500, 44), (100, 41), (20, 5), (7, 3), (1, 4)])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_estimate_table_matches_each_column_alone(shape, complex_values):
+    # one reduction of the whole table gives each column's own bytes
+    rng = np.random.default_rng(shape[0])
+    table = rng.standard_normal(shape)
+    if complex_values:
+        table = table + 1j * rng.standard_normal(shape)
+    ests = Estimate.from_samples(table, seed=3)
+    assert len(ests) == shape[1]
+    n = shape[0]
+    for col, est in zip(table.T, ests):
+        assert est.mean == col.mean() and type(est.mean) is type(col.mean().item())
+        assert (est.n_samples, est.seed) == (n, 3)
+        if n == 1:
+            assert est.stderr == 0.0
+        elif complex_values:
+            var = col.real.var(ddof=1) + col.imag.var(ddof=1)
+            assert est.stderr == float(np.sqrt(var / n))
+        else:
+            assert est.stderr == float(np.sqrt(col.var(ddof=1) / n))
 
 
 def test_estimate_agreement_band():
@@ -693,7 +716,7 @@ def test_telescope_terms_are_bit_stable_across_chunks_and_workers(monkeypatch, e
     import doslab.montecarlo as montecarlo
     import doslab.spectral as spectral
 
-    # 12 sites in the largest volume: the band sweep, never the dense LU
+    # 12 sites in the largest volume: the outward sweep, never the dense LU
     def dense(*args):
         raise AssertionError("dense route taken")
 

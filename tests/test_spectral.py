@@ -212,7 +212,7 @@ def box_model(dimension, half_width, rank=1, phase=0.0, hopping=True):
 def test_nested_block_traces_match_eigen_weights_on_every_prefix(
     monkeypatch, dimension, half_width, rank, phase
 ):
-    # a chain takes the band sweep whatever its length
+    # a chain takes the outward sweep whatever its length
     if dimension == 1:
         forbid(monkeypatch, "_dense_prefix_traces")
     model = box_model(dimension, half_width, rank, phase)
@@ -229,7 +229,7 @@ def test_nested_block_traces_match_eigen_weights_on_every_prefix(
         want = np.sum(w / (evals - z))
         assert abs(tr - want) <= 1e-12 * abs(want)
     if n < 9:
-        # a short chain's largest prefix may have any length, bandwidth 0 to 2
+        # a short chain's largest prefix may have any length
         for m in range(1, len(sizes) + 1):
             alone = nested_block_traces(h, np.zeros((1, n)), z, block0, sizes[:m])
             assert_allclose(alone[0], got[:m], rtol=1e-12)
@@ -243,6 +243,9 @@ def test_nested_block_traces_validation():
         nested_block_traces(h, d, z, [0, 2], [2, 4, 6])
     with pytest.raises(ValueError, match="smallest prefix"):
         nested_block_traces(h, d, z, [], [2, 4, 6])
+    # a repeated site would count twice on one route and once on the other
+    with pytest.raises(ValueError, match="distinct"):
+        nested_block_traces(h, d, z, [0, 0], [2, 4, 6])
     with pytest.raises(ValueError, match="prefix sizes"):
         nested_block_traces(h, d, z, [0], [0, 3])
     with pytest.raises(ValueError, match="prefix sizes"):
@@ -307,59 +310,114 @@ def forbid(monkeypatch, name):
     monkeypatch.setattr(spectral, name, fail)
 
 
+def assert_matches_dense_inverse(h0, diagonals, block, prefixes, z):
+    """Every lane and prefix within 1e-12 of a dense inverse; returns the traces."""
+    got = nested_block_traces(h0, diagonals, z, block, prefixes)
+    assert got.shape == (len(diagonals), len(prefixes))
+    for lane, d in zip(got, diagonals):
+        h = h0 + np.diag(d)
+        for size, tr in zip(prefixes, lane):
+            inv = np.linalg.inv(h[:size, :size] - z * np.eye(size))
+            want = np.trace(inv[np.ix_(block, block)])
+            assert abs(tr - want) <= 1e-12 * abs(want)
+    return got
+
+
+def assert_outward_sweep_is_exact(h0, diagonals, block, prefixes, z):
+    """The dense oracle, and a lane's bytes depend neither on the batching of
+    the lanes nor on the prefixes asked for."""
+    got = assert_matches_dense_inverse(h0, diagonals, block, prefixes, z)
+    for batch in (7, 1):
+        parts = [
+            nested_block_traces(h0, diagonals[i : i + batch], z, block, prefixes)
+            for i in range(0, len(diagonals), batch)
+        ]
+        assert np.array_equal(np.concatenate(parts), got)
+    for k, size in enumerate(prefixes):
+        alone = nested_block_traces(h0, diagonals, z, block, [size])
+        assert np.array_equal(alone[:, 0], got[:, k])
+    backwards = nested_block_traces(h0, diagonals, z, block, prefixes[::-1])
+    assert np.array_equal(backwards, got[:, ::-1])
+
+
 @pytest.mark.parametrize(
     "rank, phase, hopping",
-    [(1, 0.0, True), (5, 0.0, True), (1, 0.7, True), (1, 0.0, False)],
+    [(1, 0.0, True), (5, 0.0, True), (1, 0.7, True), (1, 0.0, False), (3, 0.4, True)],
 )
 def test_band_sweep_matches_the_dense_oracle_on_every_prefix(
     monkeypatch, rank, phase, hopping
 ):
+    # a chain's h0 is a band matrix: the outward sweep, never the dense LU
     h0, diagonals, block0, prefixes = chain_lanes(21, rank, phase, hopping)
     assert h0.shape == (65, 65) and np.iscomplexobj(h0) == (phase != 0.0)
     forbid(monkeypatch, "_dense_prefix_traces")
-    z = 0.3 + 0.1j
-    got = nested_block_traces(h0, diagonals, z, block0, prefixes)
-    assert got.shape == (21, len(prefixes))
-    for lane, d in zip(got, diagonals):
-        h = h0 + np.diag(d)
-        for size, tr in zip(prefixes, lane):
-            want = np.trace(np.linalg.inv(h[:size, :size] - z * np.eye(size))[
-                np.ix_(block0, block0)
-            ])
-            assert abs(tr - want) <= 1e-12 * abs(want)
-    # per-lane values do not depend on how the lanes are batched
-    for batch in (7, 1):
-        parts = [
-            nested_block_traces(h0, diagonals[i : i + batch], z, block0, prefixes)
-            for i in range(0, 21, batch)
-        ]
-        assert np.array_equal(np.concatenate(parts), got)
+    assert_outward_sweep_is_exact(h0, diagonals, block0, prefixes, 0.3 + 0.1j)
 
 
-def test_band_route_is_chosen_from_the_bandwidth(monkeypatch):
-    # a 2-d box of 25 sites has bandwidth 15: (15 + 1)^2 > 25, so dense
-    model = box_model(2, 2, 1, 0.0)
-    h0 = model.free.matrix(len(model.site_space))
-    diagonals = np.array([2.0 * draw_disorder(model, 3, i) for i in range(3)])
-    forbid(monkeypatch, "_band_prefix_traces")
-    got = nested_block_traces(h0, diagonals, 0.2 + 0.3j, [0], [9, 25])
-    assert got.shape == (3, 2) and np.all(np.isfinite(got))
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("half_width", [0, 1, 2, 3])
+def test_outward_sweep_matches_the_dense_oracle_on_short_chains(
+    monkeypatch, half_width, rank
+):
+    # down to one site, where the probe block is the whole volume
+    h0, diagonals, block0, prefixes = chain_lanes(9, rank, 0.7, True, half_width)
+    forbid(monkeypatch, "_dense_prefix_traces")
+    assert_outward_sweep_is_exact(h0, diagonals, block0, prefixes, -0.4 + 0.2j)
+
+
+def test_chain_route_is_chosen_from_the_end_property():
+    import doslab.spectral as spectral
+
+    rng = np.random.default_rng(6)
+    n = 12
+    # bandwidth 2 without the end property: sites 0, 1, 2 form a path and
+    # site q >= 3 couples to q - 2, so site 3 attaches to the middle site 1
+    comb = np.zeros((n, n))
+    comb[[1, 2], [0, 1]] = 1.0
+    comb[np.arange(3, n), np.arange(1, n - 2)] = 1.0
+    comb += comb.T
+    # bandwidth 2 with two earlier neighbours per site
+    penta = sum(np.diag(rng.standard_normal(n - k), k) for k in (1, 2))
+    penta = penta + penta.T
+    # a 2-d box of 25 sites
+    box = box_model(2, 2, 1, 0.0)
+    box_h0 = box.free.matrix(len(box.site_space))
+    for h0 in (comb, penta, box_h0):
+        diagonals = rng.uniform(-2.0, 2.0, (3, len(h0)))
+        prefixes = list(range(4, len(h0) + 1, 4))
+        # the dense LU takes them, and still matches
+        assert spectral._outward_prefix_traces(
+            h0, diagonals, 0.2 + 0.3j, np.array([0]), len(h0)
+        ) is None
+        assert_matches_dense_inverse(h0, diagonals, [0], prefixes, 0.2 + 0.3j)
 
 
 def test_band_sweep_carries_the_residual_guard(monkeypatch):
     import doslab.spectral as spectral
 
-    h0, diagonals, block0, prefixes = chain_lanes(4, half_width=5)
-    forbid(monkeypatch, "_dense_prefix_traces")
-    ok = nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
-    assert np.all(np.isfinite(ok))
-    bad = diagonals.copy()
-    bad[2, 6] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
-        nested_block_traces(h0, bad, 0.5j, block0, prefixes)
-    monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
-    with pytest.raises(RuntimeError, match="residual"):
-        nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
+    for rank in (1, 3):
+        h0, diagonals, block0, prefixes = chain_lanes(4, rank, half_width=5)
+        forbid(monkeypatch, "_dense_prefix_traces")
+        ok = nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
+        assert np.all(np.isfinite(ok))
+        # a NaN pivot past the block, or at a block site, fails the check
+        # instead of slipping past a ">" test
+        for site in (6, 0):
+            bad = diagonals.copy()
+            bad[2, site] = np.nan
+            with np.errstate(invalid="ignore"), pytest.raises(
+                RuntimeError, match="residual"
+            ):
+                nested_block_traces(h0, bad, 0.5j, block0, prefixes)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+            with pytest.raises(RuntimeError, match="residual"):
+                nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
+    # a volume no larger than the probe block still checks its pivots
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="residual"):
+            nested_block_traces(h0, diagonals, 0.5j, block0, [3])
 
 
 # -- probe-block coupling poles ----------------------------------------------------
