@@ -404,8 +404,9 @@ def block_coupling_poles(
     h0, n, diags = _lane_stack(h0, diagonals)
     z = np.array([_as_z(v) for v in np.ravel(zs)])
     sites = np.asarray(block_sites, dtype=np.int64)
-    if sites.size == 0 or sites.min() < 0 or sites.max() >= n:
-        raise ValueError(f"block sites must be non-empty and lie in [0, {n})")
+    distinct = len(set(sites.tolist())) == sites.size
+    if sites.size == 0 or not distinct or sites.min() < 0 or sites.max() >= n:
+        raise ValueError(f"block sites must be non-empty, distinct and lie in [0, {n})")
     d = diags[:, sites[0]]
     if np.any(diags[:, sites] != d[:, None]):
         raise ValueError("each lane's diagonal must take one value on the block sites")

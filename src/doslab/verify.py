@@ -14,7 +14,8 @@ The checks:
   its disorder-space integration-by-parts form, derivative order by order.
 * :func:`verify_resolvent_average_bound` - a two-sided bound: the norm of a
   disorder-averaged resolvent difference is controlled by the average of a
-  fractional power of the same difference over a shifted window.
+  fractional power of the same difference over a shifted window, on LHS
+  rules sized from the strip where their integrand is analytic.
 * :func:`verify_semigroup_hoelder` - Hoelder continuity of the contraction
   semigroup map ``X -> exp(itX)`` in the generator.
 * :func:`verify_resolvent_semigroup_identity` - the averaged resolvent of a
@@ -53,15 +54,22 @@ _DENSITY = SingleSiteDensity(3)
 # stencil step of the finite-difference route in verify_finite_smooth
 _FD_STEP = 0.005
 # verify_resolvent_average_bound: the fractional exponent s, the spectral
-# parameters, the two node counts compared per evaluation, the relative drift
-# between them that counts as converged, the perturbation sizes B = A + delta C
-# of the Hoelder slope fit and how many instances it takes; the RHS window
-# and the transition width of its smooth cutoff, which with the two rho_3
-# densities makes up the bound's bump pair
+# parameters; the check rule's LHS error target, least node count and the
+# Im z above which it resolves no finer (so all of _BOUND_Z share one grid),
+# its RHS nodes per panel and panels, and the nodes the reported rule adds
+# per direction and panel; the drift between the rules that counts as
+# converged, the perturbation sizes B = A + delta C of the Hoelder slope fit
+# and how many instances it takes; the RHS window and the transition width
+# of its smooth cutoff, which with the two rho_3 densities makes up the
+# bound's bump pair
 _BOUND_S = 0.4
 _BOUND_Z = (-1.0 + 0.2j, 0.5j, 1.0 + 0.2j, 0.5 + 1.0j)
-_BOUND_NODES = 20
-_BOUND_COARSE_NODES = 16
+_LHS_TARGET = 5e-3
+_LHS_MIN_NODES = 8
+_LHS_RULE_IM = min(z.imag for z in _BOUND_Z)
+_RHS_NODES = 16
+_RHS_PANELS = 2
+_REPORTED_EXTRA_NODES = 4
 _BOUND_CONVERGENCE_TOL = 0.02
 _SLOPE_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 _N_SLOPE_INSTANCES = 5
@@ -271,8 +279,7 @@ def _cutoff(x):
     """Smooth cutoff of the two-sided bound's RHS window (-3.5, -0.5): a
     smooth indicator of (0, 3) with transition width 0.1, shifted left by
     3.5, so exactly one on [-3.4, -0.6] and exactly zero outside the window."""
-    # the shift is x + 5R/2 + 1 at support radius R = 1, rounded in that order
-    y = np.asarray(x, dtype=float) + 2.5 + 1.0
+    y = np.asarray(x, dtype=float) + 3.5
     return smoothstep(y / _CUTOFF_TRANSITION) * smoothstep(
         (3.0 - y) / _CUTOFF_TRANSITION
     )
@@ -304,12 +311,6 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
-def _psd_sqrt(f: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(f)
-    w = np.maximum(w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 # ---------------------------------------------------------------------------
 # smoothed trace versus its disorder-space derivative forms
 
@@ -327,19 +328,13 @@ def _finite_smooth_curves(
     grids = np.meshgrid(*([pts_1d] * n_blocks), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)  # (M, K)
     wgrids = np.meshgrid(*([w_1d] * n_blocks), indexing="ij")
-    weights = np.ones_like(wgrids[0])
-    for g in wgrids:
-        weights = weights * g
-    weights = weights.ravel() * density.eval(pts).prod(axis=1)
+    weights = np.prod(wgrids, axis=0).ravel() * density.eval(pts).prod(axis=1)
     scores = density.score_factor(pts, ell)
 
     # 5-point central stencil for the ell-th derivative of the plain trace
-    if ell == 0:
-        stencil = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-    elif ell == 1:
-        stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    else:
-        stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+    stencil = np.array(
+        [[0, 0, 12, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1]][ell]
+    ) / 12.0
     offsets = np.arange(-2, 3) * fd_step
     zs = energies[:, None] + offsets[None, :] + 1j * eps  # (E, 5)
     zflat = zs.ravel()
@@ -474,9 +469,9 @@ def verify_finite_smooth(
 # two-sided averaged-resolvent bound
 
 
-def _difference_stacks(a, b, f1, f2, x, zs):
+def _difference_stacks(a, b, f1, f2, x1, x2, zs):
     """Yield F^(1/2) ((A + h - z)^(-1) - (B + h - z)^(-1)) F^(1/2) on the
-    tensor grid h = x_i F1 + x_j F2, one (n, n, d, d) stack per z of zs.
+    tensor grid h = x1_i F1 + x2_j F2, one (n1, n2, d, d) stack per z of zs.
 
     F = F1 + F2.  A + h and B + h are Hermitian and do not depend on z, so
     one eigh per node, M = V diag(lam) V^H, serves every z:
@@ -487,8 +482,9 @@ def _difference_stacks(a, b, f1, f2, x, zs):
     for name, m in (("A", a), ("B", b), ("F1", f1), ("F2", f2)):
         if np.max(np.abs(m - m.conj().T)) > _STRUCTURE_TOL:
             raise ValueError(f"{name} must be Hermitian for the eigen route")
-    fh = _psd_sqrt(f1 + f2)
-    h = x[:, None, None, None] * f1 + x[None, :, None, None] * f2
+    fw, fv = np.linalg.eigh(f1 + f2)
+    fh = (fv * np.sqrt(np.maximum(fw, 0.0))) @ fv.conj().T
+    h = x1[:, None, None, None] * f1 + x2[None, :, None, None] * f2
     factors = []
     for m in (a, b):
         lam, v = np.linalg.eigh(m + h)
@@ -501,35 +497,59 @@ def _difference_stacks(a, b, f1, f2, x, zs):
         yield term_a - term_b
 
 
-def bound_lhs(a, b, f1, f2, z, n_nodes: int = 20):
+def _lhs_nodes(f1, f2, z, check: bool = False) -> tuple[int, int]:
+    """Gauss nodes on [0, 1] of z's LHS rule in x1 and x2.  The integrand is
+    analytic for |Im x_j| < Im z / ||F_j||, where one Gauss-Legendre panel
+    of n nodes errs like exp(-2n asinh(2 Im z / ||F_j||)); the check rule
+    takes the least n >= _LHS_MIN_NODES that brings this to _LHS_TARGET at
+    Im z capped by _LHS_RULE_IM, the reported rule _REPORTED_EXTRA_NODES more."""
+    eta = min(complex(z).imag, _LHS_RULE_IM)
+    if eta <= 0:
+        raise ValueError(f"z must lie in the upper half plane, got {z}")
+    extra = 0 if check else _REPORTED_EXTRA_NODES
+    nodes = []
+    for f in (f1, f2):
+        norm = float(np.linalg.norm(f, 2))
+        rate = 2.0 * math.asinh(2.0 * eta / norm) if norm else math.inf
+        need = math.ceil(-math.log(_LHS_TARGET) / rate)
+        nodes.append(max(_LHS_MIN_NODES, need) + extra)
+    return tuple(nodes)
+
+
+def bound_lhs(a, b, f1, f2, z, check: bool = False):
     """LHS of the two-sided bound for each z (z a value or an array): the
     norm of the difference averaged over x1, x2 drawn from rho_3 on (0, 1),
-    by tensor Gauss quadrature."""
+    by tensor Gauss quadrature on z's rule from _lhs_nodes.  The z that share
+    a rule share one eigh per node."""
     zs = np.asarray(z, dtype=complex)
-    x, w = panel_rule(0.0, 1.0, n_nodes, 1)
-    wd = w * _DENSITY.eval(x)
-    lhs = [
-        _spectral_norms(np.einsum("i,j,ijkl->kl", wd, wd, diff, optimize=True))
-        for diff in _difference_stacks(a, b, f1, f2, x, zs)
-    ]
-    return np.reshape(lhs, zs.shape)
+    rules = [_lhs_nodes(f1, f2, v, check) for v in zs.ravel()]
+    lhs = np.empty(len(rules))
+    for rule in dict.fromkeys(rules):
+        picks = [k for k, r in enumerate(rules) if r == rule]
+        (x1, w1), (x2, w2) = (panel_rule(0.0, 1.0, n, 1) for n in rule)
+        wd1, wd2 = w1 * _DENSITY.eval(x1), w2 * _DENSITY.eval(x2)
+        stacks = _difference_stacks(a, b, f1, f2, x1, x2, zs.ravel()[picks])
+        for k, diff in zip(picks, stacks):
+            lhs[k] = _spectral_norms(np.einsum("i,j,ijkl->kl", wd1, wd2, diff))
+    return lhs.reshape(zs.shape)
 
 
-def average_bound_terms(a, b, f1, f2, z, n_nodes: int = 20, rhs_panels: int = 2):
-    """(LHS, RHS) of the two-sided bound by tensor quadrature, each with the
-    shape of z (a value or an array); every z shares one eigendecomposition
-    per node and gets the values it would get alone.
-
-    The RHS integrand carries an s-power of a norm, so it has kinks where
-    singular values cross; rhs_panels localizes them."""
+def average_bound_terms(a, b, f1, f2, z, check: bool = False):
+    """(LHS, RHS) of the two-sided bound by tensor quadrature on the check
+    or the reported rule, each with the shape of z (a value or an array); a
+    z gets the values it would get alone.  The RHS integrand carries an
+    s-power of a norm, with kinks where singular values cross; _RHS_PANELS
+    Gauss panels localize them."""
     zs = np.asarray(z, dtype=complex)
-    y, wy = panel_rule(*_CUTOFF_SUPPORT, n_nodes, rhs_panels)
+    lhs = bound_lhs(a, b, f1, f2, zs, check)
+    n_rhs = _RHS_NODES + (0 if check else _REPORTED_EXTRA_NODES)
+    y, wy = panel_rule(*_CUTOFF_SUPPORT, n_rhs, _RHS_PANELS)
     wc = wy * _cutoff(y)
     rhs = [
         np.einsum("i,j,ij->", wc, wc, _spectral_norms(diff) ** _BOUND_S)
-        for diff in _difference_stacks(a, b, f1, f2, y, zs)
+        for diff in _difference_stacks(a, b, f1, f2, y, y, zs)
     ]
-    return bound_lhs(a, b, f1, f2, zs, n_nodes), np.reshape(rhs, zs.shape)
+    return lhs, np.reshape(rhs, zs.shape)
 
 
 def verify_resolvent_average_bound(corpus: Corpus) -> CheckReport:
@@ -545,60 +565,43 @@ def verify_resolvent_average_bound(corpus: Corpus) -> CheckReport:
 
     Also fits the log-log slope of LHS against a shrinking perturbation
     B = A + delta C on the first five instances, which must come out at
-    least s - 0.05 (Hoelder continuity in the generator); and flags
-    per-instance quadrature non-convergence by comparing two node counts.
+    least s - 0.05 (Hoelder continuity in the generator).  Each evaluation
+    on the reported rule is repeated on the check rule; a relative drift
+    above _BOUND_CONVERGENCE_TOL between them fails the check, and nothing
+    is refined after the fact.
     """
     ratios = []
     unconverged = []
-    n_escalated = 0
+    max_lhs_nodes = 0
     worst = None
     for index in range(corpus.n_instances):
         a, b, f1, f2, z_own = corpus.bound_instance(index)
-        fine = average_bound_terms(a, b, f1, f2, _BOUND_Z, _BOUND_NODES)
-        coarse = average_bound_terms(a, b, f1, f2, _BOUND_Z, _BOUND_COARSE_NODES)
+        fine = average_bound_terms(a, b, f1, f2, _BOUND_Z)
+        coarse = average_bound_terms(a, b, f1, f2, _BOUND_Z, check=True)
         for z, lhs, rhs, lhs_c, rhs_c in zip(_BOUND_Z, *fine, *coarse):
+            nodes = _lhs_nodes(f1, f2, z)
+            max_lhs_nodes = max(max_lhs_nodes, *nodes)
             scale = max(abs(rhs), abs(lhs), 1e-300)
             drift = max(abs(lhs - lhs_c), abs(rhs - rhs_c)) / scale
             if drift > _BOUND_CONVERGENCE_TOL:
-                # kink panels converge slowly; escalate before flagging
-                n_escalated += 1
-                lhs_f, rhs_f = map(
-                    float,
-                    average_bound_terms(
-                        a, b, f1, f2, z, _BOUND_NODES + 8, rhs_panels=3
-                    ),
+                unconverged.append(
+                    {"index": index, "z": z, "drift": drift, "lhs_nodes": nodes}
                 )
-                scale = max(abs(rhs_f), abs(lhs_f), 1e-300)
-                drift = max(abs(lhs - lhs_f), abs(rhs - rhs_f)) / scale
-                lhs, rhs = lhs_f, rhs_f
-                if drift > _BOUND_CONVERGENCE_TOL:
-                    unconverged.append(
-                        {"index": index, "z": z, "drift": drift}
-                    )
             ratio = lhs / max(rhs, 1e-300)
             ratios.append(ratio)
             if worst is None or ratio > worst["ratio"]:
-                worst = {
-                    "index": index,
-                    "z": z,
-                    "ratio": ratio,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "dim": a.shape[0],
-                }
+                worst = dict(
+                    index=index, z=z, ratio=ratio, lhs=lhs, rhs=rhs, dim=len(a)
+                )
     ratios = np.asarray(ratios)
 
-    slope_corpus = dataclasses.replace(corpus, delta=1.0)
     slopes = []
     for index in range(min(_N_SLOPE_INSTANCES, corpus.n_instances)):
-        lhs_by_delta = []
-        for delta in _SLOPE_DELTAS:
-            a, b, f1, f2, z_own = dataclasses.replace(
-                slope_corpus, delta=float(delta)
-            ).bound_instance(index)
-            lhs_by_delta.append(
-                float(bound_lhs(a, b, f1, f2, z_own, _BOUND_NODES))
-            )
+        instances = (
+            dataclasses.replace(corpus, delta=d).bound_instance(index)
+            for d in _SLOPE_DELTAS
+        )
+        lhs_by_delta = [float(bound_lhs(*instance)) for instance in instances]
         slopes.append(
             float(np.polyfit(np.log(_SLOPE_DELTAS), np.log(lhs_by_delta), 1)[0])
         )
@@ -622,7 +625,7 @@ def verify_resolvent_average_bound(corpus: Corpus) -> CheckReport:
             "quantile_95": float(np.quantile(ratios, 0.95)),
             "min_slope": min_slope,
             "slopes": slopes,
-            "n_escalated": n_escalated,
+            "max_lhs_nodes": max_lhs_nodes,
             "n_unconverged": len(unconverged),
         },
         witness=worst if passed else {"worst": worst, "unconverged": unconverged},
@@ -669,9 +672,7 @@ def verify_semigroup_hoelder(corpus: Corpus) -> CheckReport:
         n_violations += int(np.count_nonzero(margins > DEFAULT_SLACK))
     passed = n_violations == 0
     if not passed:
-        x, y = corpus.pair(worst["index"])
-        worst["x"] = x
-        worst["y"] = y
+        worst["x"], worst["y"] = corpus.pair(worst["index"])
     return CheckReport(
         name="semigroup_hoelder_in_generator",
         passed=passed,
@@ -832,8 +833,6 @@ def verify_spectral_averaging(a, phi) -> CheckReport:
             "eps_list": list(_AVERAGING_EPS),
             "sup_values": sup_values,
             "drifts": drifts.tolist(),
-            # the only route now; the key keeps the report's bytes
-            "exact_route": True,
             "poisson_cap": math.pi * _DENSITY.sup_derivative(0) * phi_norm**2,
         },
         witness=None if passed else {"sup_values": sup_values, "drifts": drifts},
@@ -907,18 +906,13 @@ def verify_boundary_derivatives(
     slope = float(np.polyfit(np.log(eps_arr), np.log(errors), 1)[0])
     rate_constant = float(np.max(errors / eps_arr))
 
-    exterior_ok = True
     exterior_worst = 0.0
     for e in _EXTERIOR_POINTS:
         dist = max(0.0 - e, e - 1.0)
         for eps in eps_arr:
-            val = float(
-                np.imag(stieltjes_transform(rho, 0, complex(e, eps)))
-            )
-            bound = eps / dist**2
-            exterior_worst = max(exterior_worst, val - bound)
-            if val > bound + DEFAULT_SLACK:
-                exterior_ok = False
+            val = float(np.imag(stieltjes_transform(rho, 0, complex(e, eps))))
+            exterior_worst = max(exterior_worst, val - eps / dist**2)
+    exterior_ok = exterior_worst <= DEFAULT_SLACK
 
     passed = bool(bounded) and slope >= _MIN_CONVERGENCE_SLOPE and exterior_ok
     ji, ki = np.unravel_index(

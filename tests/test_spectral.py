@@ -533,6 +533,12 @@ def test_block_coupling_poles_validation():
         block_coupling_poles(h0, diagonals, ZS, [7])
     with pytest.raises(ValueError, match="block sites"):
         block_coupling_poles(h0, diagonals, ZS, [])
+    # a repeated site is refused, as nested_block_traces refuses it, even when
+    # the lane's diagonal takes one value on the block
+    one_value = diagonals.copy()
+    one_value[:, 1] = one_value[:, 0]
+    with pytest.raises(ValueError, match="distinct"):
+        block_coupling_poles(h0, one_value, ZS, [0, 1, 1])
     with pytest.raises(ValueError, match="imaginary"):
         block_coupling_poles(h0, diagonals, [0.5 + 0.2j, 0.3], [0])
     # the block's coupling is one value per lane

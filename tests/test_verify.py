@@ -18,11 +18,17 @@ from doslab.verify import (
     _CUTOFF_SUPPORT,
     _DENSITY,
     _EIG_COND_LIMIT,
+    _LHS_MIN_NODES,
+    _LHS_TARGET,
     _MIN_IMAG,
+    _REPORTED_EXTRA_NODES,
+    _RHS_NODES,
     CheckReport,
     Corpus,
     _batched_expi,
     _cutoff,
+    _difference_stacks,
+    _lhs_nodes,
     _spectral_norms,
     average_bound_terms,
     bound_lhs,
@@ -277,31 +283,24 @@ def test_average_bound_terms_vanish_for_equal_operators():
     assert rhs == 0.0
 
 
-def inverse_bound_terms(a, b, f1, f2, z, s, n_nodes=20, rhs_panels=2):
+def inverse_bound_terms(a, b, f1, f2, z, s, lhs_nodes, rhs_nodes):
     """(LHS, RHS) from one inverse per node and z, the route before the
-    shared eigendecomposition."""
+    shared eigendecomposition: lhs_nodes Gauss nodes in x1 and x2 on one
+    panel, rhs_nodes per panel on two panels of the RHS window."""
     d = a.shape[0]
     w, v = np.linalg.eigh(f1 + f2)
     fh = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
 
-    def norms(x_nodes):
-        out = np.empty((len(x_nodes), len(x_nodes)))
-        diffs = np.empty((len(x_nodes), len(x_nodes), d, d), dtype=complex)
-        for i, x1 in enumerate(x_nodes):
-            for j, x2 in enumerate(x_nodes):
-                h = x1 * f1 + x2 * f2 - z * np.eye(d)
-                diff = fh @ (np.linalg.inv(a + h) - np.linalg.inv(b + h)) @ fh
-                diffs[i, j] = diff
-                out[i, j] = np.linalg.norm(diff, 2)
-        return diffs, out
+    def diffs(x1, x2):
+        h = x1[:, None, None, None] * f1 + x2[None, :, None, None] * f2 - z * np.eye(d)
+        return fh @ (np.linalg.inv(a + h) - np.linalg.inv(b + h)) @ fh
 
-    x, wx = panel_rule(0.0, 1.0, n_nodes, 1)
-    wd = wx * _DENSITY.eval(x)
-    diffs, _ = norms(x)
-    lhs = np.linalg.norm(np.einsum("i,j,ijkl->kl", wd, wd, diffs), 2)
-    y, wy = panel_rule(*_CUTOFF_SUPPORT, n_nodes, rhs_panels)
+    (x1, w1), (x2, w2) = (panel_rule(0.0, 1.0, n, 1) for n in lhs_nodes)
+    wd1, wd2 = w1 * _DENSITY.eval(x1), w2 * _DENSITY.eval(x2)
+    lhs = np.linalg.norm(np.einsum("i,j,ijkl->kl", wd1, wd2, diffs(x1, x2)), 2)
+    y, wy = panel_rule(*_CUTOFF_SUPPORT, rhs_nodes, 2)
     wc = wy * _cutoff(y)
-    _, rhs_norms = norms(y)
+    rhs_norms = np.linalg.svd(diffs(y, y), compute_uv=False)[..., 0]
     return lhs, float(wc @ rhs_norms**s @ wc)
 
 
@@ -325,11 +324,48 @@ def test_eigen_route_matches_per_node_inverses(d):
     a, b, f1, f2, _ = Corpus(1, dim_min=d, dim_max=d, seed=40 + d).bound_instance(0)
     cases = [(a, b, f1, f2), complex_bound_instance(d, 50 + d)]
     for a, b, f1, f2 in cases:
-        lhs, rhs = average_bound_terms(a, b, f1, f2, zs, n_nodes=8)
-        for z, l, r in zip(zs, lhs, rhs):
-            l_ref, r_ref = inverse_bound_terms(a, b, f1, f2, z, 0.4, n_nodes=8)
-            assert_allclose(l, l_ref, rtol=1e-12)
-            assert_allclose(r, r_ref, rtol=1e-12)
+        for check in (True, False):
+            rhs_nodes = _RHS_NODES + (0 if check else _REPORTED_EXTRA_NODES)
+            lhs, rhs = average_bound_terms(a, b, f1, f2, zs, check=check)
+            for z, l, r in zip(zs, lhs, rhs):
+                l_ref, r_ref = inverse_bound_terms(
+                    a, b, f1, f2, z, 0.4, _lhs_nodes(f1, f2, z, check), rhs_nodes
+                )
+                assert_allclose(l, l_ref, rtol=1e-12)
+                assert_allclose(r, r_ref, rtol=1e-12)
+
+
+def test_lhs_rule_follows_the_analyticity_strip():
+    f = np.diag([2.0, 0.5])
+    zero = np.zeros((2, 2))
+    n1, n2 = _lhs_nodes(f, zero, 0.2j, check=True)
+    assert n1 > n2 == _LHS_MIN_NODES
+    # a wider F narrows the strip, a smaller Im z too; the reported rule adds
+    # the same nodes per direction, and Im z above the smallest of _BOUND_Z
+    # takes that one's rule
+    assert _lhs_nodes(4.0 * f, zero, 0.2j, check=True)[0] > n1
+    assert _lhs_nodes(f, zero, 0.1j, check=True)[0] > n1
+    extra = _REPORTED_EXTRA_NODES
+    assert _lhs_nodes(f, zero, 0.2j) == (n1 + extra, n2 + extra)
+    assert _lhs_nodes(f, zero, 3.0 + 1.0j, check=True) == (n1, n2)
+    # rho^(-2 n) <= the target with n1 nodes, not with n1 - 1
+    rate = 2.0 * np.arcsinh(2.0 * 0.2 / 2.0)
+    assert np.exp(-rate * n1) <= _LHS_TARGET < np.exp(-rate * (n1 - 1))
+    for z in (0.5, 0.5 - 0.1j):
+        with pytest.raises(ValueError, match="upper half plane"):
+            _lhs_nodes(f, zero, z)
+
+
+@pytest.mark.parametrize("seed, index, z", [(2, 6, 1.0 + 0.2j), (4, 8, -1.0 + 0.2j)])
+def test_lhs_on_a_narrow_strip_matches_a_panelled_reference(seed, index, z):
+    # ||F_j|| / Im z is large on these instances, so a fixed 20-node rule
+    # erred by up to 7e-2 there; the reference takes 8 panels of 20 nodes
+    a, b, f1, f2, _ = Corpus(40, dim_min=2, dim_max=5, seed=seed).bound_instance(index)
+    x, w = panel_rule(0.0, 1.0, 20, 8)
+    wd = w * _DENSITY.eval(x)
+    (diff,) = _difference_stacks(a, b, f1, f2, x, x, np.array([z]))
+    ref = _spectral_norms(np.einsum("i,j,ijkl->kl", wd, wd, diff))
+    assert_allclose(bound_lhs(a, b, f1, f2, z), ref, rtol=5e-3)
 
 
 def test_one_z_does_not_depend_on_the_others_in_the_call():
@@ -386,6 +422,30 @@ def test_resolvent_average_bound_small_corpus():
     assert report.statistics["min_slope"] >= 0.35
     assert np.isfinite(report.statistics["max_ratio"])
     assert report.statistics["max_ratio"] > 0
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_resolvent_average_bound_converges_on_narrow_strips(seed):
+    # the default verify corpora of these seeds hold the instances above
+    report = verify_resolvent_average_bound(Corpus(40, dim_min=2, dim_max=5, seed=seed))
+    assert report.passed
+    assert report.statistics["n_unconverged"] == 0
+    assert report.statistics["max_lhs_nodes"] > 20
+
+
+def test_unconverged_witness_records_its_node_counts(monkeypatch):
+    import doslab.verify as verify
+
+    # at a zero tolerance every evaluation counts as unconverged
+    monkeypatch.setattr(verify, "_BOUND_CONVERGENCE_TOL", 0.0)
+    corpus = Corpus(1, dim_min=3, dim_max=3, seed=2)
+    report = verify_resolvent_average_bound(corpus)
+    assert not report.passed
+    assert report.statistics["n_unconverged"] == 4
+    _, _, f1, f2, _ = corpus.bound_instance(0)
+    for entry, z in zip(report.witness["unconverged"], verify._BOUND_Z):
+        assert entry["lhs_nodes"] == _lhs_nodes(f1, f2, z)
+    assert report.statistics["max_lhs_nodes"] == max(_lhs_nodes(f1, f2, 0.2j))
 
 
 def test_resolvent_average_bound_is_deterministic():
