@@ -7,8 +7,19 @@ certifies the operator inequalities the estimators rely on by quadrature.
 """
 
 import importlib
+import os
 
 __version__ = "0.11.0"
+
+
+def cpu_affinity() -> int:
+    """How many CPUs this process may run on: the size of its affinity set,
+    or 1 where the platform does not report one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
 
 # exported names by submodule, each loaded on first access (PEP 562): a chain
 # run then loads no scipy, and `python -m doslab.cli` finds no doslab.cli

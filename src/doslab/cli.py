@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cpu_affinity
 from .disorder import TRANSFORM_MAX_P, SingleSiteDensity
 from .lattice import (
     FreeOperatorSpec,
@@ -318,6 +318,21 @@ def _fields(mapping: dict) -> dict:
 # run manifest
 
 
+def _environment() -> dict:
+    """The environment a run computes in: the python and numpy versions,
+    scipy's when this process has already loaded it (so a chain run loads
+    nothing for it), and cpu_affinity, the CPU count verify's pool is sized
+    from.  The manifest records it outside the byte comparison."""
+    env = {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "cpu_affinity": cpu_affinity(),
+    }
+    if "scipy" in sys.modules:
+        env["scipy"] = sys.modules["scipy"].__version__
+    return env
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Provenance record of one run: inputs, environment, output checksums.
@@ -331,6 +346,7 @@ class RunManifest:
     wall_time_s: float
     outputs: dict[str, str]
     diagnostics: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
 
     def to_json_bytes(self) -> bytes:
         payload = {
@@ -341,6 +357,7 @@ class RunManifest:
             "wall_time_s": self.wall_time_s,
             "outputs": self.outputs,
             "diagnostics": self.diagnostics,
+            "environment": self.environment,
         }
         return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
@@ -373,9 +390,12 @@ class RunManifest:
             for table in config.values()
         ):
             raise ConfigError("(manifest)", "config must map sections to {key: text}")
-        diagnostics = payload.get("diagnostics", {})
+        diagnostics, env = payload.get("diagnostics", {}), payload.get("environment", {})
+        if not isinstance(env, dict):
+            raise ConfigError("(manifest)", "environment must be a table")
         return cls(
-            ExperimentConfig.from_mapping(config), sha, version, wall, outputs, diagnostics
+            ExperimentConfig.from_mapping(config), sha, version, wall, outputs,
+            diagnostics, env,
         )
 
 
@@ -700,6 +720,7 @@ def run(
         wall_time_s=wall,
         outputs=checksums,
         diagnostics=diagnostics,
+        environment=_environment(),
     )
     for name, data in artifacts.items():
         target = os.path.join(directory, name)
@@ -737,7 +758,9 @@ def reproduce(manifest_path: str, out=None, err=None) -> int:
 
     0 when identical, 1 on a difference, 3 when the re-run fails; a failed
     verify run is compared first, since it still writes its report.  A
-    stored config_sha256 that no longer matches the config is reported.
+    stored config_sha256 that no longer matches the config is reported, and
+    on a difference so are the environment entries that differ from this
+    process's.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -789,6 +812,16 @@ def reproduce(manifest_path: str, out=None, err=None) -> int:
         print(f"{name}: produced by the re-run but absent from the manifest", file=err)
         mismatches += 1
     if mismatches:
+        now = _environment()
+        changed = [
+            f"{key} {manifest.environment.get(key)} at the run, {now.get(key)} now"
+            for key in sorted(set(manifest.environment) | set(now))
+            if manifest.environment.get(key) != now.get(key)
+        ]
+        print(
+            "environment: " + ("; ".join(changed) or "no entry differs from this process"),
+            file=err,
+        )
         return EXIT_MISMATCH
     if failure is not None:
         print(f"numerical failure: {failure}", file=err)

@@ -58,6 +58,11 @@ class CscPattern:
     P a P^T, with site i in position _position[i].  data[diag[i]] is the
     diagonal entry of site i, so a shift or a disorder draw touches only the
     entries data[diag].
+
+    A pattern serves one caller at a time: resolvent_columns writes every
+    factorization's input into the one shared matrix _shifted, so two
+    threads on one pattern corrupt each other's solves (the residual check
+    then fails).  A forked process holds its own copy and may use it freely.
     """
 
     def __init__(self, rows, cols, vals, n: int):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import doslab
@@ -308,7 +309,8 @@ def test_only_fracmom_imports_scipy_sparse(tmp_path, command):
 @pytest.mark.parametrize("command", ["dos", "telescope", "fracmom", "verify"])
 def test_only_verify_loads_the_verify_module(tmp_path, command):
     # doslab.verify is the largest module; other commands never import it,
-    # and verify imports it while preparing, before the timed run
+    # and verify imports it while preparing, before the timed run; with it
+    # comes multiprocessing, for the bound check's fork pool
     extra = {"ell": "1"} if command == "telescope" else {}
     cfgp = toy_config(tmp_path, command, n_samples=4, **extra)
     call = (
@@ -318,11 +320,11 @@ def test_only_verify_loads_the_verify_module(tmp_path, command):
     )
     script = (
         f"import io, sys\nfrom doslab import cli\n{call}\n"
-        "print('doslab.verify' in sys.modules)\n"
+        "print('doslab.verify' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
     done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-1] == str(command == "verify")
+    assert done.stdout.split()[-2:] == [str(command == "verify")] * 2
 
 
 @pytest.mark.parametrize(
@@ -672,6 +674,43 @@ def test_reproduce_names_a_stale_config_hash(tmp_path):
     assert reproduce(str(mpath), out=io.StringIO(), err=err) == 1
     lines = [line for line in err.getvalue().splitlines() if "config_sha256" in line]
     assert len(lines) == 1 and payload["config_sha256"] in lines[0]
+
+
+def test_manifest_environment_is_named_on_a_mismatch_only(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cfgp = toy_config(tmp_path, "ids")
+    assert run_quiet(None, cfgp)[0] == 0
+    mpath = tmp_path / "out" / "ids.manifest.json"
+    payload = json.loads(mpath.read_text())
+    env = {"python": sys.version.split()[0], "numpy": np.__version__, "cpu_affinity": 3}
+    if "scipy" in sys.modules:
+        env["scipy"] = sys.modules["scipy"].__version__
+    assert payload["environment"] == env
+    # the environment takes no part in the byte comparison
+    payload["environment"]["numpy"] = "0.0"
+    mpath.write_text(json.dumps(payload))
+    err = io.StringIO()
+    assert reproduce(str(mpath), out=io.StringIO(), err=err) == 0
+    assert "environment" not in err.getvalue()
+    # a byte mismatch names the entries that differ from this process
+    payload["config"]["run"]["master_seed"] = "4242"
+    mpath.write_text(json.dumps(payload))
+    err = io.StringIO()
+    assert reproduce(str(mpath), out=io.StringIO(), err=err) == 1
+    lines = [line for line in err.getvalue().splitlines() if "environment" in line]
+    assert lines == [f"environment: numpy 0.0 at the run, {np.__version__} now"]
+
+
+def test_reproduce_rejects_an_environment_that_is_not_a_table(tmp_path):
+    cfgp = toy_config(tmp_path, "ids", n_samples=4)
+    assert run_quiet(None, cfgp)[0] == 0
+    mpath = tmp_path / "out" / "ids.manifest.json"
+    payload = json.loads(mpath.read_text())
+    payload["environment"] = ["numpy"]
+    mpath.write_text(json.dumps(payload))
+    err = io.StringIO()
+    assert reproduce(str(mpath), out=io.StringIO(), err=err) == 2
+    assert "(manifest)" in err.getvalue()
 
 
 def test_reproduce_reports_missing_original(tmp_path):

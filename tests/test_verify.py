@@ -33,6 +33,7 @@ from doslab.verify import (
     average_bound_terms,
     bound_lhs,
     averaging_corpus,
+    run_default_verification,
     smoothstep,
     verify_boundary_derivatives,
     verify_finite_smooth,
@@ -452,6 +453,61 @@ def test_resolvent_average_bound_is_deterministic():
     r1 = verify_resolvent_average_bound(Corpus(4, seed=33))
     r2 = verify_resolvent_average_bound(Corpus(4, seed=33))
     assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_default_reports_do_not_depend_on_the_process_count(monkeypatch, seed):
+    # the bound and Hoelder checks size their pool from the affinity set:
+    # one CPU runs inline, two fork a pool; the reports and their JSON bytes
+    # agree
+    import multiprocessing
+    import os
+
+    runs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        reports = [r.to_dict() for r in run_default_verification(seed)]
+        assert multiprocessing.active_children() == []
+        runs.append((reports, json.dumps(reports, indent=2, sort_keys=True)))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("cpus", [None, {0}, {0, 1}])
+def test_ordered_map_returns_results_in_call_order(monkeypatch, cpus):
+    # None stands for a platform without sched_getaffinity: calls run inline
+    import multiprocessing
+    import os
+
+    import doslab.verify as verify
+
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    calls = [(divmod, 7 * k, 5) for k in range(9)]
+    assert verify._ordered_map(calls) == [divmod(7 * k, 5) for k in range(9)]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    # a non-Hermitian A fails in _difference_stacks inside a forked worker
+    import multiprocessing
+    import os
+
+    original = Corpus.bound_instance
+
+    def skewed(self, index):
+        a, b, f1, f2, z = original(self, index)
+        a = a.copy()
+        a[0, 1] += 1e-3
+        return a, b, f1, f2, z
+
+    monkeypatch.setattr(Corpus, "bound_instance", skewed)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(ValueError, match="A must be Hermitian for the eigen route"):
+        verify_resolvent_average_bound(Corpus(3, dim_min=3, dim_max=3, seed=5))
+    assert multiprocessing.active_children() == []
 
 
 # -- semigroup Hoelder bound ------------------------------------------------------
