@@ -9,7 +9,7 @@ certifies the operator inequalities the estimators rely on by quadrature.
 import importlib
 import os
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 
 def cpu_affinity() -> int:

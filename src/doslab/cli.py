@@ -38,6 +38,7 @@ from .montecarlo import (
     dos_derivative_curve,
     fractional_moment_profile,
     ids_curve,
+    loaded_openblas,
     smoothed_dos_curve,
     telescope_series_diagnostic,
 )
@@ -321,8 +322,10 @@ def _fields(mapping: dict) -> dict:
 def _environment() -> dict:
     """The environment a run computes in: the python and numpy versions,
     scipy's when this process has already loaded it (so a chain run loads
-    nothing for it), and cpu_affinity, the CPU count verify's pool is sized
-    from.  The manifest records it outside the byte comparison."""
+    nothing for it), cpu_affinity, the CPU count the sample spans and
+    verify's pool are sized from, and one "openblas <file>" entry per loaded
+    OpenBLAS, its build and thread count.  The manifest records it outside
+    the byte comparison."""
     env = {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -330,6 +333,8 @@ def _environment() -> dict:
     }
     if "scipy" in sys.modules:
         env["scipy"] = sys.modules["scipy"].__version__
+    for lib in loaded_openblas():
+        env[f"openblas {lib.name}"] = f"{lib.config} threads={lib.get_threads()}"
     return env
 
 

@@ -9,12 +9,28 @@ bit-reproducible and lets coupled quantities (telescoping differences,
 cross-volume comparisons) share their randomness exactly.
 
 Every estimator is one row function of a chunk of samples' couplings
-handed to one driver, `_estimate`: it runs the chunks in index order, draws
-each sample of a chunk, slices the draws to the volume, averages the rows
-with their antithetic mirrors where the route asks for it, fills a
-(n_samples, width) table and reduces it to one Estimate per column.  There is
-one entry point per quantity, on a grid of points; a single point is a
-one-point grid.
+handed to one driver, `_estimate`: it draws each sample of a chunk, slices
+the draws to the volume, averages the rows with their antithetic mirrors
+where the route asks for it, fills a (n_samples, width) table and reduces it
+to one Estimate per column.  There is one entry point per quantity, on a
+grid of points; a single point is a one-point grid.
+
+The samples are split into contiguous spans, one per CPU of the process's
+affinity set: this process runs the first span and forked children run the
+others, each span chunk by chunk from its first sample, and the table is
+assembled in index order.  A row depends on its sample alone, so the table
+and every CSV are the same at any CPU count; `taskset -c 0` pins a run to
+one CPU.  The span size follows the route the volume takes.  Rows that
+loop over a chunk's samples one by one (fractional moments' sparse LU, the
+IDS, and on a box the eigh of dos and dos-deriv and the dense LU of the
+telescope) take spans of any size, and every loaded OpenBLAS runs one
+thread while they run, fanned out or not: two processes then do not share
+two cores four ways, and the bytes of SuperLU, eigh and the dense LU,
+which depend on the BLAS thread count, are those of a one-CPU run.  Rows
+that serve a whole chunk by one sweep over all its lanes (the chain
+recursions of dos, dos-deriv and the telescope) cost mostly per call and
+call no BLAS: they take spans of at least _CHUNK_SAMPLES, and a run of at
+most one chunk stays inline with no BLAS lookup.
 
 `dos` and `dos-deriv` integrate the probe block's own coupling exactly:
 tr(P_0 G) = sum_k 1/(lambda omega_0 - mu_k), where the mu_k
@@ -34,20 +50,27 @@ eigendecomposition, a kernel the score route does not share.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import pickle
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 # numpy loads numpy.random on first use; loading it here keeps that cost out
 # of the first sample
 import numpy.random  # noqa: F401
 
+from . import cpu_affinity
 from .disorder import fractional_inverse_moment, stieltjes_transform
 from .lattice import ModelSpec
 from .spectral import CscPattern, block_coupling_poles, eigen_weights
-from .spectral import nested_block_traces
+from .spectral import coupling_poles_share_a_sweep, nested_block_traces
+from .spectral import nested_traces_share_a_sweep
 
 # samples per rows() call; bounds the memory of a chunk's lane stack
 _CHUNK_SAMPLES = 256
@@ -173,7 +196,8 @@ class _Volume:
 
 
 def _estimate(
-    vol: _Volume, mc: McConfig, width: int, rows, antithetic=False, dtype=np.complex128
+    vol: _Volume, mc: McConfig, width: int, rows, *, shared_sweep: bool,
+    antithetic=False, dtype=np.complex128,
 ) -> list[Estimate]:
     """One Estimate per column of rows(omega) over the samples of mc.
 
@@ -182,28 +206,178 @@ def _estimate(
     chunk of S samples and returns (S, width) values, one row per sample and
     independent of the others.  With antithetic a sample's row is
     0.5 * (row(omega) + row(1 - omega)), unbiased because the bump laws are
-    symmetric about 1/2; the mirrors join their chunk's stack.  Chunks of
-    _CHUNK_SAMPLES run in index order, and the table does not depend on the
-    chunk size, so reductions over it are bit-stable.
+    symmetric about 1/2; the mirrors join their chunk's stack.
+
+    shared_sweep is the route of vol: true when rows serves a chunk by one
+    sweep over all its lanes, which calls no BLAS and costs mostly per call
+    (min_span = _CHUNK_SAMPLES); false when rows loops over the lanes
+    through LU or eigh, whose cost grows per sample (min_span = 1) and whose
+    bytes can depend on the BLAS thread count.  The samples split into
+    min(cpu_affinity(), ceil(n / min_span)) spans, each run in chunks of
+    _CHUNK_SAMPLES from its first sample.  Unless a shared sweep runs as
+    one span, and so inline with no BLAS lookup, every OpenBLAS loaded at
+    entry runs one thread throughout: a caller whose rows first load a
+    BLAS must load it before the call.  The table depends neither on the
+    chunk size nor on the span count, so reductions over it are bit-stable.
     """
     n = mc.n_samples
     values = np.empty((n, width), dtype=dtype)
-    for c0 in range(0, n, _CHUNK_SAMPLES):
-        c1 = min(c0 + _CHUNK_SAMPLES, n)
-        om = np.array(
-            [draw_disorder(vol.model, mc.master_seed, i) for i in range(c0, c1)]
-        )[:, : vol.n_blocks]
-        if antithetic:
-            both = rows(np.concatenate([om, 1.0 - om]))
-            values[c0:c1] = 0.5 * (both[: c1 - c0] + both[c1 - c0 :])
-        else:
-            values[c0:c1] = rows(om)
+
+    def fill(s0: int, s1: int) -> np.ndarray:
+        for c0 in range(s0, s1, _CHUNK_SAMPLES):
+            c1 = min(c0 + _CHUNK_SAMPLES, s1)
+            om = np.array(
+                [draw_disorder(vol.model, mc.master_seed, i) for i in range(c0, c1)]
+            )[:, : vol.n_blocks]
+            if antithetic:
+                both = rows(np.concatenate([om, 1.0 - om]))
+                values[c0:c1] = 0.5 * (both[: c1 - c0] + both[c1 - c0 :])
+            else:
+                values[c0:c1] = rows(om)
+        return values[s0:s1]
+
+    workers = min(cpu_affinity(), -(-n // (_CHUNK_SAMPLES if shared_sweep else 1)))
+    if workers == 1 and shared_sweep:
+        fill(0, n)
+    else:
+        with _one_blas_thread():
+            _run_spans(fill, values, [n * k // workers for k in range(workers + 1)])
     return Estimate.from_samples(values, mc.master_seed)
 
 
 def _each(row):
     """Rows of a chunk from a function of one sample's couplings."""
     return lambda oms: np.array([row(om) for om in oms])
+
+
+# -- sample spans on forked processes, one BLAS thread each ----------------------
+
+
+class OpenBlas(NamedTuple):
+    """One OpenBLAS library mapped into this process, with its thread-count
+    calls."""
+
+    name: str
+    config: str
+    get_threads: object
+    set_threads: object
+
+
+# symbol patterns of the thread-count calls: numpy's 64-bit-integer build,
+# scipy's build, and a system OpenBLAS either way
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"
+)
+
+
+def loaded_openblas() -> list[OpenBlas]:
+    """Every OpenBLAS this process has loaded, by file name, in name order.
+
+    Read from /proc/self/maps, so a library not yet loaded stays unloaded,
+    and empty where the platform has no such file."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except (OSError, IndexError):
+        return []
+    found = []
+    for path in sorted(paths, key=os.path.basename):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for pattern in _OPENBLAS_SYMBOLS:
+            try:
+                get, put, config = (
+                    getattr(lib, pattern.format(f))
+                    for f in ("get_num_threads", "set_num_threads", "get_config")
+                )
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            build = " ".join(config().decode().split())
+            found.append(OpenBlas(os.path.basename(path), build, get, put))
+            break
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS runs one thread inside; the old counts after."""
+    libs = loaded_openblas()
+    counts = [lib.get_threads() for lib in libs]
+    for lib in libs:
+        lib.set_threads(1)
+    try:
+        yield
+    finally:
+        for lib, count in zip(libs, counts):
+            lib.set_threads(count)
+
+
+def _run_spans(fill, values: np.ndarray, bounds: list[int]) -> None:
+    """values[a:b] = fill(a, b) for every span (a, b) of consecutive bounds.
+
+    The first span runs here, every other one in a forked child, which sends
+    its rows, or the exception it raised, back through a pipe.  The first
+    exception in span order is raised here; every child is killed and
+    reaped before this returns or raises.
+    """
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    children = []  # (pid, read end of its pipe, span)
+    finished = False
+    try:
+        for span in spans[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _span_child(fill, span, r, w)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb"), span))
+        fill(*spans[0])
+        for _, pipe, (s0, s1) in children:
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"the process of samples {s0}..{s1 - 1} died")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            values[s0:s1] = result
+        finished = True
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _span_child(fill, span, r: int, w: int):
+    """A forked child's whole life: fill one span, send the pickled rows or
+    exception through w, leave by os._exit."""
+    code = 1
+    try:
+        os.close(r)
+        try:
+            result = fill(*span)
+        except BaseException as exc:  # noqa: BLE001 - sent on; the parent raises it
+            result = exc
+        try:
+            data = pickle.dumps(result)
+        except Exception:  # noqa: BLE001 - an exception pickle cannot carry
+            data = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _spectral_parameters(energies, eps) -> np.ndarray:
@@ -242,7 +416,8 @@ def smoothed_dos_curve(
     def rows(oms):
         return np.imag(vol.coupling_transforms(oms, zs, 0)[0]) / np.pi
 
-    return _estimate(vol, mc, zs.size, rows, dtype=np.float64)
+    swept = coupling_poles_share_a_sweep(vol.h0, vol.block0)
+    return _estimate(vol, mc, zs.size, rows, shared_sweep=swept, dtype=np.float64)
 
 
 def ids_curve(
@@ -259,7 +434,7 @@ def ids_curve(
         evals, w = eigen_weights(vol.hamiltonian(om), vol.block0)
         return np.sum(w[:, None] * (evals[:, None] <= es[None, :]), axis=0)
 
-    return _estimate(vol, mc, es.size, _each(row), dtype=np.float64)
+    return _estimate(vol, mc, es.size, _each(row), shared_sweep=False, dtype=np.float64)
 
 
 def dos_derivative_curve(
@@ -300,7 +475,8 @@ def dos_derivative_curve(
             math.comb(ell, j) * bell[ell - j] * t for j, t in enumerate(ts)
         )
 
-    return _estimate(vol, mc, zs.size, rows, antithetic=ell > 0)
+    swept = coupling_poles_share_a_sweep(vol.h0, vol.block0)
+    return _estimate(vol, mc, zs.size, rows, shared_sweep=swept, antithetic=ell > 0)
 
 
 # -- fractional moments ----------------------------------------------------------
@@ -371,7 +547,7 @@ def fractional_moment_profile(
             out *= (np.abs(c) ** s * moment)[:, None]
         return out
 
-    return _estimate(vol, mc, len(targets), rows, dtype=np.float64)
+    return _estimate(vol, mc, len(targets), rows, shared_sweep=False, dtype=np.float64)
 
 
 def fit_decay(
@@ -467,7 +643,14 @@ def telescope_series_diagnostic(
         out[:, n_terms + 1] = tr[:, -1] * weight[:, -1]
         return out
 
-    *terms, base, direct = _estimate(vol, mc, n_terms + 2, rows, antithetic=ell > 0)
+    swept = nested_traces_share_a_sweep(vol.h0, prefix_sizes[-1])
+    if not swept:
+        # the LU route runs on scipy's BLAS: loaded here, it is pinned with
+        # numpy's while the samples run
+        import scipy.linalg  # noqa: F401
+    *terms, base, direct = _estimate(
+        vol, mc, n_terms + 2, rows, shared_sweep=swept, antithetic=ell > 0
+    )
     partial = complex(base.mean) + np.cumsum([complex(t.mean) for t in terms])
     abs_pairs = [
         (float(k), Estimate(abs(complex(t.mean)), t.stderr, t.n_samples, t.seed))

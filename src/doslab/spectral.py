@@ -196,6 +196,33 @@ def _dense_prefix_traces(h0, d, zc, rhs, m):
     return np.cumsum(np.sum(u_inv * l_inv, axis=1)), resid
 
 
+def nested_traces_share_a_sweep(h0: np.ndarray, m: int) -> bool:
+    """Whether nested_block_traces serves every lane of a call by one outward
+    sweep over the leading m sites of h0 (a chain), rather than by one LU
+    per lane on scipy's BLAS."""
+    return _outward_plan(np.asarray(h0), m) is not None
+
+
+def _outward_plan(h0, m):
+    """(j, |h_qe|) for each site q = 1..m-1 of the outward sweep, e = ends[j]
+    the end q attaches to, or None where the sweep does not apply."""
+    off = h0[:m, :m] != 0
+    later, earlier = np.nonzero(np.tril(off | off.T, -1))
+    hop = np.abs(h0[later, earlier]).tolist()
+    attach = dict(zip(later.tolist(), zip(earlier.tolist(), hop)))
+    if len(attach) < later.size:
+        return None
+    plan, ends = [], [0, 0]
+    for q in range(1, m):
+        e, t = attach.get(q, (ends[0], 0.0))
+        if e not in ends:
+            return None
+        j = ends.index(e)
+        plan.append((j, t))
+        ends[j] = q
+    return plan
+
+
 def _outward_prefix_traces(h0, diags, zc, sites, m):
     """tr(P G_n) for n = 1..m and every lane by one outward sweep, or None.
 
@@ -216,11 +243,8 @@ def _outward_prefix_traces(h0, diags, zc, sites, m):
     tr(P G) gains t^2 sum_{x in P} G(x, e)^2 / s, plus 1 / s if q is in P.
     A lane's residual is its largest |s + t^2 G(e, e) - (h_qq - z)|.
     """
-    off = h0[:m, :m] != 0
-    later, earlier = np.nonzero(np.tril(off | off.T, -1))
-    hop = np.abs(h0[later, earlier]).tolist()
-    attach = dict(zip(later.tolist(), zip(earlier.tolist(), hop)))
-    if len(attach) < later.size:
+    plan = _outward_plan(h0, m)
+    if plan is None:
         return None
     lanes, r = len(diags), sites.size
     slot = {p: k for k, p in enumerate(sites.tolist())}
@@ -233,15 +257,11 @@ def _outward_prefix_traces(h0, diags, zc, sites, m):
     # whatever the number of lanes, and a lane's bytes do not depend on it
     inv = 1.0 / az[0]
     col = [[np.zeros(lanes, dtype=np.complex128)] * r for _ in range(2)]
-    diag, cross, ends = [inv, inv], inv, [0, 0]
+    diag, cross = [inv, inv], inv
     if 0 in slot:
         col[0][slot[0]] = col[1][slot[0]] = inc[0, slot[0]] = inv
-    for q in range(1, m):
-        e, t = attach.get(q, (ends[0], 0.0))
-        if e not in ends:
-            return None
-        j = ends.index(e)
-        o, t2, ends[j] = 1 - j, t * t, q
+    for q, (j, t) in enumerate(plan, start=1):
+        o, t2 = 1 - j, t * t
         np.multiply(diag[j], t2, out=tg[q])
         inv = 1.0 / np.subtract(az[q], tg[q], out=piv[q])
         f = t2 * inv
@@ -331,12 +351,16 @@ def _path_order(h0: np.ndarray):
     deg = off.sum(axis=1)
     if off.sum() != 2 * (len(h0) - 1) or deg.max(initial=0) > 2:
         return None
-    order = [int(np.argmin(deg))]
+    links = [[] for _ in range(len(h0))]
+    for i, j in zip(*(a.tolist() for a in np.nonzero(off))):
+        links[i].append(j)
+    order, last = [int(np.argmin(deg))], None
     for _ in range(len(h0) - 1):
-        step = [j for j in np.flatnonzero(off[order[-1]]) if order[-2:-1] != [j]]
+        step = [j for j in links[order[-1]] if j != last]
         if not step:
             return None
-        order.append(int(step[0]))
+        last = order[-1]
+        order.append(step[0])
     return np.array(order)
 
 
@@ -418,17 +442,36 @@ def block_coupling_poles(
     off = np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
     ar = np.diagonal(h0).real + diags
     scale = np.max(off + np.abs(ar), axis=1)[:, None] + np.abs(z)
-    path = _path_order(h0)
-    pos = None if path is None else np.sort(np.argsort(path)[sites])
-    if pos is None or pos[-1] - pos[0] != sites.size - 1:
+    segment = _schur_segment(h0, sites)
+    if segment is None:
         mu, tr = _eigen_poles(h0, diags, z, sites, d)
     else:
-        mu, tr = _schur_poles(h0, ar, z, path, int(pos[0]), int(pos[-1]), scale)
+        mu, tr = _schur_poles(h0, ar, z, *segment, scale)
     gap = np.abs(np.sum(1.0 / (d[:, None, None] - mu), axis=-1) - tr)
     _check_residual(
         (gap * z.imag**2 / sites.size).ravel(), scale.ravel(), "block trace"
     )
     return mu
+
+
+def coupling_poles_share_a_sweep(h0: np.ndarray, block_sites: Sequence[int]) -> bool:
+    """Whether block_coupling_poles serves every lane of a call by one
+    two-sided Schur recursion (a chain), rather than by one eigh per lane."""
+    sites = np.asarray(block_sites, dtype=np.int64)
+    return _schur_segment(np.asarray(h0), sites) is not None
+
+
+def _schur_segment(h0, sites):
+    """(path, p0, p1): h0's sites in path order, with the block at path
+    positions p0..p1, or None unless h0 is one simple path through the
+    block's sites in a row."""
+    path = _path_order(h0)
+    if path is None:
+        return None
+    pos = np.sort(np.argsort(path)[sites])
+    if pos[-1] - pos[0] != sites.size - 1:
+        return None
+    return path, int(pos[0]), int(pos[-1])
 
 
 def _schur_poles(h0, ar, z, path, p0, p1, scale):

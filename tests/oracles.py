@@ -96,7 +96,9 @@ def resolvent_power_curve(model, n_prefix_sites, energies, eps, ell, mc):
         evals, w = eigen_weights(h, vol.block0)
         return fac * weighted_resolvent_power(evals, w, zs, ell + 1)
 
-    return montecarlo._estimate(vol, mc, zs.size, montecarlo._each(row))
+    return montecarlo._estimate(
+        vol, mc, zs.size, montecarlo._each(row), shared_sweep=False
+    )
 
 
 def source_averaged_fractional_moments(
@@ -127,7 +129,7 @@ def source_averaged_fractional_moments(
         return np.array([np.sum(w * v**s) for v in norms])
 
     return montecarlo._estimate(
-        vol, mc, len(tgts), montecarlo._each(row), dtype=np.float64
+        vol, mc, len(tgts), montecarlo._each(row), shared_sweep=False, dtype=np.float64
     )
 
 

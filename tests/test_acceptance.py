@@ -290,10 +290,11 @@ def test_criterion_09_two_sided_bound_scaling(capsys):
 
 
 def test_criterion_10_manifest_determinism(capsys, tmp_path, monkeypatch):
-    # The same experiment run with 256 and with 7 samples per chunk must emit
-    # byte-identical CSV curves, and a manifest must reproduce cleanly even
-    # after its retired run.workers key is edited: the key is accepted and
-    # ignored.
+    # The same experiment run with 256 and with 7 samples per chunk, on 1 and
+    # on 3 CPUs, must emit byte-identical CSV curves, and a manifest must
+    # reproduce cleanly even after its retired run.workers key is edited: the
+    # key is accepted and ignored.  On 3 CPUs the 300 samples form spans of
+    # 150 (chunks of 256) or 100 (chunks of 7), neither chunk-aligned.
     import doslab.montecarlo as montecarlo
 
     config = tmp_path / "exp.ini"
@@ -315,14 +316,16 @@ workers = 1
     )
     quiet = {"out": io.StringIO(), "err": io.StringIO()}
     curves = {}
-    for chunk in (256, 7):
-        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
-        out_dir = tmp_path / f"chunk{chunk}"
-        assert run(None, str(config), out_dir=str(out_dir), **quiet) == 0
-        curves[chunk] = (out_dir / "dos-deriv_curve0.csv").read_bytes()
-    identical = curves[256] == curves[7]
+    for cpus in (1, 3):
+        monkeypatch.setattr(montecarlo, "cpu_affinity", lambda cpus=cpus: cpus)
+        for chunk in (256, 7):
+            monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
+            out_dir = tmp_path / f"cpus{cpus}-chunk{chunk}"
+            assert run(None, str(config), out_dir=str(out_dir), **quiet) == 0
+            curves[cpus, chunk] = (out_dir / "dos-deriv_curve0.csv").read_bytes()
+    identical = len(set(curves.values())) == 1
 
-    manifest_path = tmp_path / "chunk7" / "dos-deriv.manifest.json"
+    manifest_path = tmp_path / "cpus3-chunk7" / "dos-deriv.manifest.json"
     code_same = reproduce(str(manifest_path), **quiet)
     payload = json.loads(manifest_path.read_text())
     payload["config"]["run"]["workers"] = "8"
@@ -334,7 +337,8 @@ workers = 1
         capsys,
         10,
         ok,
-        f"determinism: chunks of 256 vs 7 samples byte-identical {identical}, "
+        f"determinism: chunks of 256 vs 7 samples on 1 vs 3 CPUs byte-identical "
+        f"{identical}, "
         f"reproduce exit {code_same}, reproduce with edited workers exit "
         f"{code_edited}",
     )

@@ -22,6 +22,7 @@ from doslab.cli import (
     reproduce,
     run,
 )
+from doslab.montecarlo import loaded_openblas
 from doslab.verify import CheckReport
 
 
@@ -603,6 +604,28 @@ def test_resolvent_residual_failure_exits_3(tmp_path, monkeypatch):
     assert "residual" in err_buf.getvalue()
 
 
+def test_a_residual_failure_in_a_forked_span_exits_3(tmp_path, monkeypatch):
+    import doslab.montecarlo as montecarlo
+    import doslab.spectral as spectral
+
+    cfgp = toy_config(tmp_path, "fracmom", n_samples=4)
+    real_draw = montecarlo.draw_disorder
+
+    def draw(model, seed, index):
+        # on 2 CPUs samples 2 and 3 run in a forked child, and only there
+        # can no solve meet the guard
+        if index == 3:
+            monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+        return real_draw(model, seed, index)
+
+    monkeypatch.setattr(montecarlo, "draw_disorder", draw)
+    monkeypatch.setattr(montecarlo, "cpu_affinity", lambda: 2)
+    code, _, err = run_quiet(None, cfgp)
+    assert code == 3
+    assert "numerical failure: resolvent solve residual" in err
+    assert spectral._RESIDUAL_REL_TOL == 1e-10
+
+
 def test_telescope_residual_failure_exits_3(tmp_path, monkeypatch):
     import doslab.spectral as spectral
 
@@ -685,6 +708,8 @@ def test_manifest_environment_is_named_on_a_mismatch_only(tmp_path, monkeypatch)
     env = {"python": sys.version.split()[0], "numpy": np.__version__, "cpu_affinity": 3}
     if "scipy" in sys.modules:
         env["scipy"] = sys.modules["scipy"].__version__
+    for lib in loaded_openblas():
+        env[f"openblas {lib.name}"] = f"{lib.config} threads={lib.get_threads()}"
     assert payload["environment"] == env
     # the environment takes no part in the byte comparison
     payload["environment"]["numpy"] = "0.0"
@@ -699,6 +724,42 @@ def test_manifest_environment_is_named_on_a_mismatch_only(tmp_path, monkeypatch)
     assert reproduce(str(mpath), out=io.StringIO(), err=err) == 1
     lines = [line for line in err.getvalue().splitlines() if "environment" in line]
     assert lines == [f"environment: numpy 0.0 at the run, {np.__version__} now"]
+
+
+def test_manifest_names_each_loaded_openblas_with_its_thread_count(tmp_path):
+    # numpy and scipy each bring their own OpenBLAS; a fracmom run loads
+    # both, and its manifest names each build with the thread count it has
+    # outside the sample spans
+    import scipy.sparse.linalg  # noqa: F401
+
+    if len(loaded_openblas()) < 2:
+        pytest.skip("numpy and scipy do not load two OpenBLAS libraries here")
+    cfgp = toy_config(tmp_path, "fracmom", n_samples=4)
+    done = subprocess.run(
+        [sys.executable, "-m", "doslab.cli", "run", "--config", cfgp,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(doslab.__file__).parents[1]),
+             "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    mpath = tmp_path / "out" / "fracmom.manifest.json"
+    payload = json.loads(mpath.read_text())
+    builds = {
+        key: value for key, value in payload["environment"].items()
+        if key.startswith("openblas ")
+    }
+    assert sorted(builds) == sorted(f"openblas {lib.name}" for lib in loaded_openblas())
+    assert all("OpenBLAS" in v and v.endswith(" threads=1") for v in builds.values())
+    # a byte mismatch names the builds whose entry differs from this process
+    key = sorted(builds)[0]
+    payload["environment"][key] = "OpenBLAS 0.0 threads=7"
+    payload["config"]["run"]["master_seed"] = "4242"
+    mpath.write_text(json.dumps(payload))
+    err = io.StringIO()
+    assert reproduce(str(mpath), out=io.StringIO(), err=err) == 1
+    lines = [line for line in err.getvalue().splitlines() if "environment" in line]
+    assert len(lines) == 1 and f"{key} OpenBLAS 0.0 threads=7 at the run" in lines[0]
 
 
 def test_reproduce_rejects_an_environment_that_is_not_a_table(tmp_path):

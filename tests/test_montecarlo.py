@@ -7,11 +7,15 @@ into the code under test.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import doslab
 from doslab.disorder import SingleSiteDensity
 from doslab.lattice import (
     FreeOperatorSpec,
@@ -804,3 +808,253 @@ def test_telescope_validation():
         telescope_series_diagnostic(model, [2, 4], 0, 0.0, 0.5, mc)
     with pytest.raises(ValueError, match="needs volumes"):
         telescope_series_diagnostic(model, range(2, 8), 0, 0.0, 0.5, mc)
+
+
+# -- sample spans on forked processes ----------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def box_model(half_width, rank=1, amplitude=1.0):
+    space = build_box_enumeration(2, half_width)
+    return ModelSpec(
+        site_space=space,
+        projections=ProjectionFamily.contiguous(len(space), rank=rank),
+        free=FreeOperatorSpec.nearest_neighbor(space, amplitude=amplitude),
+        coupling=3.0 if rank > 1 else 2.0,
+        density=SingleSiteDensity(2),
+    )
+
+
+def spanned_estimate(route):
+    """The means and stderrs of one route's estimates."""
+    if route.startswith("fracmom"):
+        rank = int(route[-1])
+        if rank == 1:
+            model, n = chain_model(8, coupling=2.0), 17
+        else:
+            model = box_model(4, rank=rank, amplitude=complex(0.6, 0.8))
+            n = len(model.site_space)
+        mc = McConfig(n_samples=7, master_seed=71)
+        ests = fractional_moment_profile(model, n, 0.4 + 0.1j, 0, [0, 1, 3, 5], 0.5, mc)
+    elif route == "ids":
+        # 169 sites: eigh's bytes depend on the BLAS thread count here
+        model = box_model(6)
+        mc = McConfig(n_samples=7, master_seed=73)
+        ests = ids_curve(model, len(model.site_space), [-1.0, 0.0, 1.5], mc)
+    elif route.endswith("telescope"):
+        mc = McConfig(n_samples=300, master_seed=79)
+        if route == "box-telescope":
+            model, ks = box_model(2), range(2, 8)
+        else:
+            model, ks = chain_model(8, coupling=2.0, p=4), range(2, 11)
+        r = telescope_series_diagnostic(model, ks, 1, 0.5, 0.2, mc)
+        ests = (*r.terms, r.base, r.direct)
+    elif route == "box-dos-deriv":
+        model = box_model(6)
+        mc = McConfig(n_samples=12, master_seed=97)
+        ests = dos_derivative_curve(model, len(model.site_space), [-1.0, 0.3], 0.1, 1, mc)
+    elif route.startswith("box-dos"):
+        # the 169-site box again, within one chunk of samples and beyond it
+        model = box_model(6)
+        mc = McConfig(n_samples=int(route.rsplit("-", 1)[1]), master_seed=89)
+        ests = smoothed_dos_curve(model, len(model.site_space), [-1.0, 0.3], 0.1, mc)
+    else:
+        mc = McConfig(n_samples=300, master_seed=83)
+        ests = smoothed_dos_curve(chain_model(8, coupling=2.0), 17, [-0.5, 1.2], 0.1, mc)
+    return [e.mean for e in ests], [e.stderr for e in ests]
+
+
+@pytest.fixture
+def blas_threads():
+    """Sets every OpenBLAS this process has loaded, scipy's included, to a
+    thread count for real; the old counts come back after the test."""
+    import scipy.sparse.linalg  # noqa: F401
+
+    from doslab.montecarlo import loaded_openblas
+
+    libs = loaded_openblas()
+    before = [lib.get_threads() for lib in libs]
+
+    def put(count):
+        for lib in libs:
+            lib.set_threads(count)
+
+    yield put
+    for lib, count in zip(libs, before):
+        lib.set_threads(count)
+
+
+# span counts on 1, 2 and 3 CPUs (0: inline, with no pin)
+SPANS = {
+    # rows that loop over the samples: one span per CPU, up to one per
+    # sample, and one BLAS thread even inline
+    "fracmom-1": {1: 1, 2: 2, 3: 3},
+    "fracmom-3": {1: 1, 2: 2, 3: 3},
+    "ids": {1: 1, 2: 2, 3: 3},
+    "box-dos-12": {1: 1, 2: 2, 3: 3},
+    "box-dos-300": {1: 1, 2: 2, 3: 3},
+    "box-dos-deriv": {1: 1, 2: 2, 3: 3},
+    "box-telescope": {1: 1, 2: 2, 3: 3},
+    # one sweep over all lanes of a chunk: spans of at least one chunk, so
+    # 300 samples make two
+    "telescope": {1: 0, 2: 2, 3: 2},
+    "dos": {1: 0, 2: 2, 3: 2},
+}
+
+
+@pytest.mark.parametrize("route", SPANS)
+def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, blas_threads, route):
+    # The runs on 1, 2 and 3 CPUs have two BLAS threads, and must give the
+    # bytes of a run whose BLAS has one: patching cpu_affinity alone leaves
+    # OpenBLAS's own thread count where it was.
+    import doslab.montecarlo as montecarlo
+
+    blas_threads(1)
+    reference = spanned_estimate(route)
+    run_spans, seen = montecarlo._run_spans, []
+
+    def recorded(fill, values, bounds):
+        # NaN first: a span whose rows never arrive cannot pass for a table
+        # left in reused memory by the run before
+        seen.append(len(bounds) - 1)
+        values.fill(np.nan)
+        return run_spans(fill, values, bounds)
+
+    monkeypatch.setattr(montecarlo, "_run_spans", recorded)
+    blas_threads(2)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "cpu_affinity", lambda cpus=cpus: cpus)
+        seen.clear()
+        assert spanned_estimate(route) == reference
+        assert max(seen, default=0) == SPANS[route][cpus]
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("route", ["box-telescope", "box-dos", "fracmom", "ids"])
+def test_every_blas_a_run_calls_is_loaded_before_the_pin(route):
+    # a fresh process that has loaded numpy alone: whatever BLAS the route's
+    # rows call must already be mapped when _one_blas_thread looks
+    script = (
+        "import doslab.montecarlo as mc\n"
+        "from doslab.disorder import SingleSiteDensity\n"
+        "from doslab.lattice import (FreeOperatorSpec, ModelSpec, ProjectionFamily,\n"
+        "    build_box_enumeration)\n"
+        "space = build_box_enumeration(2, 2)\n"
+        "model = ModelSpec(site_space=space, projections=ProjectionFamily.contiguous(25),\n"
+        "    free=FreeOperatorSpec.nearest_neighbor(space), coupling=2.0,\n"
+        "    density=SingleSiteDensity(2))\n"
+        "find, seen = mc.loaded_openblas, []\n"
+        "def recorded():\n"
+        "    libs = find()\n"
+        "    seen.append(sorted(lib.name for lib in libs))\n"
+        "    return libs\n"
+        "mc.loaded_openblas = recorded\n"
+        "plan = mc.McConfig(3, 5)\n"
+        f"route = {route!r}\n"
+        "if route == 'box-telescope':\n"
+        "    mc.telescope_series_diagnostic(model, range(2, 8), 1, 0.5, 0.2, plan)\n"
+        "elif route == 'box-dos':\n"
+        "    mc.smoothed_dos_curve(model, 25, [0.3], 0.1, plan)\n"
+        "elif route == 'fracmom':\n"
+        "    mc.fractional_moment_profile(model, 25, 0.3 + 0.1j, 0, [1, 4], 0.5, plan)\n"
+        "else:\n"
+        "    mc.ids_curve(model, 25, [0.3], plan)\n"
+        "assert seen, 'the rows ran unpinned'\n"
+        "after = sorted(lib.name for lib in find())\n"
+        "assert seen == [after], (seen, after)\n"
+    )
+    src = os.path.dirname(os.path.dirname(doslab.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_residual_failure_in_a_child_span_reaches_the_caller(monkeypatch):
+    import doslab.montecarlo as montecarlo
+    import doslab.spectral as spectral
+
+    model = chain_model(8, coupling=2.0)
+    mc = McConfig(n_samples=4, master_seed=5)
+    real_draw = montecarlo.draw_disorder
+
+    def draw(model, seed, index):
+        # from sample 2 on no solve meets the guard; on 2 CPUs sample 2
+        # opens the child's span, so only the child's guard changes
+        if index == 2:
+            monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+        return real_draw(model, seed, index)
+
+    monkeypatch.setattr(montecarlo, "draw_disorder", draw)
+    monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", 2)
+    messages = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(montecarlo, "cpu_affinity", lambda cpus=cpus: cpus)
+        with pytest.raises(RuntimeError, match="resolvent solve residual") as info:
+            fractional_moment_profile(model, 17, 0.5 + 0.1j, 0, [1, 3], 0.5, mc)
+        assert type(info.value) is RuntimeError
+        messages[cpus] = str(info.value)
+        if cpus == 2:
+            assert spectral._RESIDUAL_REL_TOL == 1e-10
+        assert_no_child_left()
+    # the child's error is the one sample 2 raises inline
+    assert messages[2] == messages[1]
+
+
+def test_blas_runs_one_thread_in_the_spans_and_gets_its_threads_back(monkeypatch):
+    import scipy.sparse.linalg  # noqa: F401
+
+    import doslab.montecarlo as montecarlo
+    import doslab.spectral as spectral
+
+    libs = montecarlo.loaded_openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    before = [lib.get_threads() for lib in libs]
+    real_draw, seen = montecarlo.draw_disorder, []
+
+    def draw(model, seed, index):
+        # what the parent's span sees; a child's list dies with it
+        seen.append([lib.get_threads() for lib in libs])
+        return real_draw(model, seed, index)
+
+    monkeypatch.setattr(montecarlo, "draw_disorder", draw)
+    monkeypatch.setattr(montecarlo, "cpu_affinity", lambda: 2)
+    model, mc = chain_model(8, coupling=2.0), McConfig(n_samples=4, master_seed=5)
+    try:
+        for lib in libs:
+            lib.set_threads(2)
+        fractional_moment_profile(model, 17, 0.5 + 0.1j, 0, [1, 3], 0.5, mc)
+        assert seen == [[1] * len(libs)] * 2
+        assert [lib.get_threads() for lib in libs] == [2] * len(libs)
+        monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="residual"):
+            fractional_moment_profile(model, 17, 0.5 + 0.1j, 0, [1, 3], 0.5, mc)
+        assert [lib.get_threads() for lib in libs] == [2] * len(libs)
+    finally:
+        for lib, count in zip(libs, before):
+            lib.set_threads(count)
+    assert_no_child_left()
+
+
+def test_chain_sweeps_within_one_chunk_stay_inline_with_no_blas_lookup(monkeypatch):
+    import doslab.montecarlo as montecarlo
+
+    def refused(*args):
+        raise AssertionError("forked or looked up the BLAS")
+
+    monkeypatch.setattr(montecarlo, "cpu_affinity", lambda: 2)
+    monkeypatch.setattr(montecarlo, "loaded_openblas", refused)
+    monkeypatch.setattr(os, "fork", refused)
+    model = chain_model(8, coupling=2.0, p=4)
+    mc = McConfig(n_samples=montecarlo._CHUNK_SAMPLES, master_seed=3)
+    telescope_series_diagnostic(model, range(2, 11), 1, 0.5, 0.2, mc)
+    smoothed_dos_curve(model, 17, [0.3], 0.1, mc)
+    dos_derivative_curve(model, 17, [0.3], 0.1, 1, mc)
