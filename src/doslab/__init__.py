@@ -8,6 +8,8 @@ certifies the operator inequalities the estimators rely on by quadrature.
 
 import importlib
 import os
+import pickle
+import signal
 
 __version__ = "0.12.0"
 
@@ -19,6 +21,72 @@ def cpu_affinity() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return 1
+
+
+def fork_map(fn, items) -> list:
+    """[fn(item) for item in items], in item order.
+
+    Item 0 runs here, every other one in a forked child, which sends its
+    pickled result, or the exception it raised, back through a pipe.  The
+    first exception in item order is raised here; every child is killed and
+    reaped before this returns or raises.
+    """
+    items = list(items)
+    children = []  # (pid, read end of its pipe)
+    finished = False
+    try:
+        for item in items[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(fn, item, r, w)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [fn(item) for item in items[:1]]
+        for index, (_, pipe) in enumerate(children, 1):
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"the process of item {index} exited with no result")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            results.append(result)
+        finished = True
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(fn, item, r: int, w: int):
+    """A forked child's whole life: run fn(item), send the pickled result or
+    exception through w, leave by os._exit."""
+    code = 1
+    try:
+        os.close(r)
+        try:
+            result = fn(item)
+        except BaseException as exc:  # noqa: BLE001 - sent on; the parent raises it
+            result = exc
+        try:
+            data = pickle.dumps(result)
+            if isinstance(result, BaseException):
+                pickle.loads(data)  # an exception can pickle and not unpickle
+        except Exception:  # noqa: BLE001 - a result pickle cannot carry
+            data = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # exported names by submodule, each loaded on first access (PEP 562): a chain

@@ -322,10 +322,10 @@ def _fields(mapping: dict) -> dict:
 def _environment() -> dict:
     """The environment a run computes in: the python and numpy versions,
     scipy's when this process has already loaded it (so a chain run loads
-    nothing for it), cpu_affinity, the CPU count the sample spans and
-    verify's pool are sized from, and one "openblas <file>" entry per loaded
-    OpenBLAS, its build and thread count.  The manifest records it outside
-    the byte comparison."""
+    nothing for it), cpu_affinity, the CPU count the fork map's sample
+    spans and verify's round-robin shares are sized from, and one
+    "openblas <file>" entry per loaded OpenBLAS, its build and thread
+    count.  The manifest records it outside the byte comparison."""
     env = {
         "python": sys.version.split()[0],
         "numpy": np.__version__,

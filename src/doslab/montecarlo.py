@@ -16,21 +16,22 @@ to one Estimate per column.  There is one entry point per quantity, on a
 grid of points; a single point is a one-point grid.
 
 The samples are split into contiguous spans, one per CPU of the process's
-affinity set: this process runs the first span and forked children run the
-others, each span chunk by chunk from its first sample, and the table is
-assembled in index order.  A row depends on its sample alone, so the table
-and every CSV are the same at any CPU count; `taskset -c 0` pins a run to
-one CPU.  The span size follows the route the volume takes.  Rows that
-loop over a chunk's samples one by one (fractional moments' sparse LU, the
-IDS, and on a box the eigh of dos and dos-deriv and the dense LU of the
-telescope) take spans of any size, and every loaded OpenBLAS runs one
-thread while they run, fanned out or not: two processes then do not share
-two cores four ways, and the bytes of SuperLU, eigh and the dense LU,
-which depend on the BLAS thread count, are those of a one-CPU run.  Rows
-that serve a whole chunk by one sweep over all its lanes (the chain
-recursions of dos, dos-deriv and the telescope) cost mostly per call and
-call no BLAS: they take spans of at least _CHUNK_SAMPLES, and a run of at
-most one chunk stays inline with no BLAS lookup.
+affinity set, and run by the package's one fork map (doslab.fork_map): this
+process runs the first span and forked children run the others, each span
+chunk by chunk from its first sample, and the table is assembled in index
+order.  A row depends on its sample alone, so the table and every CSV are the
+same at any CPU count; `taskset -c 0` pins a run to one CPU.  The span size
+follows the route the volume takes.  Rows that loop over a chunk's samples
+one by one (fractional moments' sparse LU, the IDS, and on a box the eigh of
+dos and dos-deriv and the dense LU of the telescope) take spans of any size,
+and every loaded OpenBLAS runs one thread while they run, fanned out or not:
+two processes then do not share two cores four ways, and the bytes of
+SuperLU, eigh and the dense LU, which depend on the BLAS thread count, are
+those of a one-CPU run.  Rows that serve a whole chunk by one sweep over all
+its lanes (the chain recursions of dos, dos-deriv and the telescope) cost
+mostly per call and call no BLAS: they take spans of at least
+_CHUNK_SAMPLES, and a run of at most one chunk stays inline with no BLAS
+lookup.
 
 `dos` and `dos-deriv` integrate the probe block's own coupling exactly:
 tr(P_0 G) = sum_k 1/(lambda omega_0 - mu_k), where the mu_k
@@ -53,8 +54,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import pickle
-import signal
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,7 +64,7 @@ import numpy as np
 # of the first sample
 import numpy.random  # noqa: F401
 
-from . import cpu_affinity
+from . import cpu_affinity, fork_map
 from .disorder import fractional_inverse_moment, stieltjes_transform
 from .lattice import ModelSpec
 from .spectral import CscPattern, block_coupling_poles, eigen_weights
@@ -213,17 +212,19 @@ def _estimate(
     (min_span = _CHUNK_SAMPLES); false when rows loops over the lanes
     through LU or eigh, whose cost grows per sample (min_span = 1) and whose
     bytes can depend on the BLAS thread count.  The samples split into
-    min(cpu_affinity(), ceil(n / min_span)) spans, each run in chunks of
-    _CHUNK_SAMPLES from its first sample.  Unless a shared sweep runs as
-    one span, and so inline with no BLAS lookup, every OpenBLAS loaded at
-    entry runs one thread throughout: a caller whose rows first load a
-    BLAS must load it before the call.  The table depends neither on the
-    chunk size nor on the span count, so reductions over it are bit-stable.
+    min(cpu_affinity(), ceil(n / min_span)) spans, run by fork_map, each in
+    chunks of _CHUNK_SAMPLES from its first sample.  Unless a shared sweep
+    runs as one span, and so inline with no BLAS lookup, every OpenBLAS
+    loaded at entry runs one thread throughout: a caller whose rows first
+    load a BLAS must load it before the call.  The table depends neither on
+    the chunk size nor on the span count, so reductions over it are
+    bit-stable.
     """
     n = mc.n_samples
     values = np.empty((n, width), dtype=dtype)
 
-    def fill(s0: int, s1: int) -> np.ndarray:
+    def fill(span: tuple[int, int]) -> np.ndarray:
+        s0, s1 = span
         for c0 in range(s0, s1, _CHUNK_SAMPLES):
             c1 = min(c0 + _CHUNK_SAMPLES, s1)
             om = np.array(
@@ -238,10 +239,14 @@ def _estimate(
 
     workers = min(cpu_affinity(), -(-n // (_CHUNK_SAMPLES if shared_sweep else 1)))
     if workers == 1 and shared_sweep:
-        fill(0, n)
+        fill((0, n))
     else:
+        spans = [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
         with _one_blas_thread():
-            _run_spans(fill, values, [n * k // workers for k in range(workers + 1)])
+            rows = fork_map(fill, spans)
+        # span 0 ran here and filled values in place
+        for (s0, s1), span_rows in zip(spans[1:], rows[1:]):
+            values[s0:s1] = span_rows
     return Estimate.from_samples(values, mc.master_seed)
 
 
@@ -250,7 +255,7 @@ def _each(row):
     return lambda oms: np.array([row(om) for om in oms])
 
 
-# -- sample spans on forked processes, one BLAS thread each ----------------------
+# -- one BLAS thread in the sample spans -----------------------------------------
 
 
 class OpenBlas(NamedTuple):
@@ -315,69 +320,6 @@ def _one_blas_thread():
     finally:
         for lib, count in zip(libs, counts):
             lib.set_threads(count)
-
-
-def _run_spans(fill, values: np.ndarray, bounds: list[int]) -> None:
-    """values[a:b] = fill(a, b) for every span (a, b) of consecutive bounds.
-
-    The first span runs here, every other one in a forked child, which sends
-    its rows, or the exception it raised, back through a pipe.  The first
-    exception in span order is raised here; every child is killed and
-    reaped before this returns or raises.
-    """
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    children = []  # (pid, read end of its pipe, span)
-    finished = False
-    try:
-        for span in spans[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _span_child(fill, span, r, w)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb"), span))
-        fill(*spans[0])
-        for _, pipe, (s0, s1) in children:
-            data = pipe.read()
-            if not data:
-                raise RuntimeError(f"the process of samples {s0}..{s1 - 1} died")
-            result = pickle.loads(data)
-            if isinstance(result, BaseException):
-                raise result
-            values[s0:s1] = result
-        finished = True
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _span_child(fill, span, r: int, w: int):
-    """A forked child's whole life: fill one span, send the pickled rows or
-    exception through w, leave by os._exit."""
-    code = 1
-    try:
-        os.close(r)
-        try:
-            result = fill(*span)
-        except BaseException as exc:  # noqa: BLE001 - sent on; the parent raises it
-            result = exc
-        try:
-            data = pickle.dumps(result)
-        except Exception:  # noqa: BLE001 - an exception pickle cannot carry
-            data = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
-        with os.fdopen(w, "wb") as fh:
-            fh.write(data)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _spectral_parameters(energies, eps) -> np.ndarray:

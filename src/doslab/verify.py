@@ -34,12 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-# the fork pool of _ordered_map loads these on first use; loading them here
-# keeps that cost out of the run
-import multiprocessing.popen_fork  # noqa: F401
-import multiprocessing.queues  # noqa: F401
-import multiprocessing.synchronize  # noqa: F401
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +41,7 @@ import numpy as np
 # out of the run
 import numpy.ma  # noqa: F401
 
-from . import cpu_affinity
+from . import cpu_affinity, fork_map
 from .disorder import SingleSiteDensity, stieltjes_transform
 from .quadrature import panel_rule
 
@@ -296,31 +290,25 @@ def _cutoff(x):
 # fanning independent calls out over the CPUs
 
 
-def _call(fn, *args):
-    return fn(*args)
-
-
 def _ordered_map(calls: list[tuple]) -> list:
     """[fn(*args) for fn, *args in calls], in the order of calls.
 
-    The calls run on a pool of forked processes, one per CPU of this
-    process's affinity set but no more than there are calls, and inline
-    when that is one process.  fn must be a module-level function.  A call
-    computes in a worker exactly what it computes inline, so results do not
-    depend on the process count.  The first exception a call raises reaches
-    the caller, and every worker has exited when this returns.
+    The calls are dealt round-robin to min(cpu_affinity(), len(calls))
+    processes, run by fork_map: process k runs calls k, k + workers, ...,
+    process 0 is this one, and one process runs them all inline.  A call
+    computes in a child exactly what it computes inline, so results do not
+    depend on the process count.  A call's exception reaches the caller,
+    the first of the lowest share that raised one, and every child has
+    exited when this returns.
     """
     workers = min(cpu_affinity(), len(calls))
-    if workers <= 1:
-        return [_call(*c) for c in calls]
-    # eight chunks per worker: few enough that many tiny calls do not pay one
-    # round trip each, enough that unequal calls still balance
-    chunk = -(-len(calls) // (8 * workers))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        return list(pool.map(_call, *zip(*calls), chunksize=chunk))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    shares = fork_map(
+        lambda k: [fn(*args) for fn, *args in calls[k::workers]], range(workers)
+    )
+    results = [None] * len(calls)
+    for k, share in enumerate(shares):
+        results[k::workers] = share
+    return results
 
 
 # ---------------------------------------------------------------------------

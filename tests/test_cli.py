@@ -310,8 +310,10 @@ def test_only_fracmom_imports_scipy_sparse(tmp_path, command):
 @pytest.mark.parametrize("command", ["dos", "telescope", "fracmom", "verify"])
 def test_only_verify_loads_the_verify_module(tmp_path, command):
     # doslab.verify is the largest module; other commands never import it,
-    # and verify imports it while preparing, before the timed run; with it
-    # comes multiprocessing, for the bound check's fork pool
+    # and verify imports it while preparing, before the timed run.  No
+    # command loads multiprocessing: the fork map is os.fork and a pipe.
+    # scipy loads concurrent.futures itself, so only a run that loads scipy
+    # may hold it
     extra = {"ell": "1"} if command == "telescope" else {}
     cfgp = toy_config(tmp_path, command, n_samples=4, **extra)
     call = (
@@ -321,11 +323,15 @@ def test_only_verify_loads_the_verify_module(tmp_path, command):
     )
     script = (
         f"import io, sys\nfrom doslab import cli\n{call}\n"
-        "print('doslab.verify' in sys.modules, 'multiprocessing' in sys.modules)\n"
+        "print('doslab.verify' in sys.modules, 'multiprocessing' in sys.modules,\n"
+        "    'concurrent.futures' in sys.modules, 'scipy' in sys.modules)\n"
     )
     done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-2:] == [str(command == "verify")] * 2
+    verify_loaded, mp_loaded, futures_loaded, scipy_loaded = done.stdout.split()[-4:]
+    assert verify_loaded == str(command == "verify")
+    assert mp_loaded == "False"
+    assert futures_loaded == "False" or scipy_loaded == "True"
 
 
 @pytest.mark.parametrize(

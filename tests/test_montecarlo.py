@@ -6,6 +6,7 @@ single-site law or the reference routes of oracles.py, never a second call
 into the code under test.
 """
 
+import inspect
 import math
 import os
 import subprocess
@@ -36,6 +37,7 @@ from doslab.montecarlo import (
     telescope_series_diagnostic,
 )
 from doslab.quadrature import panel_rule
+from forks import assert_no_child_left
 from oracles import (
     agrees,
     assemble_hamiltonian,
@@ -813,11 +815,6 @@ def test_telescope_validation():
 # -- sample spans on forked processes ----------------------------------------------
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def box_model(half_width, rank=1, amplitude=1.0):
     space = build_box_enumeration(2, half_width)
     return ModelSpec(
@@ -915,16 +912,17 @@ def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, blas_threads, route)
 
     blas_threads(1)
     reference = spanned_estimate(route)
-    run_spans, seen = montecarlo._run_spans, []
+    fork_map, seen = montecarlo.fork_map, []
 
-    def recorded(fill, values, bounds):
-        # NaN first: a span whose rows never arrive cannot pass for a table
-        # left in reused memory by the run before
-        seen.append(len(bounds) - 1)
-        values.fill(np.nan)
-        return run_spans(fill, values, bounds)
+    def recorded(fill, spans):
+        # NaN first in the table fill writes into: a span whose rows never
+        # arrive cannot pass for a table left in reused memory by the run
+        # before
+        seen.append(len(spans))
+        inspect.getclosurevars(fill).nonlocals["values"].fill(np.nan)
+        return fork_map(fill, spans)
 
-    monkeypatch.setattr(montecarlo, "_run_spans", recorded)
+    monkeypatch.setattr(montecarlo, "fork_map", recorded)
     blas_threads(2)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "cpu_affinity", lambda cpus=cpus: cpus)

@@ -42,6 +42,7 @@ from doslab.verify import (
     verify_semigroup_hoelder,
     verify_spectral_averaging,
 )
+from forks import assert_no_child_left
 from oracles import averaged_imag_quadrature
 
 
@@ -457,26 +458,26 @@ def test_resolvent_average_bound_is_deterministic():
 
 @pytest.mark.parametrize("seed", [0, 2])
 def test_default_reports_do_not_depend_on_the_process_count(monkeypatch, seed):
-    # the bound and Hoelder checks size their pool from the affinity set:
-    # one CPU runs inline, two fork a pool; the reports and their JSON bytes
-    # agree
-    import multiprocessing
+    # the bound and Hoelder checks size their fork map from the affinity
+    # set: one CPU runs inline, two fork a child; the reports and their JSON
+    # bytes agree
     import os
 
     runs = []
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         reports = [r.to_dict() for r in run_default_verification(seed)]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         runs.append((reports, json.dumps(reports, indent=2, sort_keys=True)))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
 
 
-@pytest.mark.parametrize("cpus", [None, {0}, {0, 1}])
+@pytest.mark.parametrize("cpus", [None, {0}, {0, 1}, {0, 1, 2}])
 def test_ordered_map_returns_results_in_call_order(monkeypatch, cpus):
-    # None stands for a platform without sched_getaffinity: calls run inline
-    import multiprocessing
+    # None stands for a platform without sched_getaffinity: calls run inline;
+    # neither 2 nor 3 processes divide the 11 calls, so the round-robin
+    # shares are uneven
     import os
 
     import doslab.verify as verify
@@ -485,29 +486,30 @@ def test_ordered_map_returns_results_in_call_order(monkeypatch, cpus):
         monkeypatch.delattr(os, "sched_getaffinity")
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    calls = [(divmod, 7 * k, 5) for k in range(9)]
-    assert verify._ordered_map(calls) == [divmod(7 * k, 5) for k in range(9)]
-    assert multiprocessing.active_children() == []
+    calls = [(divmod, 7 * k, 5) for k in range(11)]
+    assert verify._ordered_map(calls) == [divmod(7 * k, 5) for k in range(11)]
+    assert_no_child_left()
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
-    # a non-Hermitian A fails in _difference_stacks inside a forked worker
-    import multiprocessing
+    # a non-Hermitian A fails in _difference_stacks, in the forked child
+    # only: the calls this process runs itself all pass
     import os
 
-    original = Corpus.bound_instance
+    original, parent = Corpus.bound_instance, os.getpid()
 
     def skewed(self, index):
         a, b, f1, f2, z = original(self, index)
-        a = a.copy()
-        a[0, 1] += 1e-3
+        if os.getpid() != parent:
+            a = a.copy()
+            a[0, 1] += 1e-3
         return a, b, f1, f2, z
 
     monkeypatch.setattr(Corpus, "bound_instance", skewed)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(ValueError, match="A must be Hermitian for the eigen route"):
         verify_resolvent_average_bound(Corpus(3, dim_min=3, dim_max=3, seed=5))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 # -- semigroup Hoelder bound ------------------------------------------------------
