@@ -11,7 +11,7 @@ import os
 import pickle
 import signal
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 
 def cpu_affinity() -> int:

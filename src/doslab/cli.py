@@ -422,8 +422,6 @@ def _build_model(cfg: ExperimentConfig) -> tuple[ModelSpec, int]:
     n_all = len(space)
     if cfg.hopping == 0.0:
         free = FreeOperatorSpec.zero(space)
-    elif cfg.phase == 0.0:
-        free = FreeOperatorSpec.nearest_neighbor(space, amplitude=cfg.hopping)
     else:
         amp = cfg.hopping * complex(math.cos(cfg.phase), math.sin(cfg.phase))
         free = FreeOperatorSpec.nearest_neighbor(space, amplitude=amp)

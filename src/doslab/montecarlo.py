@@ -21,13 +21,13 @@ process runs the first span and forked children run the others, each span
 chunk by chunk from its first sample, and the table is assembled in index
 order.  A row depends on its sample alone, so the table and every CSV are the
 same at any CPU count; `taskset -c 0` pins a run to one CPU.  The span size
-follows the route the volume takes.  Rows that loop over a chunk's samples
-one by one (fractional moments' sparse LU, the IDS, and on a box the eigh of
-dos and dos-deriv and the dense LU of the telescope) take spans of any size,
-and every loaded OpenBLAS runs one thread while they run, fanned out or not:
-two processes then do not share two cores four ways, and the bytes of
-SuperLU, eigh and the dense LU, which depend on the BLAS thread count, are
-those of a one-CPU run.  Rows that serve a whole chunk by one sweep over all
+follows the route the volume takes, which _Volume.chain decides once.  Rows
+that loop over a chunk's samples one by one (fractional moments' sparse LU,
+the IDS, and off a chain the eigh of dos and dos-deriv and the dense LU of
+the telescope) take spans of any size, and every loaded OpenBLAS runs one
+thread while they run, fanned out or not: two processes then do not share
+two cores four ways, and the bytes of SuperLU, eigh and the dense LU, which
+depend on the BLAS thread count, are those of a one-CPU run.  Rows that serve a whole chunk by one sweep over all
 its lanes (the chain recursions of dos, dos-deriv and the telescope) cost
 mostly per call and call no BLAS: they take spans of at least
 _CHUNK_SAMPLES, and a run of at most one chunk stays inline with no BLAS
@@ -67,9 +67,8 @@ import numpy.random  # noqa: F401
 from . import cpu_affinity, fork_map
 from .disorder import fractional_inverse_moment, stieltjes_transform
 from .lattice import ModelSpec
-from .spectral import CscPattern, block_coupling_poles, eigen_weights
-from .spectral import coupling_poles_share_a_sweep, nested_block_traces
-from .spectral import nested_traces_share_a_sweep
+from .spectral import CscPattern, block_coupling_poles, chain_plan, eigen_weights
+from .spectral import nested_block_traces
 
 # samples per rows() call; bounds the memory of a chunk's lane stack
 _CHUNK_SAMPLES = 256
@@ -166,6 +165,12 @@ class _Volume:
     @cached_property
     def h0(self) -> np.ndarray:
         return self.model.free.matrix(self.n_sites)
+
+    @cached_property
+    def chain(self) -> bool:
+        """Whether the volume is a chain (spectral.chain_plan): then dos,
+        dos-deriv and the telescope serve a chunk by one sweep over its lanes."""
+        return chain_plan(self.h0) is not None
 
     def hamiltonian(self, om_prefix: np.ndarray) -> np.ndarray:
         h = self.h0.copy()
@@ -358,8 +363,7 @@ def smoothed_dos_curve(
     def rows(oms):
         return np.imag(vol.coupling_transforms(oms, zs, 0)[0]) / np.pi
 
-    swept = coupling_poles_share_a_sweep(vol.h0, vol.block0)
-    return _estimate(vol, mc, zs.size, rows, shared_sweep=swept, dtype=np.float64)
+    return _estimate(vol, mc, zs.size, rows, shared_sweep=vol.chain, dtype=np.float64)
 
 
 def ids_curve(
@@ -417,8 +421,7 @@ def dos_derivative_curve(
             math.comb(ell, j) * bell[ell - j] * t for j, t in enumerate(ts)
         )
 
-    swept = coupling_poles_share_a_sweep(vol.h0, vol.block0)
-    return _estimate(vol, mc, zs.size, rows, shared_sweep=swept, antithetic=ell > 0)
+    return _estimate(vol, mc, zs.size, rows, shared_sweep=vol.chain, antithetic=ell > 0)
 
 
 # -- fractional moments ----------------------------------------------------------
@@ -585,13 +588,12 @@ def telescope_series_diagnostic(
         out[:, n_terms + 1] = tr[:, -1] * weight[:, -1]
         return out
 
-    swept = nested_traces_share_a_sweep(vol.h0, prefix_sizes[-1])
-    if not swept:
+    if not vol.chain:
         # the LU route runs on scipy's BLAS: loaded here, it is pinned with
         # numpy's while the samples run
         import scipy.linalg  # noqa: F401
     *terms, base, direct = _estimate(
-        vol, mc, n_terms + 2, rows, shared_sweep=swept, antithetic=ell > 0
+        vol, mc, n_terms + 2, rows, shared_sweep=vol.chain, antithetic=ell > 0
     )
     partial = complex(base.mean) + np.cumsum([complex(t.mean) for t in terms])
     abs_pairs = [

@@ -4,7 +4,9 @@ coupling poles and spectral weights.
 Everything here is exact linear algebra at desk scale (dimension a few
 thousand at most); statistical estimation lives in `montecarlo`.  On a chain
 the nested-prefix traces (outward bordering) and the coupling poles (a
-two-sided Schur recursion) take O(n) sweeps over all lanes of a chunk.
+two-sided Schur recursion) take O(n) sweeps over all lanes of a chunk; one
+test, chain_plan, decides for both whether a volume is a chain, and zero
+hopping is one.
 """
 
 from __future__ import annotations
@@ -196,16 +198,21 @@ def _dense_prefix_traces(h0, d, zc, rhs, m):
     return np.cumsum(np.sum(u_inv * l_inv, axis=1)), resid
 
 
-def nested_traces_share_a_sweep(h0: np.ndarray, m: int) -> bool:
-    """Whether nested_block_traces serves every lane of a call by one outward
-    sweep over the leading m sites of h0 (a chain), rather than by one LU
-    per lane on scipy's BLAS."""
-    return _outward_plan(np.asarray(h0), m) is not None
+def chain_plan(h0: np.ndarray, m: int | None = None):
+    """The outward sweep of the leading m sites of h0 (all of them by default),
+    or None where h0 is not a chain there.
 
-
-def _outward_plan(h0, m):
-    """(j, |h_qe|) for each site q = 1..m-1 of the outward sweep, e = ends[j]
-    the end q attaches to, or None where the sweep does not apply."""
+    h0 is a chain when each site couples to at most one earlier site, a
+    current end of the volume: the ends start at site 0, and site q replaces
+    the end e = ends[j] it attaches to (the first one if none).  Every chain
+    in shell order (0, +1, -1, ...), every prefix of one, and zero hopping
+    qualify.  The plan is (j, |h_qe|) for q = 1..m-1; the sites attached to
+    each end form its arm, so the volume is one path, its arms meeting at 0.
+    This one test decides both chain routes: the outward sweep of
+    nested_block_traces and the Schur recursion of block_coupling_poles.
+    """
+    h0 = np.asarray(h0)
+    m = len(h0) if m is None else m
     off = h0[:m, :m] != 0
     later, earlier = np.nonzero(np.tril(off | off.T, -1))
     hop = np.abs(h0[later, earlier]).tolist()
@@ -223,18 +230,15 @@ def _outward_plan(h0, m):
     return plan
 
 
-def _outward_prefix_traces(h0, diags, zc, sites, m):
-    """tr(P G_n) for n = 1..m and every lane by one outward sweep, or None.
+def _outward_prefix_traces(h0, plan, diags, zc, sites):
+    """tr(P G_n) for n = 1..m and every lane by the outward sweep of plan,
+    the chain_plan of the leading m sites.
 
-    The sweep applies when each site couples to at most one earlier site,
-    a current end of the volume: the ends start at site 0, and a site
-    replaces the end it attaches to (the first one if none).  Every chain
-    in shell order (0, +1, -1, ...) and every prefix of one qualifies.  The
-    coupling graph is then a forest, so a diagonal unitary gauge makes every
-    coupling |h_xy| and leaves the diagonal of G alone: the sweep runs on
-    the real symmetric |h0|, where G is complex symmetric.  Site q, attached
-    to end e with t = |h_qe|, borders the volume by a rank-one Schur step
-    with pivot s = (h_qq - z) - t^2 G(e, e):
+    On a chain (chain_plan) the coupling graph is a path, so a diagonal
+    unitary gauge makes every coupling |h_xy| and leaves the diagonal of G
+    alone: the sweep runs on the real symmetric |h0|, where G is complex
+    symmetric.  Site q, attached to end e with t = |h_qe|, borders the
+    volume by a rank-one Schur step with pivot s = (h_qq - z) - t^2 G(e, e):
 
         G'(x, y) = G(x, y) + t^2 G(x, e) G(e, y) / s,
         G'(x, q) = -t G(x, e) / s,  G'(q, q) = 1 / s,
@@ -243,9 +247,7 @@ def _outward_prefix_traces(h0, diags, zc, sites, m):
     tr(P G) gains t^2 sum_{x in P} G(x, e)^2 / s, plus 1 / s if q is in P.
     A lane's residual is its largest |s + t^2 G(e, e) - (h_qq - z)|.
     """
-    plan = _outward_plan(h0, m)
-    if plan is None:
-        return None
+    m = len(plan) + 1
     lanes, r = len(diags), sites.size
     slot = {p: k for k, p in enumerate(sites.tolist())}
     az = np.add(np.diagonal(h0)[:m, None], diags[:, :m].T, order="C") - zc
@@ -296,8 +298,7 @@ def nested_block_traces(
     P projects onto block_sites, which must lie inside the smallest prefix.
     One pass over the largest prefix serves every smaller one.
 
-    When every site couples to at most one earlier site, and that site is a
-    current end of the volume (every chain and prefix of one, ordered 0, +1,
+    On a chain (chain_plan: every chain and prefix of one, ordered 0, +1,
     -1, ..., any block rank, phase or zero hopping), all lanes share one
     outward bordering sweep in O(n) (_outward_prefix_traces), whose pivots
     are checked.  Otherwise (the 2-d and 3-d boxes) each lane takes one LU
@@ -327,9 +328,9 @@ def nested_block_traces(
             f"prefix of {sizes.min()} sites"
         )
     m = int(sizes.max())
-    outward = _outward_prefix_traces(h0, diags, zc, sites, m)
-    if outward is not None:
-        tr, resid = outward
+    plan = chain_plan(h0, m)
+    if plan is not None:
+        tr, resid = _outward_prefix_traces(h0, plan, diags, zc, sites)
     else:
         rhs = np.zeros((m, sites.size), dtype=np.complex128)
         rhs[sites, np.arange(sites.size)] = 1.0
@@ -338,30 +339,6 @@ def nested_block_traces(
     off = np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
     _check_residual(resid, np.max(off + np.abs(np.diagonal(h0) + diags), axis=1) + abs(zc))
     return tr[:, sizes - 1]
-
-
-def _path_order(h0: np.ndarray):
-    """Sites in path order if the coupling graph of h0 is one simple path, else None.
-
-    n - 1 couplings and no degree above 2 make one path plus cycles; the walk
-    from a least-degree site covers every site only if there is no cycle.
-    """
-    off = h0 != 0
-    np.fill_diagonal(off, False)
-    deg = off.sum(axis=1)
-    if off.sum() != 2 * (len(h0) - 1) or deg.max(initial=0) > 2:
-        return None
-    links = [[] for _ in range(len(h0))]
-    for i, j in zip(*(a.tolist() for a in np.nonzero(off))):
-        links[i].append(j)
-    order, last = [int(np.argmin(deg))], None
-    for _ in range(len(h0) - 1):
-        step = [j for j in links[order[-1]] if j != last]
-        if not step:
-            return None
-        last = order[-1]
-        order.append(step[0])
-    return np.array(order)
 
 
 def _schur_pivots(ar, t2, z, res2):
@@ -411,16 +388,17 @@ def block_coupling_poles(
     at every d.  The numerical range of W lies in Im >= Im z, and so does
     every mu_k.  z runs over zs flattened.
 
-    When the coupling graph of h0 is one simple path that visits B's sites
-    in a row (every 1-d box and prefix of one, any block rank and phase), a
-    left Schur recursion s_k = a_k - |h_{k-1,k}|^2 / s_{k-1}, a_k = h_kk - z,
-    up to the last block site and its mirror from the right end down to the
-    first serve all lanes and z of a pass.  W is then h0's r x r segment
-    with |t|^2 / s added from the pivot just before B and from the one just
-    after it; for r = 1 it is the scalar z - h0_pp + Sigma_L + Sigma_R, so
-    zero hopping gives mu = z.  Every pivot has imaginary part <= -Im z, so
-    none vanishes, and the diagonal of L D U - (h - z) rebuilt from each
-    pivot is checked against 1e-10 * (||h||_inf + |z|) per lane and z.
+    When h0 is a chain (chain_plan) that visits B's sites in a row (every
+    1-d box and prefix of one, any block rank and phase, and zero hopping in
+    any dimension), a left Schur recursion s_k = a_k - |h_{k-1,k}|^2 / s_{k-1},
+    a_k = h_kk - z, along its path up to the last block site and its mirror
+    from the right end down to the first serve all lanes and z of a pass.  W
+    is then h0's r x r segment with |t|^2 / s added from the pivot just
+    before B and from the one just after it; for r = 1 it is the scalar
+    z - h0_pp + Sigma_L + Sigma_R, so zero hopping gives mu = z exactly.
+    Every pivot has imaginary part <= -Im z, so none vanishes, and the
+    diagonal of L D U - (h - z) rebuilt from each pivot is checked against
+    1e-10 * (||h||_inf + |z|) per lane and z.
     Other volumes take one eigh per lane: mu_k = d - 1/g_k, g_k the
     eigenvalues of P_B (h - z)^{-1} P_B.
 
@@ -454,20 +432,23 @@ def block_coupling_poles(
     return mu
 
 
-def coupling_poles_share_a_sweep(h0: np.ndarray, block_sites: Sequence[int]) -> bool:
-    """Whether block_coupling_poles serves every lane of a call by one
-    two-sided Schur recursion (a chain), rather than by one eigh per lane."""
-    sites = np.asarray(block_sites, dtype=np.int64)
-    return _schur_segment(np.asarray(h0), sites) is not None
-
-
 def _schur_segment(h0, sites):
     """(path, p0, p1): h0's sites in path order, with the block at path
-    positions p0..p1, or None unless h0 is one simple path through the
-    block's sites in a row."""
-    path = _path_order(h0)
-    if path is None:
+    positions p0..p1, or None unless h0 is a chain (chain_plan) through the
+    block's sites in a row.
+
+    The path runs from the tip of one arm in to site 0 and out along the
+    other, from the arm whose tip has the lower index (an empty arm's tip is
+    site 0).  A block in the prefix of the enumeration is a run of it.
+    """
+    plan = chain_plan(h0)
+    if plan is None:
         return None
+    arms = ([], [])
+    for q, (j, _) in enumerate(plan, start=1):
+        arms[j].append(q)
+    first, other = sorted(arms, key=lambda arm: arm[-1] if arm else 0)
+    path = np.array(first[::-1] + [0] + other)
     pos = np.sort(np.argsort(path)[sites])
     if pos[-1] - pos[0] != sites.size - 1:
         return None

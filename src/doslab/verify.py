@@ -399,7 +399,6 @@ def verify_finite_smooth(
     density: SingleSiteDensity | None = None,
     eps: float = 0.3,
     ell: int = 1,
-    energies=None,
     blocks=None,
     n_nodes: int = 12,
 ) -> CheckReport:
@@ -412,7 +411,8 @@ def verify_finite_smooth(
     exactly when the coordinate projections sum to the identity) and then
     onto the density by parts, leaving a score-weighted quadrature at the
     bare energy.  Both routes share one eigenvalue decomposition per
-    quadrature node.
+    quadrature node.  The curves are compared at nine energies from
+    -(||free||_2 + coupling) to ||free||_2 + 2 coupling.
 
     The report carries a refinement certificate: doubling quadrature nodes
     and halving the stencil step must cut the discrepancy at least in half
@@ -449,10 +449,8 @@ def verify_finite_smooth(
             "disorder projections must form a complete covering: every site "
             f"in exactly one block, got {blocks} for {n_sites} sites"
         )
-    if energies is None:
-        bound = np.linalg.norm(free, 2) + coupling
-        energies = np.linspace(-bound, bound + coupling, 9)
-    energies = np.asarray(energies, dtype=float)
+    bound = np.linalg.norm(free, 2) + coupling
+    energies = np.linspace(-bound, bound + coupling, 9)
 
     fd, form = _finite_smooth_curves(
         free, coupling, density, eps, ell, energies, blocks, n_nodes, _FD_STEP

@@ -371,11 +371,14 @@ def coupling_integral_oracle(model, om, zs, ell):
     "case", [*CONDITIONED_CASES, "chain-rank1-eigh", "chain-rank3-phase-eigh"]
 )
 def test_conditioned_rows_match_the_dense_coupling_quadrature(monkeypatch, case, route):
+    import doslab.montecarlo as montecarlo
     import doslab.spectral as spectral
 
     if case.endswith("-eigh"):
-        # the chains on the eigh route as well: no path, no Schur recursion
-        monkeypatch.setattr(spectral, "_path_order", lambda h0: None)
+        # the chains on the eigh route as well: no chain plan, no Schur
+        # recursion, and the volume's spans sized for eigh to match
+        for module in (spectral, montecarlo):
+            monkeypatch.setattr(module, "chain_plan", lambda h0, m=None: None)
         case = case[: -len("-eigh")]
     dimension, half_width, rank, phase = CONDITIONED_CASES[case]
     ell = 0 if route == "dos" else int(route[-1])

@@ -288,10 +288,9 @@ def test_nested_block_traces_carry_the_residual_guard(monkeypatch):
         nested_block_traces(h, d, 0.5j, [0], [1, 6])
 
 
-def chain_lanes(n_lanes, rank=1, phase=0.0, hopping=True, half_width=32):
-    """h0 of a chain in box order, a (lanes, n) stack of coupled diagonals,
-    the sites of block 0 and every block prefix size."""
-    model = box_model(1, half_width, rank, phase, hopping)
+def box_lanes(n_lanes, model):
+    """h0 of a box model, a (lanes, n) stack of coupled diagonals, the sites
+    of block 0 and every block prefix size."""
     sizes = model.projections.block_sizes()
     diagonals = np.array(
         [2.0 * np.repeat(draw_disorder(model, 8, i), sizes) for i in range(n_lanes)]
@@ -299,6 +298,11 @@ def chain_lanes(n_lanes, rank=1, phase=0.0, hopping=True, half_width=32):
     prefixes = [model.projections.prefix_sites(k) for k in range(1, model.n_blocks + 1)]
     h0 = model.free.matrix(len(model.site_space))
     return h0, diagonals, model.projections.sites_of_block(0), prefixes
+
+
+def chain_lanes(n_lanes, rank=1, phase=0.0, hopping=True, half_width=32):
+    """box_lanes of a chain in box order."""
+    return box_lanes(n_lanes, box_model(1, half_width, rank, phase, hopping))
 
 
 def forbid(monkeypatch, name):
@@ -365,10 +369,8 @@ def test_outward_sweep_matches_the_dense_oracle_on_short_chains(
     assert_outward_sweep_is_exact(h0, diagonals, block0, prefixes, -0.4 + 0.2j)
 
 
-def test_chain_route_is_chosen_from_the_end_property():
-    import doslab.spectral as spectral
-
-    rng = np.random.default_rng(6)
+def off_chain_matrices():
+    """name -> h0 of a volume that is not a chain."""
     n = 12
     # bandwidth 2 without the end property: sites 0, 1, 2 form a path and
     # site q >= 3 couples to q - 2, so site 3 attaches to the middle site 1
@@ -377,18 +379,29 @@ def test_chain_route_is_chosen_from_the_end_property():
     comb[np.arange(3, n), np.arange(1, n - 2)] = 1.0
     comb += comb.T
     # bandwidth 2 with two earlier neighbours per site
+    rng = np.random.default_rng(6)
     penta = sum(np.diag(rng.standard_normal(n - k), k) for k in (1, 2))
     penta = penta + penta.T
+    # a closed chain: every site has two neighbours, and the last site
+    # couples to both ends
+    ring = np.diag(np.ones(7), 1)
+    ring[0, 7] = 1.0
+    ring = ring + ring.T
     # a 2-d box of 25 sites
     box = box_model(2, 2, 1, 0.0)
     box_h0 = box.free.matrix(len(box.site_space))
-    for h0 in (comb, penta, box_h0):
+    return {"comb": comb, "penta": penta, "ring": ring, "box2d": box_h0}
+
+
+def test_chain_route_is_chosen_from_the_end_property():
+    import doslab.spectral as spectral
+
+    rng = np.random.default_rng(7)
+    for h0 in off_chain_matrices().values():
         diagonals = rng.uniform(-2.0, 2.0, (3, len(h0)))
         prefixes = list(range(4, len(h0) + 1, 4))
         # the dense LU takes them, and still matches
-        assert spectral._outward_prefix_traces(
-            h0, diagonals, 0.2 + 0.3j, np.array([0]), len(h0)
-        ) is None
+        assert spectral.chain_plan(h0) is None
         assert_matches_dense_inverse(h0, diagonals, [0], prefixes, 0.2 + 0.3j)
 
 
@@ -454,20 +467,27 @@ def assert_poles_match_dense(h0, diagonals, zs, block, mu):
 
 
 @pytest.mark.parametrize(
-    "rank, phase, size",
+    "dimension, rank, phase, hopping, size",
     [
-        (1, 0.0, 65), (5, 0.7, 65), (1, 0.0, 20), (13, 0.0, 65), (1, 0.0, 1),
-        (1, 0.0, 2), (3, 0.4, 21),
+        (1, 1, 0.0, True, 65), (1, 5, 0.7, True, 65), (1, 1, 0.0, True, 20),
+        (1, 13, 0.0, True, 65), (1, 1, 0.0, True, 1), (1, 1, 0.0, True, 2),
+        (1, 3, 0.4, True, 21), (1, 1, 0.0, False, 65), (1, 3, 0.0, False, 65),
+        (2, 5, 0.0, False, 25),
     ],
     ids=[
         "rank1", "rank5-phase", "prefix20", "rank13", "one-site", "two-sites",
-        "rank3-phase",
+        "rank3-phase", "zero-hopping", "zero-hopping-rank3", "box2d-zero-hopping",
     ],
 )
-def test_schur_recursion_matches_the_dense_oracle(monkeypatch, rank, phase, size):
+def test_schur_recursion_matches_the_dense_oracle(
+    monkeypatch, dimension, rank, phase, hopping, size
+):
     import doslab.spectral as spectral
 
-    h0, diagonals, block0, _ = chain_lanes(9, rank, phase)
+    # a volume without hopping is a chain in any dimension
+    half_width = 32 if dimension == 1 else 2
+    model = box_model(dimension, half_width, rank, phase, hopping)
+    h0, diagonals, block0, _ = box_lanes(9, model)
     h0, diagonals = h0[:size, :size], diagonals[:, :size]
     block = [s for s in block0 if s < size]
     forbid(monkeypatch, "_eigen_poles")
@@ -493,22 +513,23 @@ def test_rank_one_pole_without_hopping_is_z():
     h0, diagonals, _, _ = chain_lanes(3, half_width=0)
     mu = block_coupling_poles(h0, diagonals, ZS, [0])
     assert np.array_equal(mu[..., 0], np.broadcast_to(ZS.ravel(), (3, ZS.size)))
+    # a 9-site chain without hopping: nothing couples to the block, so
+    # W = z on it and every pole is z, at rank 1 and rank 3
+    for rank in (1, 3):
+        h0, diagonals, block0, _ = chain_lanes(3, rank, hopping=False, half_width=4)
+        mu = block_coupling_poles(h0, diagonals, ZS, block0)
+        assert np.array_equal(mu, np.broadcast_to(ZS.ravel()[:, None], mu.shape))
 
 
-@pytest.mark.parametrize("case", ["box2d", "zero-hopping", "ring", "box2d-rank5-phase"])
+@pytest.mark.parametrize("case", ["box2d", "ring", "box2d-rank5-phase"])
 def test_eigh_route_is_taken_off_a_path(monkeypatch, case):
     block = [0]
     if case == "ring":
-        # a closed chain: every site has two neighbours, but n couplings
-        h0 = np.diag(np.ones(7), 1)
-        h0[0, 7] = 1.0
-        h0 = h0 + h0.T
+        h0 = off_chain_matrices()["ring"]
         diagonals = np.random.default_rng(2).random((3, 8))
     else:
         if case == "box2d":
             model = box_model(2, 2)
-        elif case == "zero-hopping":
-            model = box_model(1, 4, hopping=False)
         else:
             model = box_model(2, 2, rank=5, phase=0.7)
         h0 = model.free.matrix(len(model.site_space))
@@ -523,6 +544,56 @@ def test_eigh_route_is_taken_off_a_path(monkeypatch, case):
     for j, z in enumerate(ZS.ravel()):
         alone = block_coupling_poles(h0, diagonals, [z], block)
         assert np.array_equal(alone[:, 0], got[:, j])
+
+
+def matrix_volume(h0, rank):
+    """The volume of all of a Hermitian h0, in blocks of rank sites (the last
+    takes what is left).  A volume reads only its operator and blocks, so
+    any space of len(h0) sites serves."""
+    from doslab.montecarlo import _Volume
+
+    n = len(h0)
+    i, j = np.nonzero(np.triu(h0 != 0, 1))
+    free = FreeOperatorSpec(n, i, j, h0[i, j])
+    return _Volume(ModelSpec(range(n), ProjectionFamily(n, rank), free, 2.0), n)
+
+
+def route_volumes():
+    """name -> (volume, whether it is a chain)."""
+    from doslab.montecarlo import _Volume
+
+    out = {}
+    for rank in (1, 3):
+        h0 = box_model(1, 10, rank, 0.4).free.matrix()
+        out[f"chain-rank{rank}-phase"] = (matrix_volume(h0, rank), True)
+        for size in range(1, 5):
+            sub = h0[:size, :size]
+            out[f"prefix{size}-rank{rank}-phase"] = (matrix_volume(sub, rank), True)
+    for dimension, half_width in ((1, 4), (2, 2)):
+        model = box_model(dimension, half_width, hopping=False)
+        vol = _Volume(model, len(model.site_space))
+        out[f"zero-hopping-{dimension}d"] = (vol, True)
+    for name, h0 in off_chain_matrices().items():
+        out[name] = (matrix_volume(h0, 1), False)
+    return out
+
+
+@pytest.mark.parametrize("case", list(route_volumes()))
+def test_one_route_per_volume(monkeypatch, case):
+    # the estimators size their spans from the volume's route, so the
+    # volume, the coupling poles and the nested traces must take the same
+    vol, chain = route_volumes()[case]
+    assert vol.chain == chain
+    if chain:
+        forbid(monkeypatch, "_eigen_poles")
+        forbid(monkeypatch, "_dense_prefix_traces")
+    else:
+        forbid(monkeypatch, "_schur_poles")
+        forbid(monkeypatch, "_outward_prefix_traces")
+    oms = np.random.default_rng(5).random((3, vol.n_blocks))
+    diagonals = vol.diagonals(oms)
+    block_coupling_poles(vol.h0, diagonals, ZS, vol.block0)
+    nested_block_traces(vol.h0, diagonals, 0.2 + 0.3j, vol.block0, [vol.n_sites])
 
 
 def test_block_coupling_poles_validation():
