@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import __version__, cpu_affinity
+from . import __version__, cpu_affinity, spectral
 from .disorder import TRANSFORM_MAX_P, SingleSiteDensity
 from .lattice import (
     FreeOperatorSpec,
@@ -499,8 +499,8 @@ def _prepare(cfg: ExperimentConfig) -> _Plan:
         except ValueError as exc:
             raise ConfigError("run.ell", str(exc)) from None
     if command == "fracmom":
-        # SuperLU and scipy.linalg count as start-up, not as the first solve
-        import scipy.sparse.linalg  # noqa: F401
+        # loading SuperLU's extension counts as start-up, not as the first solve
+        spectral._superlu()
 
         dist = model.block_distances(0)[: model.projections.blocks_for_prefix(n_prefix)]
         for d in cfg.distances:

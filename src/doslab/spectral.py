@@ -11,6 +11,9 @@ hopping is one.
 
 from __future__ import annotations
 
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Sequence
 
 import numpy as np
@@ -50,61 +53,78 @@ def _as_z(z) -> complex:
     return zc
 
 
+def _superlu():
+    """scipy's SuperLU extension, loaded by file without the scipy.sparse package,
+    whose imports would dominate start-up; scipy.sparse.linalg reuses it."""
+    import scipy
+
+    name = "scipy.sparse.linalg._dsolve._superlu"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = f"{scipy.__path__[0]}/sparse/linalg/_dsolve"
+    spec = PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no _superlu extension in {where}")
+    sys.modules[name] = module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _gstrf(data, indices, indptr, ilu: bool, **options):
+    # diagonal pivots as splu and spilu pass them; no .L or .U is ever built
+    opts = {"DiagPivotThresh": 0.0, "SymmetricMode": True, **options}
+    return _superlu().gstrf(len(indptr) - 1, len(data), data, indices, indptr,
+                            csc_construct_func=None, ilu=ilu, options=opts)
+
+
+def _csc(rows, cols, vals, n: int):
+    """indptr, indices, data of the n x n matrix with these entries, duplicates
+    summed, and the index of each column's diagonal entry, which must exist."""
+    key = cols * n + rows
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    key = key[order][first]
+    indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(np.intc)
+    diag = np.searchsorted(key, np.arange(n) * (n + 1))
+    return indptr, (key % n).astype(np.intc), np.add.reduceat(vals[order], first), diag
+
+
 class CscPattern:
     """Compressed-column pattern of an n x n matrix, every diagonal entry stored.
 
     Built once from (rows, cols, vals) entries, duplicates summed.  The
     fill-reducing order of the factorization depends on the pattern alone,
     so it is computed here, once: SuperLU's minimum-degree order on the
-    pattern of A^T + A.  The pattern and data are stored in that order, as
-    P a P^T, with site i in position _position[i].  data[diag[i]] is the
-    diagonal entry of site i, so a shift or a disorder draw touches only the
-    entries data[diag].
+    pattern of A^T + A, from an incomplete gstrf.  The pattern and data,
+    rows sorted in each column, are stored in that order, as P a P^T, with
+    site i in position _position[i].  data[diag[i]] is the diagonal entry of
+    site i, so a shift or a disorder draw touches only the entries data[diag].
 
     A pattern serves one caller at a time: resolvent_columns writes every
-    factorization's input into the one shared matrix _shifted, so two
+    factorization's input into the one shared array _shifted, so two
     threads on one pattern corrupt each other's solves (the residual check
     then fails).  A forked process holds its own copy and may use it freely.
     """
 
     def __init__(self, rows, cols, vals, n: int):
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import spilu
-
         ar = np.arange(n)
         rows, cols = np.concatenate([rows, ar]), np.concatenate([cols, ar])
         vals = np.concatenate([vals, np.zeros(n)])
-
-        def csc(row_pos, col_pos):
-            a = sp.csc_array((vals, (row_pos, col_pos)), shape=(n, n))
-            a.sum_duplicates()
-            diag = np.flatnonzero(a.indices == np.repeat(ar, np.diff(a.indptr)))
-            return a, diag
-
         # any matrix with this pattern yields the order; a diagonally
         # dominant one factors without breakdown, and an incomplete factor,
         # which runs the same ordering step, costs a third of a complete one
-        a, diag = csc(rows, cols)
-        a.data[:] = 1.0
-        a.data[diag] = np.diff(a.indptr) + 1.0
-        lu = spilu(
-            a,
-            drop_tol=0.9,
-            fill_factor=1.0,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        indptr, indices, _, diag = _csc(rows, cols, vals, n)
+        ones = np.ones(len(indices))
+        ones[diag] = np.diff(indptr) + 1.0
+        lu = _gstrf(ones, indices, indptr, True, ILU_DropTol=0.9, ILU_FillFactor=1.0,
+                    ColPerm="MMD_AT_PLUS_A")
         # perm_c[k] is the position of site k
-        self._position = lu.perm_c
-        del a, diag, lu
-        a, diag = csc(self._position[rows], self._position[cols])
-        self.indptr, self.indices, self.data = a.indptr, a.indices, a.data
-        self.diag = diag[self._position]
-        # one complex matrix whose data each factorization overwrites
-        self._shifted = sp.csc_array(
-            (np.zeros(a.nnz, dtype=np.complex128), a.indices, a.indptr), shape=(n, n)
-        )
+        pos = self._position = lu.perm_c
+        self.indptr, self.indices, self.data, diag = _csc(pos[rows], pos[cols], vals, n)
+        self.diag = diag[pos]
+        self._column = np.repeat(ar, np.diff(self.indptr))
+        # the complex data that each factorization overwrites
+        self._shifted = np.zeros(len(self.data), dtype=np.complex128)
 
     def resolvent_columns(self, data: np.ndarray, z, columns) -> np.ndarray:
         """Columns of (a - z)^{-1}, a the Hermitian matrix with this pattern and data.
@@ -116,26 +136,26 @@ class CscPattern:
         against ||(a - z) x - e|| <= 1e-10 * (||a||_inf + |z|), which a failed
         factorization or solve fails too.
         """
-        from scipy.sparse.linalg import splu
-
         zc, n = _as_z(z), len(self.diag)
         cols = np.asarray(columns, dtype=np.int64)
         if cols.size and (cols.min() < 0 or cols.max() >= n):
             raise ValueError("column index outside the matrix")
         scale = np.bincount(self.indices, np.abs(data), n).max(initial=0.0) + abs(zc)
         a = self._shifted
-        a.data[:] = data
-        a.data[self.diag] -= zc
+        a[:] = data
+        a[self.diag] -= zc
         # right-hand sides and solutions in the stored order
         rhs = np.zeros((n, cols.size), dtype=np.complex128)
         rhs[self._position[cols], np.arange(cols.size)] = 1.0
         try:
-            opts = {"SymmetricMode": True}
-            lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=opts)
-            y = lu.solve(rhs)
+            y = _gstrf(a, self.indices, self.indptr, False, ColPerm="NATURAL").solve(rhs)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             y = np.full_like(rhs, np.nan)
-        resid = np.linalg.norm(a @ y - rhs, axis=0)
+        # (a - z) y - rhs, column by column of the stored matrix
+        res = -rhs
+        for j in range(cols.size):
+            np.add.at(res[:, j], self.indices, a * y[self._column, j])
+        resid = np.linalg.norm(res, axis=0)
         _check_residual(resid, np.full(resid.shape, scale), "resolvent solve")
         return y[self._position]
 

@@ -294,17 +294,20 @@ def test_run_fracmom_uses_distance_abscissa(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["dos", "telescope", "fracmom"])
-def test_only_fracmom_imports_scipy_sparse(tmp_path, command):
+def test_no_command_imports_scipy_sparse(tmp_path, command):
+    # fracmom loads SuperLU's extension module alone, not the scipy.sparse
+    # package around it
     extra = {"ell": "1"} if command == "telescope" else {}
     cfgp = toy_config(tmp_path, command, n_samples=4, **extra)
     script = (
         "import sys\nfrom doslab.cli import run\n"
         f"assert run(None, {cfgp!r}) == 0\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "print('scipy.sparse' in sys.modules,\n"
+        "    'scipy.sparse.linalg._dsolve._superlu' in sys.modules)\n"
     )
     done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-1] == str(command == "fracmom")
+    assert done.stdout.split()[-2:] == ["False", str(command == "fracmom")]
 
 
 @pytest.mark.parametrize("command", ["dos", "telescope", "fracmom", "verify"])

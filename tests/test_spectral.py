@@ -1,10 +1,15 @@
 """Resolvent and spectral-projection checks against slow oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from doslab import spectral
 from doslab.disorder import SingleSiteDensity
 from doslab.lattice import (
     FreeOperatorSpec,
@@ -184,6 +189,133 @@ def test_resolvent_columns_match_dense_solve(box):
     got = resolvent_columns(h, z, columns)
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# -- SuperLU without scipy.sparse: the same order and bytes as scipy's own calls --
+# CscPattern calls the private extension behind scipy's spilu and splu; these
+# references are what catches a scipy whose extension has changed
+
+
+SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+
+
+@pytest.fixture(
+    params=[(2, 3, 1, 0.7), (3, 5, 1, 0.0)], ids=["box2d-complex-h0", "box3d-11"]
+)
+def box_entries(request):
+    model = box_model(*request.param)
+    n = len(model.site_space)
+    rows, cols, vals = model.free.entries(n)
+    ar = np.arange(n)
+    # the entries CscPattern stores: h0's and a zero on every diagonal
+    full = (
+        np.concatenate([rows, ar]), np.concatenate([cols, ar]),
+        np.concatenate([vals, np.zeros(n)]),
+    )
+    return CscPattern(rows, cols, vals, n), full, n
+
+
+def test_pattern_order_is_spilus_minimum_degree_order(box_entries):
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import spilu
+
+    pattern, (rows, cols, vals), n = box_entries
+    probe = csc_array((vals, (rows, cols)), shape=(n, n))
+    probe.sum_duplicates()
+    diag = np.flatnonzero(probe.indices == np.repeat(np.arange(n), np.diff(probe.indptr)))
+    probe.data[:] = 1.0
+    probe.data[diag] = np.diff(probe.indptr) + 1.0
+    lu = spilu(
+        probe, drop_tol=0.9, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+    )
+    assert np.array_equal(pattern._position, lu.perm_c)
+
+
+def test_resolvent_columns_are_splus_solve_bit_for_bit(box_entries):
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
+
+    pattern, _, n = box_entries
+    data = pattern.data.copy()
+    data[pattern.diag] += 2.0 * np.random.default_rng(5).uniform(size=n)
+    z, columns = 0.2 + 0.05j, [0, n // 2, n - 1]
+    got = pattern.resolvent_columns(data, z, columns)
+    # the same permuted matrix through scipy's public route
+    a = csc_array((data.astype(np.complex128), pattern.indices, pattern.indptr), shape=(n, n))
+    a.data[pattern.diag] -= z
+    rhs = np.zeros((n, len(columns)), dtype=np.complex128)
+    rhs[pattern._position[columns], np.arange(len(columns))] = 1.0
+    lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    want = lu.solve(rhs)[pattern._position]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("complex_vals", [False, True], ids=["real", "complex"])
+def test_numpy_csc_builder_is_scipys_canonical_csc(complex_vals):
+    from scipy.sparse import csc_array
+
+    rng = np.random.default_rng(3)
+    n = 7
+    # distinct off-diagonal entries in random order, the first of them twice,
+    # (4, 4) once, then the whole diagonal: each sum is of a pair, which does
+    # not depend on the order scipy adds it in
+    cells = rng.permutation(n * n)[:30]
+    cells = cells[cells % (n + 1) != 0]
+    cells = np.concatenate([cells, cells[:1], [4 * (n + 1)], np.arange(n) * (n + 1)])
+    rows, cols = cells % n, cells // n
+    vals = rng.standard_normal(len(rows))
+    if complex_vals:
+        vals = vals + 1j * rng.standard_normal(len(rows))
+    indptr, indices, data, diag = spectral._csc(rows, cols, vals, n)
+    want = csc_array((vals, (rows, cols)), shape=(n, n))
+    want.sum_duplicates()
+    assert indptr.dtype == indices.dtype == np.intc
+    assert np.array_equal(indptr, want.indptr)
+    assert np.array_equal(indices, want.indices)
+    assert data.dtype == want.data.dtype
+    assert data.tobytes() == want.data.tobytes()
+    assert np.array_equal(indices[diag], np.arange(n))
+    assert np.array_equal(np.searchsorted(indptr, diag, side="right") - 1, np.arange(n))
+
+
+@pytest.mark.parametrize("first", ["scipy", "doslab"])
+def test_superlu_is_the_module_scipy_sparse_linalg_uses(first):
+    # in either import order there is one extension module, and splu runs on it
+    steps = {
+        "scipy": "import scipy.sparse.linalg as sla\n",
+        "doslab": "from doslab.spectral import _superlu\nmod = _superlu()\n",
+    }
+    script = (
+        "import sys\nimport numpy as np\n"
+        + steps[first] + steps["doslab" if first == "scipy" else "scipy"]
+        + f"assert mod is sys.modules[{SUPERLU!r}] and _superlu() is mod\n"
+        + "from scipy.sparse.linalg._dsolve import _superlu as ext\n"
+        + "assert ext is mod\n"
+        + "import scipy.sparse as sp\n"
+        + "x = sla.splu(sp.csc_array(np.diag([2.0, 4.0]))).solve(np.ones(2))\n"
+        + "assert x.tolist() == [0.5, 0.25]\n"
+    )
+    src = os.path.dirname(os.path.dirname(spectral.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_missing_superlu_names_scipys_version_and_the_directory(monkeypatch, tmp_path):
+    import scipy
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, SUPERLU, raising=False)
+    with pytest.raises(ImportError) as info:
+        spectral._superlu()
+    message = str(info.value)
+    assert f"scipy {scipy.__version__}" in message
+    assert str(tmp_path / "sparse" / "linalg" / "_dsolve") in message
+    assert SUPERLU not in sys.modules
 
 
 # -- nested prefix traces ---------------------------------------------------------
