@@ -1,37 +1,28 @@
 """Monte Carlo estimators over i.i.d. block disorder.
 
-Determinism contract: sample i of a run draws its own generator seeded by
-(master_seed, i) and always draws the full-length disorder vector of the
-model, so the couplings seen by sample i do not depend on the volume under
-study or on any other estimator sharing the seed.  Values are stored per
-sample and reduced in index order, which makes every estimate
-bit-reproducible and lets coupled quantities (telescoping differences,
-cross-volume comparisons) share their randomness exactly.
+Determinism contract: sample i of a run draws the full-length disorder
+vector of the model from np.random.default_rng((master_seed, i)), its seed
+hashed with those of its chunk (draw_disorder), so the couplings seen by
+sample i depend neither on the volume under study, nor on the chunk, nor on
+any other estimator sharing the seed.  Values are stored per sample and
+reduced in index order, which makes every estimate bit-reproducible and lets
+coupled quantities (telescoping differences, cross-volume comparisons) share
+their randomness exactly.
 
 Every estimator is one row function of a chunk of samples' couplings
-handed to one driver, `_estimate`: it draws each sample of a chunk, slices
-the draws to the volume, averages the rows with their antithetic mirrors
-where the route asks for it, fills a (n_samples, width) table and reduces it
-to one Estimate per column.  There is one entry point per quantity, on a
-grid of points; a single point is a one-point grid.
-
-The samples are split into contiguous spans, one per CPU of the process's
-affinity set, and run by the package's one fork map (doslab.fork_map): this
-process runs the first span and forked children run the others, each span
-chunk by chunk from its first sample, and the table is assembled in index
-order.  A row depends on its sample alone, so the table and every CSV are the
-same at any CPU count; `taskset -c 0` pins a run to one CPU.  The span size
-follows the route the volume takes, which _Volume.chain decides once.  Rows
-that loop over a chunk's samples one by one (fractional moments' sparse LU,
-the IDS, and off a chain the eigh of dos and dos-deriv and the dense LU of
-the telescope) take spans of any size, and every loaded OpenBLAS runs one
-thread while they run, fanned out or not: two processes then do not share
-two cores four ways, and the bytes of SuperLU, eigh and the dense LU, which
-depend on the BLAS thread count, are those of a one-CPU run.  Rows that serve a whole chunk by one sweep over all
-its lanes (the chain recursions of dos, dos-deriv and the telescope) cost
-mostly per call and call no BLAS: they take spans of at least
-_CHUNK_SAMPLES, and a run of at most one chunk stays inline with no BLAS
-lookup.
+handed to one driver, `_estimate`: it draws a chunk, slices the draws to
+the volume, averages the rows with their antithetic mirrors where the route
+asks for it, fills a (n_samples, width) table and reduces it to one Estimate
+per column.  There is one entry point per quantity, on a grid of points; a
+single point is a one-point grid.  The samples are split into contiguous
+spans, one per CPU of the process's affinity set, run by the package's one
+fork map (doslab.fork_map), and sized by the route the volume takes, which
+_Volume.chain decides once (see _estimate).  Rows that loop over a chunk's
+samples through LU or eigh run every loaded OpenBLAS on one thread: two
+processes then do not share two cores four ways, and the bytes, which depend
+on the BLAS thread count, are those of a one-CPU run.  A row depends on its
+sample alone, so the table and every CSV are the same at any CPU count;
+`taskset -c 0` pins a run to one CPU.
 
 `dos` and `dos-deriv` integrate the probe block's own coupling exactly:
 tr(P_0 G) = sum_k 1/(lambda omega_0 - mu_k), where the mu_k
@@ -57,12 +48,12 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations, product
 from typing import NamedTuple, Sequence
 
 import numpy as np
-# numpy loads numpy.random on first use; loading it here keeps that cost out
-# of the first sample
-import numpy.random  # noqa: F401
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from . import cpu_affinity, fork_map
 from .disorder import fractional_inverse_moment, stieltjes_transform
@@ -138,17 +129,60 @@ class TelescopeReport:
 # -- sampling plumbing ---------------------------------------------------------
 
 
-def _sample_rng(master_seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((int(master_seed), int(index)))
+# the constants of numpy's SeedSequence hash, frozen by NEP 19
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _WORD = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
-def draw_disorder(model: ModelSpec, master_seed: int, index: int) -> np.ndarray:
-    """Full-length block disorder for one sample index.
+def _seed_states(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """SeedSequence((master_seed, i)).generate_state(4, np.uint64) for each i, all
+    hashed at once: each i < 2**32 is one entropy word, so all take one path."""
+    m = int(master_seed)
+    if m < 0 or indices.min() < 0 or indices.max() >= 2**32:
+        raise ValueError("seeds must be non-negative and sample indices in [0, 2**32)")
+    i32 = indices.astype(np.uint32)
+    words = [(m >> s) & _WORD for s in range(0, max(m.bit_length(), 1), 32)]
+    entropy = [np.full_like(i32, w) for w in words] + [i32]
 
-    Always the full model, never a prefix: volume restrictions slice this
-    vector, so a block's coupling is the same in every volume that contains it.
-    """
-    return model.density.sample(_sample_rng(master_seed, index), size=model.n_blocks)
+    def hasher(const, mult):
+        def hash_word(v):
+            nonlocal const
+            v, const = v ^ const, const * mult & _WORD
+            v = v * const
+            return v ^ (v >> 16)
+        return hash_word
+
+    hashmix, draw = hasher(_INIT_A, _MULT_A), hasher(_INIT_B, _MULT_B)
+    pool = [hashmix(v) for v in (entropy + [0 * i32] * 4)[:4]]
+    # each pool word into the others, then the entropy past the pool into all
+    mixes = [*permutations(range(4), 2), *product(range(4, len(entropy)), range(4))]
+    for s, d in mixes:
+        v = _MIX_L * pool[d] - _MIX_R * hashmix(pool[s] if s < 4 else entropy[s])
+        pool[d] = v ^ (v >> 16)
+    state = np.array([draw(pool[k % 4]) for k in range(8)]).T
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose PCG64 state words are already generated."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def draw_disorder(model: ModelSpec, master_seed: int, index) -> np.ndarray:
+    """Full-length block disorder of sample index, or one row per index of an
+    array of them: sample i draws from np.random.default_rng((master_seed, i)),
+    its seed hashed with the others' (_seed_states).  Always the full model,
+    never a prefix: volume restrictions slice the row, so a block's coupling
+    is the same in every volume that contains it."""
+    idx = np.asarray(index)
+    rows = [model.density.sample(Generator(PCG64(_SeedState(s))), model.n_blocks)
+            for s in _seed_states(master_seed, idx.ravel())]
+    return np.reshape(rows, (*idx.shape, model.n_blocks))
 
 
 class _Volume:
@@ -167,10 +201,14 @@ class _Volume:
         return self.model.free.matrix(self.n_sites)
 
     @cached_property
+    def plan(self):
+        """spectral.chain_plan of h0, found once as it costs O(n^2): on a chain
+        dos, dos-deriv and the telescope serve a chunk by one sweep of its lanes."""
+        return chain_plan(self.h0)
+
+    @property
     def chain(self) -> bool:
-        """Whether the volume is a chain (spectral.chain_plan): then dos,
-        dos-deriv and the telescope serve a chunk by one sweep over its lanes."""
-        return chain_plan(self.h0) is not None
+        return self.plan is not None
 
     def hamiltonian(self, om_prefix: np.ndarray) -> np.ndarray:
         h = self.h0.copy()
@@ -192,7 +230,8 @@ class _Volume:
         conditional mean of the trace itself.
         """
         lam = self.model.coupling
-        u = block_coupling_poles(self.h0, self.diagonals(oms), zs, self.block0) / lam
+        u = block_coupling_poles(self.h0, self.diagonals(oms), zs, self.block0,
+                                 _plan=self.plan) / lam
         return [
             stieltjes_transform(self.model.density, j, u).sum(axis=-1) / lam
             for j in range(ell + 1)
@@ -206,11 +245,12 @@ def _estimate(
     """One Estimate per column of rows(omega) over the samples of mc.
 
     Sample i draws the full disorder vector of the model from its own
-    generator; rows takes the (S, n_blocks) couplings of vol's blocks for a
-    chunk of S samples and returns (S, width) values, one row per sample and
-    independent of the others.  With antithetic a sample's row is
-    0.5 * (row(omega) + row(1 - omega)), unbiased because the bump laws are
-    symmetric about 1/2; the mirrors join their chunk's stack.
+    generator, seeded a chunk at a time (draw_disorder); rows takes the
+    (S, n_blocks) couplings of vol's blocks for a chunk of S samples and
+    returns (S, width) values, one row per sample and independent of the
+    others.  With antithetic a sample's row is 0.5 * (row(omega) +
+    row(1 - omega)), unbiased because the bump laws are symmetric about 1/2;
+    the mirrors join their chunk's stack.
 
     shared_sweep is the route of vol: true when rows serves a chunk by one
     sweep over all its lanes, which calls no BLAS and costs mostly per call
@@ -232,9 +272,8 @@ def _estimate(
         s0, s1 = span
         for c0 in range(s0, s1, _CHUNK_SAMPLES):
             c1 = min(c0 + _CHUNK_SAMPLES, s1)
-            om = np.array(
-                [draw_disorder(vol.model, mc.master_seed, i) for i in range(c0, c1)]
-            )[:, : vol.n_blocks]
+            om = draw_disorder(vol.model, mc.master_seed, np.arange(c0, c1))
+            om = om[:, : vol.n_blocks]
             if antithetic:
                 both = rows(np.concatenate([om, 1.0 - om]))
                 values[c0:c1] = 0.5 * (both[: c1 - c0] + both[c1 - c0 :])
@@ -580,7 +619,8 @@ def telescope_series_diagnostic(
     def rows(oms):
         # tr[:, j] and weight[:, j] belong to the volume of ks[0] + j blocks
         diagonals = vol.diagonals(oms)
-        tr = nested_block_traces(vol.h0, diagonals, z, vol.block0, prefix_sizes)
+        tr = nested_block_traces(vol.h0, diagonals, z, vol.block0, prefix_sizes,
+                                 _plan=vol.plan)
         weight = model.density.prefix_score_factors(oms, ell)[:, ks[0] - 1 :] * lam_pow
         out = np.empty((len(oms), n_terms + 2), dtype=np.complex128)
         out[:, :n_terms] = (tr[:, 1:] - tr[:, :-1]) * weight[:, 1:]

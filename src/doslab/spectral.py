@@ -21,10 +21,10 @@ import numpy as np
 _DENSE_DIMENSION_CAP = 4096
 _RESIDUAL_REL_TOL = 1e-10
 _LU_PANEL = 32
-# lanes x z values per pass of the two-sided Schur recursion: each of its
-# (z, lanes) temporaries then takes 32 KB, which keeps the peak RSS of a run
-# below that of the eigh route it replaces
-_RECURSION_CELLS = 1 << 12
+# most lanes x z values per pass of the two-sided Schur recursion: a chunk
+# of 256 samples at up to 64 z values is one pass, whose (z, lanes) arrays
+# take at most 128 KB each and of which about 15 are live at the peak
+_RECURSION_CELLS = 1 << 14
 
 
 def _square_dimension(shape) -> int:
@@ -311,12 +311,14 @@ def nested_block_traces(
     z,
     block_sites: Sequence[int],
     prefix_sizes: Sequence[int],
+    *, _plan=None,
 ) -> np.ndarray:
     """tr(P (h[:n, :n] - z)^{-1}) per lane for each leading size n of prefix_sizes.
 
     Lane i is h = h0 + diag(diagonals[i]); the result is (lanes, len(sizes)).
     P projects onto block_sites, which must lie inside the smallest prefix.
-    One pass over the largest prefix serves every smaller one.
+    One pass over the largest prefix serves every smaller one.  _plan, if
+    given, is chain_plan(h0) of a chain that the caller keeps, found once.
 
     On a chain (chain_plan: every chain and prefix of one, ordered 0, +1,
     -1, ..., any block rank, phase or zero hopping), all lanes share one
@@ -348,7 +350,7 @@ def nested_block_traces(
             f"prefix of {sizes.min()} sites"
         )
     m = int(sizes.max())
-    plan = chain_plan(h0, m)
+    plan = _plan or chain_plan(h0, m)
     if plan is not None:
         tr, resid = _outward_prefix_traces(h0, plan, diags, zc, sites)
     else:
@@ -370,18 +372,18 @@ def _schur_pivots(ar, t2, z, res2):
     own; |s_k + t2[k-1] / s_{k-1} - a_k|^2 is folded into res2.
     """
     er, ay = z.real[:, None], -z.imag[:, None]
-    # work arrays reused across steps; only the yielded pivots are new
-    gx, gy = np.zeros(res2.shape), np.zeros(res2.shape)
-    ax, u, v, r2 = (np.empty(res2.shape) for _ in range(4))
+    # three work arrays reused across steps, only the yielded pivots are new:
+    # u, v hold (Re, -Im) 1 / s_{k-1}, then times t2[k-1]; w Re a_k, then |s_k|^2
+    u, v, w = np.zeros(res2.shape), np.zeros(res2.shape), np.empty(res2.shape)
     for k in range(len(ar)):
         t = t2[k - 1] if k else 0.0
-        np.subtract(ar[k], er, out=ax)
-        np.multiply(gx, t, out=u)
-        np.multiply(gy, t, out=v)
-        sx, sy = ax - u, ay + v
-        # (sx + u - ax)^2 + (sy - v - ay)^2, in the buffers of u and v
+        u *= t
+        v *= t
+        np.subtract(ar[k], er, out=w)
+        sx, sy = w - u, ay + v
+        # (sx + u - Re a_k)^2 + (sy - v - ay)^2, in the buffers of u and v
         u += sx
-        u -= ax
+        u -= w
         u *= u
         np.subtract(sy, v, out=v)
         v -= ay
@@ -389,15 +391,15 @@ def _schur_pivots(ar, t2, z, res2):
         u += v
         np.maximum(res2, u, out=res2)
         yield sx, sy
-        np.multiply(sx, sx, out=r2)
+        np.multiply(sx, sx, out=w)
         np.multiply(sy, sy, out=v)
-        r2 += v
-        np.divide(sx, r2, out=gx)
-        np.divide(sy, r2, out=gy)
+        w += v
+        np.divide(sx, w, out=u)
+        np.divide(sy, w, out=v)
 
 
 def block_coupling_poles(
-    h0: np.ndarray, diagonals: np.ndarray, zs, block_sites: Sequence[int]
+    h0: np.ndarray, diagonals: np.ndarray, zs, block_sites: Sequence[int], *, _plan=None
 ) -> np.ndarray:
     """(lanes, zs.size, r) eigenvalues mu_k of W(z) for the probe block B of r sites.
 
@@ -406,7 +408,8 @@ def block_coupling_poles(
     P_B (h - z)^{-1} P_B = (d - W)^{-1} with W = z - h0[B, B] + Sigma(z), and
     Sigma does not depend on d, so tr(P_B (h - z)^{-1}) = sum_k 1/(d - mu_k)
     at every d.  The numerical range of W lies in Im >= Im z, and so does
-    every mu_k.  z runs over zs flattened.
+    every mu_k.  z runs over zs flattened.  _plan, if given, is
+    chain_plan(h0) of a chain that the caller keeps, found once.
 
     When h0 is a chain (chain_plan) that visits B's sites in a row (every
     1-d box and prefix of one, any block rank and phase, and zero hopping in
@@ -440,7 +443,7 @@ def block_coupling_poles(
     off = np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
     ar = np.diagonal(h0).real + diags
     scale = np.max(off + np.abs(ar), axis=1)[:, None] + np.abs(z)
-    segment = _schur_segment(h0, sites)
+    segment = _schur_segment(_plan or chain_plan(h0), sites)
     if segment is None:
         mu, tr = _eigen_poles(h0, diags, z, sites, d)
     else:
@@ -452,16 +455,15 @@ def block_coupling_poles(
     return mu
 
 
-def _schur_segment(h0, sites):
-    """(path, p0, p1): h0's sites in path order, with the block at path
-    positions p0..p1, or None unless h0 is a chain (chain_plan) through the
-    block's sites in a row.
+def _schur_segment(plan, sites):
+    """(path, p0, p1): the sites of a chain in path order, with the block at
+    path positions p0..p1, or None unless plan, the chain's chain_plan, is
+    one and runs through the block's sites in a row.
 
     The path runs from the tip of one arm in to site 0 and out along the
     other, from the arm whose tip has the lower index (an empty arm's tip is
     site 0).  A block in the prefix of the enumeration is a run of it.
     """
-    plan = chain_plan(h0)
     if plan is None:
         return None
     arms = ([], [])
@@ -485,7 +487,7 @@ def _schur_poles(h0, ar, z, path, p0, p1, scale):
     seg = h0[np.ix_(path[p0 : p1 + 1], path[p0 : p1 + 1])]
     er, ay = z.real[:, None], -z.imag[:, None]
     mu = np.empty((lanes, z.size, r), dtype=np.complex128)
-    tr = np.empty((lanes, z.size), dtype=np.complex128)
+    tr = np.zeros((lanes, z.size), dtype=np.complex128)
     step = max(1, _RECURSION_CELLS // z.size)
     for i in range(0, lanes, step):
         a = ar[:, i : i + step]
@@ -494,30 +496,27 @@ def _schur_poles(h0, ar, z, path, p0, p1, scale):
         sl = {k: s for k, s in enumerate(left) if k >= p0 - 1}
         right = _schur_pivots(a[::-1][: n - p0], t2[::-1], z, res2)
         sr = {n - 1 - j: s for j, s in enumerate(right) if n - 1 - j <= p1 + 1}
-        trace = np.zeros((2, *res2.shape))
+        # (z, lanes) views of this pass's traces and poles
+        trace, w = tr[i : i + step].T, mu[i : i + step].transpose(1, 0, 2)
         for p in range(p0, p1 + 1):
-            (lx, ly), (rx, ry), ax = sl[p], sr[p], a[p] - er
+            (lx, ly), (rx, ry), ax = sl.pop(p), sr.pop(p), a[p] - er
             sx, sy = lx + rx - ax, ly + ry - ay
-            dx, dy = sx - lx - rx + ax, sy - ly - ry + ay
-            np.maximum(res2, dx * dx + dy * dy, out=res2)
+            np.maximum(res2, (sx - lx - rx + ax) ** 2 + (sy - ly - ry + ay) ** 2,
+                       out=res2)
             r2 = sx * sx + sy * sy
-            trace[0] += sx / r2
-            trace[1] -= sy / r2
+            trace.real += sx / r2
+            trace.imag -= sy / r2
+        # the loop's (z, lanes) arrays go before W's
+        del lx, ly, rx, ry, ax, sx, sy, r2
         _check_residual(np.sqrt(res2).T.ravel(), scale[i : i + step].ravel())
         # W = z - h0[B, B] plus |t|^2 / s from the pivots on either side of B
         sig_l = t2[p0 - 1] / (sl[p0 - 1][0] + 1j * sl[p0 - 1][1]) if p0 else 0.0
         sig_r = t2[p1] / (sr[p1 + 1][0] + 1j * sr[p1 + 1][1]) if p1 < n - 1 else 0.0
-        if r == 1:
-            w = (z[:, None] - seg[0, 0] + sig_l + sig_r)[..., None]
-        else:
-            w = np.empty((*res2.shape, r, r), dtype=np.complex128)
-            w[...] = z[:, None, None, None] * np.eye(r) - seg
-            w[..., 0, 0] += sig_l
-            w[..., -1, -1] += sig_r
-            w = np.linalg.eigvals(w)
-        mu[i : i + step] = w.transpose(1, 0, 2)
-        tr[i : i + step].real = trace[0].T
-        tr[i : i + step].imag = trace[1].T
+        wb = np.empty((*res2.shape, r, r), dtype=np.complex128)
+        wb[...] = z[:, None, None, None] * np.eye(r) - seg
+        wb[..., 0, 0] += sig_l
+        wb[..., -1, -1] += sig_r
+        w[...] = wb[..., 0] if r == 1 else np.linalg.eigvals(wb)
     return mu, tr
 
 

@@ -141,6 +141,50 @@ def test_disorder_draws_are_reproducible_and_full_length():
     assert not np.array_equal(a, draw_disorder(model, 13, 7))
 
 
+# master seeds of one to five 32-bit words: 2**100 + 7 makes five entropy
+# words with the index, one more than SeedSequence's pool of four
+SEED_MASTERS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**70 + 3, 2**100 + 7)
+SEED_INDICES = (0, 1, 255, 256, 10**6)
+
+
+def test_a_chunks_seed_hash_is_numpys_seed_sequence():
+    from doslab.montecarlo import _seed_states
+
+    for m in SEED_MASTERS:
+        want = [
+            np.random.SeedSequence((m, i)).generate_state(4, np.uint64)
+            for i in SEED_INDICES
+        ]
+        got = _seed_states(m, np.array(SEED_INDICES))
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_a_chunks_draws_are_those_of_default_rng_per_sample(p):
+    model = chain_model(3, coupling=2.0, p=p)
+    n = model.n_blocks
+    for m in SEED_MASTERS:
+        want = np.array(
+            [np.random.default_rng((m, i)).beta(p + 1, p + 1, n) for i in SEED_INDICES]
+        )
+        got = draw_disorder(model, m, np.array(SEED_INDICES))
+        assert got.shape == (len(SEED_INDICES), n)
+        assert (got == want).all()
+        assert (draw_disorder(model, m, SEED_INDICES[-1]) == want[-1]).all()
+
+
+def test_a_sample_index_of_2_to_the_32_or_a_negative_seed_is_refused():
+    model = chain_model(3, coupling=2.0)
+    draw_disorder(model, 5, 2**32 - 1)
+    with pytest.raises(ValueError, match="in \\[0, 2\\*\\*32\\)"):
+        draw_disorder(model, 5, np.array([0, 2**32]))
+    with pytest.raises(ValueError, match="non-negative"):
+        draw_disorder(model, -1, np.arange(3))
+    with pytest.raises(ValueError, match="non-negative"):
+        draw_disorder(model, 5, -1)
+
+
 def test_estimates_are_bit_stable_across_reruns():
     # every estimator on the shared sampling driver, run twice
     model = chain_model(3, coupling=1.5)
@@ -989,7 +1033,7 @@ def test_a_residual_failure_in_a_child_span_reaches_the_caller(monkeypatch):
     def draw(model, seed, index):
         # from sample 2 on no solve meets the guard; on 2 CPUs sample 2
         # opens the child's span, so only the child's guard changes
-        if index == 2:
+        if 2 in np.atleast_1d(index):
             monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
         return real_draw(model, seed, index)
 
@@ -1022,8 +1066,9 @@ def test_blas_runs_one_thread_in_the_spans_and_gets_its_threads_back(monkeypatch
     real_draw, seen = montecarlo.draw_disorder, []
 
     def draw(model, seed, index):
-        # what the parent's span sees; a child's list dies with it
-        seen.append([lib.get_threads() for lib in libs])
+        # what the parent's span sees, once per sample; a child's list dies
+        # with it
+        seen.extend([lib.get_threads() for lib in libs] for _ in np.atleast_1d(index))
         return real_draw(model, seed, index)
 
     monkeypatch.setattr(montecarlo, "draw_disorder", draw)
@@ -1059,3 +1104,30 @@ def test_chain_sweeps_within_one_chunk_stay_inline_with_no_blas_lookup(monkeypat
     telescope_series_diagnostic(model, range(2, 11), 1, 0.5, 0.2, mc)
     smoothed_dos_curve(model, 17, [0.3], 0.1, mc)
     dos_derivative_curve(model, 17, [0.3], 0.1, 1, mc)
+
+
+def test_a_chain_volume_finds_its_plan_once_however_many_chunks(monkeypatch):
+    # chain_plan reads the dense h0 in O(n^2): the volume finds it once and
+    # every chunk's sweep takes it as found
+    import doslab.montecarlo as montecarlo
+    import doslab.spectral as spectral
+
+    calls = []
+
+    def counted(module):
+        real = module.chain_plan
+        return lambda *args: calls.append(module.__name__) or real(*args)
+
+    for module in (montecarlo, spectral):
+        monkeypatch.setattr(module, "chain_plan", counted(module))
+    monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", 4)
+    monkeypatch.setattr(montecarlo, "cpu_affinity", lambda: 1)
+    model, mc = chain_model(8, coupling=2.0, p=4), McConfig(n_samples=12, master_seed=3)
+    for run in (
+        lambda: telescope_series_diagnostic(model, range(2, 11), 1, 0.5, 0.2, mc),
+        lambda: smoothed_dos_curve(model, 17, [0.3], 0.1, mc),
+        lambda: dos_derivative_curve(model, 17, [0.3], 0.1, 1, mc),
+    ):
+        calls.clear()
+        run()
+        assert calls == ["doslab.montecarlo"]
