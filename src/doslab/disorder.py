@@ -77,45 +77,23 @@ class SingleSiteDensity:
 
     # -- score pieces (used by the derivative estimators) ---------------------
 
-    def log_derivative(self, x):
-        """(log rho)'(x) = p/x - p/(1-x); caller keeps x strictly inside (0, 1)."""
+    def log_derivatives(self, x, ell: int) -> np.ndarray:
+        """(log rho)^(j)(x) = p (-1)^(j-1) (j-1)! / x^j - p (j-1)! / (1-x)^j for
+        j = 1 .. ell on a new leading axis; the caller keeps x inside (0, 1)."""
         xa = np.asarray(x, dtype=float)
-        return self.p / xa - self.p / (1.0 - xa)
-
-    def log_curvature(self, x):
-        """(log rho)''(x) = rho''/rho - (rho'/rho)^2, again for interior x."""
-        xa = np.asarray(x, dtype=float)
-        return -self.p / xa**2 - self.p / (1.0 - xa) ** 2
-
-    def score_factor(self, x, ell: int):
-        """Order-ell score weight of the product law at x, summed over the last axis.
-
-        With S1 = sum (log rho)'(x_b) and S2 = sum (log rho)''(x_b) the weight
-        is 1, S1 or S1^2 + S2 for ell = 0, 1, 2: the ell-th derivative of the
-        product density along the all-ones direction, over the density.
-        """
-        xa = np.asarray(x, dtype=float)
-        if ell == 0:
-            return np.ones(xa.shape[:-1])
-        if ell not in (1, 2):
-            raise ValueError(f"score factors are defined for ell in 0..2, got {ell}")
-        s1 = self.log_derivative(xa).sum(axis=-1)
-        if ell == 1:
-            return s1
-        return s1 * s1 + self.log_curvature(xa).sum(axis=-1)
+        out = np.empty((ell, *xa.shape))
+        for j in range(1, ell + 1):
+            f = self.p * math.factorial(j - 1)
+            out[j - 1] = (-1) ** (j - 1) * f / xa**j - f / (1.0 - xa) ** j
+        return out
 
     def check_score_order(self, ell: int) -> None:
-        """Reject an order ell >= 1 whose score weight this law cannot carry.
+        """Reject an order ell whose score weight this law cannot carry.
 
-        The weight needs ell <= 2 (score_factor), ell continuous derivatives,
-        and a finite second moment.
+        The weight needs ell >= 0, ell continuous derivatives and a finite variance.
         """
-        if ell == 0:
-            return
-        if ell > 2:
-            raise ValueError(
-                f"score route supports derivative orders up to 2, got {ell}"
-            )
+        if ell < 0:
+            raise ValueError("derivative order must be non-negative")
         if ell > self.continuity_order:
             raise ValueError(
                 f"derivative order {ell} exceeds the continuity order "
@@ -128,22 +106,6 @@ class SingleSiteDensity:
                 f"score weights of order {ell} have infinite variance unless "
                 f"p >= 2*ell = {2 * ell}; the density has p={self.p}"
             )
-
-    def prefix_score_factors(self, x, ell: int) -> np.ndarray:
-        """score_factor(x[..., :k], ell) for every k = 1 .. x.shape[-1].
-
-        One cumulative sum serves every prefix, so the values agree with
-        score_factor up to summation order (the last bits).
-        """
-        xa = np.asarray(x, dtype=float)
-        if ell == 0:
-            return np.ones(xa.shape)
-        if ell not in (1, 2):
-            raise ValueError(f"score factors are defined for ell in 0..2, got {ell}")
-        s1 = np.cumsum(self.log_derivative(xa), axis=-1)
-        if ell == 1:
-            return s1
-        return s1 * s1 + np.cumsum(self.log_curvature(xa), axis=-1)
 
     # -- derivative norms ------------------------------------------------------
 
@@ -164,6 +126,22 @@ class SingleSiteDensity:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw from rho, the Beta(p+1, p+1) law; a float when size is None."""
         return rng.beta(self.p + 1, self.p + 1, size)
+
+
+def score_weights(sums) -> np.ndarray:
+    """Complete Bell polynomials B_0 = 1, B_(n+1) = sum_k C(n, k) B_(n-k) S_(k+1).
+
+    With S_j = sums[j - 1] the sum of log_derivatives of order j over the blocks
+    of a product law, B_ell is the ell-th derivative of its density along the
+    all-ones direction over the density: 1, S_1, S_1^2 + S_2, ..."""
+    s = np.asarray(sums)
+    b = np.empty((len(s) + 1, *s.shape[1:]))
+    b[0] = 1.0
+    for n in range(len(s)):
+        b[n + 1] = sum(
+            (math.comb(n, k) * b[n - k] * s[k] for k in range(1, n + 1)), b[n] * s[0]
+        )
+    return b
 
 
 # -- exact Stieltjes transforms ----------------------------------------------------

@@ -56,7 +56,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from . import cpu_affinity, fork_map
-from .disorder import fractional_inverse_moment, stieltjes_transform
+from .disorder import fractional_inverse_moment, score_weights, stieltjes_transform
 from .lattice import ModelSpec
 from .spectral import CscPattern, block_coupling_poles, chain_plan, eigen_weights
 from .spectral import nested_block_traces
@@ -106,7 +106,6 @@ class DecayFit:
     rate: float
     log_prefactor: float
     r_squared: float
-    window: tuple[float, float]
     n_points: int
 
 
@@ -121,9 +120,6 @@ class TelescopeReport:
     partial_sums: np.ndarray
     fit: DecayFit | None
     summability_supported: bool
-    ell: int
-    energy: float
-    eps: float
 
 
 # -- sampling plumbing ---------------------------------------------------------
@@ -441,21 +437,20 @@ def dos_derivative_curve(
     B_ell(S_1, ..., S_ell) is a complete Bell polynomial of the score sums,
     and since rho B_j(log-derivatives of rho) = rho^(j), its conditional mean
     over omega_0 is sum_j C(ell, j) B_(ell-j)(sums over the other blocks) T_j
-    (see _Volume.coupling_transforms); the other blocks are antithetic in
-    omega -> 1 - omega, which cancels the odd part of their weight.
+    (see _Volume.coupling_transforms), with every B_(ell-j) from one
+    score_weights call, at any ell that check_score_order accepts.  The other
+    blocks' antithetic mirrors omega -> 1 - omega cancel their weight's odd part.
     """
     zs = _spectral_parameters(energies, eps)
-    if ell < 0:
-        raise ValueError("derivative order must be non-negative")
-    vol = _Volume(model, n_prefix_sites)
     model.density.check_score_order(ell)
+    vol = _Volume(model, n_prefix_sites)
     lam_pow = model.coupling ** (-ell)
 
     def rows(oms):
         ts = vol.coupling_transforms(oms, zs, ell)
-        # complete Bell polynomials of the other blocks' score sums
-        rest = oms[:, 1:]
-        bell = [model.density.score_factor(rest, k)[:, None] for k in range(ell + 1)]
+        # B_0 .. B_ell of the other blocks' score sums
+        sums = model.density.log_derivatives(oms[:, 1:], ell).sum(axis=-1)
+        bell = score_weights(sums)[:, :, None]
         return lam_pow * sum(
             math.comb(ell, j) * bell[ell - j] * t for j, t in enumerate(ts)
         )
@@ -534,10 +529,7 @@ def fractional_moment_profile(
     return _estimate(vol, mc, len(targets), rows, shared_sweep=False, dtype=np.float64)
 
 
-def fit_decay(
-    pairs: Sequence[tuple[float, Estimate]],
-    window: tuple[float, float] | None = None,
-) -> DecayFit:
+def fit_decay(pairs: Sequence[tuple[float, Estimate]]) -> DecayFit:
     """Least-squares exponential decay fit through (distance, estimate) pairs.
 
     Only strictly positive means are usable on the log scale; points whose
@@ -550,8 +542,6 @@ def fit_decay(
         m = est.mean.real if isinstance(est.mean, complex) else float(est.mean)
         if m > 0.0:
             any_positive = True
-        if window is not None and not window[0] <= dist <= window[1]:
-            continue
         if m <= 0.0 or m <= 2.0 * est.stderr:
             continue
         pts.append((float(dist), math.log(m)))
@@ -569,12 +559,10 @@ def fit_decay(
         r2 = 1.0 if ss_res <= 1e-24 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    win = window if window is not None else (float(x.min()), float(x.max()))
     return DecayFit(
         rate=float(-slope),
         log_prefactor=float(intercept),
         r_squared=float(r2),
-        window=(float(win[0]), float(win[1])),
         n_points=len(pts),
     )
 
@@ -621,7 +609,8 @@ def telescope_series_diagnostic(
         diagonals = vol.diagonals(oms)
         tr = nested_block_traces(vol.h0, diagonals, z, vol.block0, prefix_sizes,
                                  _plan=vol.plan)
-        weight = model.density.prefix_score_factors(oms, ell)[:, ks[0] - 1 :] * lam_pow
+        sums = np.cumsum(model.density.log_derivatives(oms, ell), axis=-1)
+        weight = score_weights(sums)[ell][:, ks[0] - 1 :] * lam_pow
         out = np.empty((len(oms), n_terms + 2), dtype=np.complex128)
         out[:, :n_terms] = (tr[:, 1:] - tr[:, :-1]) * weight[:, 1:]
         out[:, n_terms] = tr[:, 0] * weight[:, 0]
@@ -653,7 +642,4 @@ def telescope_series_diagnostic(
         partial_sums=partial,
         fit=fit,
         summability_supported=supported,
-        ell=ell,
-        energy=energy,
-        eps=eps,
     )

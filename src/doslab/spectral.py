@@ -46,6 +46,12 @@ def _lane_stack(h0, diagonals):
     return h0, n, diags
 
 
+def _inf_norms(h0, diagonals):
+    """||h||_inf of each lane h = h0 off its diagonal, with diagonals[lane] on it."""
+    off = np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
+    return np.max(off + np.abs(diagonals), axis=1)
+
+
 def _as_z(z) -> complex:
     zc = complex(z)
     if not zc.imag > 0.0:
@@ -358,8 +364,7 @@ def nested_block_traces(
         rhs[sites, np.arange(sites.size)] = 1.0
         lanes = [_dense_prefix_traces(h0, d, zc, rhs, m) for d in diags]
         tr, resid = (np.array(v) for v in zip(*lanes))
-    off = np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
-    _check_residual(resid, np.max(off + np.abs(np.diagonal(h0) + diags), axis=1) + abs(zc))
+    _check_residual(resid, _inf_norms(h0, np.diagonal(h0) + diags) + abs(zc))
     return tr[:, sizes - 1]
 
 
@@ -440,9 +445,8 @@ def block_coupling_poles(
     d = diags[:, sites[0]]
     if np.any(diags[:, sites] != d[:, None]):
         raise ValueError("each lane's diagonal must take one value on the block sites")
-    off = np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
     ar = np.diagonal(h0).real + diags
-    scale = np.max(off + np.abs(ar), axis=1)[:, None] + np.abs(z)
+    scale = _inf_norms(h0, ar)[:, None] + np.abs(z)
     segment = _schur_segment(_plan or chain_plan(h0), sites)
     if segment is None:
         mu, tr = _eigen_poles(h0, diags, z, sites, d)

@@ -42,7 +42,7 @@ import numpy as np
 import numpy.ma  # noqa: F401
 
 from . import cpu_affinity, fork_map
-from .disorder import SingleSiteDensity, stieltjes_transform
+from .disorder import SingleSiteDensity, score_weights, stieltjes_transform
 from .quadrature import panel_rule
 
 DEFAULT_SLACK = 1e-10
@@ -355,7 +355,7 @@ def _finite_smooth_curves(
     pts = np.stack([g.ravel() for g in grids], axis=1)  # (M, K)
     wgrids = np.meshgrid(*([w_1d] * n_blocks), indexing="ij")
     weights = np.prod(wgrids, axis=0).ravel() * density.eval(pts).prod(axis=1)
-    scores = density.score_factor(pts, ell)
+    scores = score_weights(density.log_derivatives(pts, ell).sum(axis=-1))[ell]
 
     # 5-point central stencil for the ell-th derivative of the plain trace
     stencil = np.array(
@@ -434,6 +434,7 @@ def verify_finite_smooth(
         raise ValueError(f"smoothing width must be positive, got {eps}")
     if density is None:
         density = SingleSiteDensity(2)
+    # the five-point stencil of _finite_smooth_curves reaches order 2
     if not 0 <= ell <= 2:
         raise ValueError(f"derivative order {ell} outside [0, 2]")
     if ell > density.continuity_order:

@@ -68,6 +68,32 @@ def agrees(a: Estimate, b: Estimate, n_sigma: float = 4.0) -> bool:
     return gap <= n_sigma * math.hypot(a.stderr, b.stderr)
 
 
+def taylor_score_weight(rho, x, ell: int):
+    """ell! [t^ell] prod_b rho(x_b + t) / prod_b rho(x_b) for x of shape (..., K).
+
+    The order-ell score weight of the product law at x, from the product of
+    the blocks' Taylor polynomials truncated at t^ell.  Each comes from rho's
+    factored form, rho(x + t) / rho(x) = (1 + t / x)^p (1 - t / (1 - x))^p,
+    whose t^k coefficient is a sum of binomial terms: none of the
+    log-derivatives or the Bell recursion of the program's score route enter.
+    """
+    x = np.asarray(x, dtype=float)
+    p = rho.p
+    prod = np.zeros((ell + 1, *x.shape[:-1]))
+    prod[0] = 1.0
+    for b in range(x.shape[-1]):
+        u, v = 1.0 / x[..., b], -1.0 / (1.0 - x[..., b])
+        taylor = [
+            sum(math.comb(p, i) * math.comb(p, k - i) * u**i * v ** (k - i)
+                for i in range(k + 1))
+            for k in range(ell + 1)
+        ]
+        prod = np.array(
+            [sum(prod[i] * taylor[n - i] for i in range(n + 1)) for n in range(ell + 1)]
+        )
+    return math.factorial(ell) * prod[ell]
+
+
 def weighted_resolvent_power(evals, weights, zs, power: int):
     """sum_j w_j / (lambda_j - z)^power for each z of zs, flattened.
 

@@ -495,6 +495,23 @@ def test_run_deriv_score_variance_guard_exits_2(tmp_path):
     assert "p >= 2*ell" in err
 
 
+@pytest.mark.parametrize("command", ["dos-deriv", "telescope"])
+def test_run_third_order_needs_p_6(tmp_path, command):
+    # the score weights have no order cap of their own: ell = 3 runs where
+    # the law is C^3 with p >= 2 ell, and p = 5 fails only the variance guard
+    cfgp = toy_config(tmp_path, command, n_samples=8, ell=3)
+    with open(cfgp) as fh:
+        body = fh.read()
+    for p, want in ((6, 0), (5, 2)):
+        write_config(tmp_path / f"p{p}.ini", body.replace("p = 2", f"p = {p}"))
+        code, _, err = run_quiet(None, str(tmp_path / f"p{p}.ini"))
+        assert code == want, err
+    assert "run.ell" in err
+    assert "p >= 2*ell = 6" in err
+    rows = next((tmp_path / "out").glob("*.csv")).read_text().splitlines()[1:]
+    assert rows and {r.split(",")[2] for r in rows} == {"3"}
+
+
 @pytest.mark.parametrize("command", ["dos", "dos-deriv"])
 def test_run_beyond_the_certified_transform_exits_2(tmp_path, command):
     # both integrate the probe block's coupling with stieltjes_transform,

@@ -10,9 +10,9 @@ from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from doslab.disorder import SingleSiteDensity
+from doslab.disorder import SingleSiteDensity, score_weights
 from doslab.quadrature import panel_rule
-from oracles import cdf, variance
+from oracles import cdf, taylor_score_weight, variance
 
 
 def gl_integral(f, n_nodes=100, n_panels=100):
@@ -148,10 +148,13 @@ def test_fisher_information_finite_for_p_at_least_two():
 def test_log_derivative_identities():
     rho = SingleSiteDensity(3)
     xs = np.linspace(0.07, 0.93, 25)
-    assert_allclose(rho.log_derivative(xs), rho.eval(xs, 1) / rho.eval(xs), rtol=1e-10)
-    got = rho.log_curvature(xs)
-    want = rho.eval(xs, 2) / rho.eval(xs) - (rho.eval(xs, 1) / rho.eval(xs)) ** 2
-    assert_allclose(got, want, rtol=1e-9)
+    d1, d2, d3 = (rho.eval(xs, k) / rho.eval(xs) for k in (1, 2, 3))
+    got = rho.log_derivatives(xs, 3)
+    assert got.shape == (3, 25)
+    assert_allclose(got[0], d1, rtol=1e-10)
+    assert_allclose(got[1], d2 - d1**2, rtol=1e-9)
+    assert_allclose(got[2], d3 - 3 * d2 * d1 + 2 * d1**3, rtol=1e-9, atol=1e-9)
+    assert rho.log_derivatives(xs, 0).shape == (0, 25)
 
 
 def test_invalid_arguments_are_rejected():
@@ -159,8 +162,8 @@ def test_invalid_arguments_are_rejected():
         SingleSiteDensity(0)
     with pytest.raises(ValueError):
         SingleSiteDensity(2).eval(0.5, order=3)
-    with pytest.raises(ValueError, match="ell"):
-        SingleSiteDensity(5).score_factor(np.full(3, 0.5), 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        SingleSiteDensity(5).check_score_order(-1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -181,23 +184,37 @@ def test_density_is_symmetric(p, x):
     assert_allclose(rho.eval(x), rho.eval(1.0 - x), rtol=0, atol=1e-9)
 
 
-def test_score_factor_matches_the_sums_it_replaced():
-    rho = SingleSiteDensity(4)
+def test_score_weights_match_the_formulas_they_replaced():
+    # the weights of the Monte Carlo score route and of verify's quadrature
+    # nodes, summed over the blocks, equal the closed forms of orders 1 and 2
+    p = 4
+    rho = SingleSiteDensity(p)
     rng = np.random.default_rng(11)
-    vec = rho.sample(rng, size=9)
-    pts = rho.sample(rng, size=5 * 3).reshape(5, 3)
-    # 1-d: the per-sample weight of the Monte Carlo score route
-    s1 = float(rho.log_derivative(vec).sum())
-    assert rho.score_factor(vec, 0) == 1.0
-    assert rho.score_factor(vec, 1) == s1
-    assert rho.score_factor(vec, 2) == s1 * s1 + float(rho.log_curvature(vec).sum())
-    # (M, K): one weight per quadrature node, summed over the K coordinates
-    s1 = rho.log_derivative(pts).sum(axis=1)
-    assert np.array_equal(rho.score_factor(pts, 0), np.ones(5))
-    assert np.array_equal(rho.score_factor(pts, 1), s1)
-    assert np.array_equal(
-        rho.score_factor(pts, 2), s1 * s1 + rho.log_curvature(pts).sum(axis=1)
-    )
+    for x in (rho.sample(rng, size=9), rho.sample(rng, size=5 * 3).reshape(5, 3)):
+        s1 = (p / x - p / (1 - x)).sum(axis=-1)
+        s2 = (-p / x**2 - p / (1 - x) ** 2).sum(axis=-1)
+        got = score_weights(rho.log_derivatives(x, 2).sum(axis=-1))
+        assert np.array_equal(got[0], np.ones(s1.shape))
+        assert np.array_equal(got[1], s1)
+        assert np.array_equal(got[2], s1 * s1 + s2)
+        for ell in (0, 1):
+            low = score_weights(rho.log_derivatives(x, ell).sum(axis=-1))
+            assert np.array_equal(low, got[: ell + 1])
+
+
+@pytest.mark.parametrize("p, max_ell", [(6, 3), (4, 2)])
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 4, 5])
+def test_score_weights_match_the_taylor_product(p, max_ell, n_blocks):
+    # B_ell(x) = ell! [t^ell] prod_b rho(x_b + t) / prod_b rho(x_b)
+    rho = SingleSiteDensity(p)
+    x = rho.sample(np.random.default_rng(7 * p + n_blocks), size=(64, n_blocks))
+    got = score_weights(rho.log_derivatives(x, max_ell).sum(axis=-1))
+    for ell in range(max_ell + 1):
+        want = taylor_score_weight(rho, x, ell)
+        assert_allclose(got[ell], want, rtol=1e-8, atol=1e-8)
+        # the oracle's one-block coefficients are rho's own derivatives
+        one = rho.eval(x[:, 0], ell) / rho.eval(x[:, 0])
+        assert_allclose(taylor_score_weight(rho, x[:, :1], ell), one, rtol=1e-8)
 
 
 # -- exact Stieltjes transforms -------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import doslab
-from doslab.disorder import SingleSiteDensity
+from doslab.disorder import SingleSiteDensity, score_weights
 from doslab.lattice import (
     FreeOperatorSpec,
     ModelSpec,
@@ -44,6 +44,7 @@ from oracles import (
     cdf,
     resolvent_power_curve,
     source_averaged_fractional_moments,
+    taylor_score_weight,
 )
 
 
@@ -251,6 +252,16 @@ def test_second_derivative_routes_agree():
     assert agrees(by_score, by_power), (by_score, by_power)
 
 
+def test_third_derivative_routes_agree():
+    # ell = 3 needs p >= 6 for a finite variance; at p = 2 ell the score
+    # weights are heavy-tailed, so it takes many samples to pin the mean
+    model = chain_model(3, coupling=2.0, p=6)
+    mc = McConfig(n_samples=32000, master_seed=5)
+    by_score = dos_derivative_curve(model, 7, [0.5], 0.4, ell=3, mc=mc)[0]
+    by_power = resolvent_power_curve(model, 7, [0.5], 0.4, ell=3, mc=mc)[0]
+    assert agrees(by_score, by_power), (by_score, by_power)
+
+
 def test_resolvent_route_matches_quadrature_oracle():
     # single uncoupled site: E[tr(P0 G^2)] = integral of rho(x)/(cx - z)^2
     model = chain_model(1, coupling=3.0, hopping=0.0)
@@ -279,8 +290,13 @@ def test_score_route_preconditions():
     with pytest.raises(ValueError, match="continuity order"):
         dos_derivative_curve(flat, 5, [0.0], 0.5, ell=1, mc=mc)
     model = chain_model(2, coupling=1.0, p=3)
-    with pytest.raises(ValueError, match="orders up to"):
+    with pytest.raises(ValueError, match="continuity order 2"):
         dos_derivative_curve(model, 5, [0.0], 0.5, ell=3, mc=mc)
+    p5 = chain_model(2, coupling=1.0, p=5)
+    with pytest.raises(ValueError, match=r"p >= 2\*ell = 6"):
+        dos_derivative_curve(p5, 5, [0.0], 0.5, ell=3, mc=mc)
+    with pytest.raises(ValueError, match="non-negative"):
+        telescope_series_diagnostic(model, range(2, 4), -1, 0.0, 0.5, mc)
     with pytest.raises(ValueError, match="imaginary"):
         smoothed_dos_curve(model, 5, [0.0], -0.1, mc)
 
@@ -405,12 +421,12 @@ def coupling_integral_oracle(model, om, zs, ell):
             np.trace(np.linalg.inv(h - z * np.eye(n))[np.ix_(block, block)])
             for z in zs
         ]
-        weight = wk * rho.eval(xk) * rho.score_factor(full, ell) * lam ** (-ell)
+        weight = wk * rho.eval(xk) * taylor_score_weight(rho, full, ell) * lam ** (-ell)
         out += weight * np.array(tr)
     return out
 
 
-@pytest.mark.parametrize("route", ["dos", "score-1", "score-2"])
+@pytest.mark.parametrize("route", ["dos", "score-1", "score-2", "score-3"])
 @pytest.mark.parametrize(
     "case", [*CONDITIONED_CASES, "chain-rank1-eigh", "chain-rank3-phase-eigh"]
 )
@@ -638,17 +654,30 @@ def test_fractional_moment_solves_carry_the_residual_guard(monkeypatch):
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2])
-def test_prefix_score_factors_match_score_factor(ell):
-    # the telescope weights every nested volume from one cumulative sum
-    rho = SingleSiteDensity(4)
-    om = rho.sample(np.random.default_rng(29), size=41)
-    got = rho.prefix_score_factors(om, ell)
-    assert got.shape == om.shape
-    for k in range(1, om.size + 1):
-        want = rho.score_factor(om[:k], ell)
-        assert abs(got[k - 1] - want) <= 1e-12 * max(1.0, abs(want))
-    with pytest.raises(ValueError, match="ell in 0..2"):
-        rho.prefix_score_factors(om, 3)
+def test_running_score_weights_match_the_formulas_they_replaced(ell):
+    # the telescope weights every nested volume from running sums over the
+    # blocks; they equal the closed forms of orders 1 and 2, and the summed
+    # weights of each prefix up to summation order
+    p = 4
+    rho = SingleSiteDensity(p)
+    om = rho.sample(np.random.default_rng(29), size=(3, 41))
+    s1 = np.cumsum(p / om - p / (1 - om), axis=-1)
+    s2 = np.cumsum(-p / om**2 - p / (1 - om) ** 2, axis=-1)
+    got = score_weights(np.cumsum(rho.log_derivatives(om, ell), axis=-1))[ell]
+    assert np.array_equal(got, [np.ones(om.shape), s1, s1 * s1 + s2][ell])
+    for k in range(1, om.shape[1] + 1):
+        want = score_weights(rho.log_derivatives(om[:, :k], ell).sum(axis=-1))[ell]
+        assert np.all(np.abs(got[:, k - 1] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_running_score_weights_of_order_3_match_the_taylor_product():
+    rho = SingleSiteDensity(6)
+    om = rho.sample(np.random.default_rng(31), size=(8, 12))
+    got = score_weights(np.cumsum(rho.log_derivatives(om, 3), axis=-1))
+    for k in range(1, om.shape[1] + 1):
+        for ell in range(4):
+            want = taylor_score_weight(rho, om[:, :k], ell)
+            assert_allclose(got[ell, :, k - 1], want, rtol=1e-8, atol=1e-8)
 
 
 # -- decay fits -------------------------------------------------------------------------
@@ -684,17 +713,13 @@ def test_fit_recovers_noisy_rate_within_five_percent():
     assert fit.r_squared > 0.99
 
 
-def test_fit_window_and_noise_floor():
+def test_fit_drops_the_noise_floor():
     pairs = synthetic_pairs(1.0, 1.0, range(1, 8))
-    # corrupt the tail, then exclce it by window
-    pairs[-1] = (7.0, Estimate(5.0, 1e-12, 100, 0))
-    fit = fit_decay(pairs, window=(1.0, 6.0))
-    assert fit.rate == pytest.approx(1.0, abs=1e-10)
-    assert fit.n_points == 6
     # a mean below two standard errors is dropped as noise
     pairs[2] = (3.0, Estimate(1e-9, 1e-3, 100, 0))
-    fit2 = fit_decay(pairs, window=(1.0, 6.0))
-    assert fit2.n_points == 5
+    fit = fit_decay(pairs)
+    assert fit.rate == pytest.approx(1.0, abs=1e-10)
+    assert fit.n_points == 6
 
 
 def test_fit_error_cases():
