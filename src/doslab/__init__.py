@@ -6,10 +6,13 @@ energy derivatives by Monte Carlo, measures fractional-moment decay, and
 certifies the operator inequalities the estimators rely on by quadrature.
 """
 
+import ctypes
 import importlib
 import os
 import pickle
 import signal
+from contextlib import contextmanager
+from typing import NamedTuple
 
 __version__ = "0.13.0"
 
@@ -87,6 +90,74 @@ def _child(fn, item, r: int, w: int):
         code = 0
     finally:
         os._exit(code)
+
+
+
+# -- one BLAS thread in forked shares ------------------------------------------
+
+
+class OpenBlas(NamedTuple):
+    """One OpenBLAS library mapped into this process, with its thread-count
+    calls."""
+
+    name: str
+    config: str
+    get_threads: object
+    set_threads: object
+
+
+# symbol patterns of the thread-count calls: numpy's 64-bit-integer build,
+# scipy's build, and a system OpenBLAS either way
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"
+)
+
+
+def loaded_openblas() -> list[OpenBlas]:
+    """Every OpenBLAS this process has loaded, by file name, in name order.
+
+    Read from /proc/self/maps, so a library not yet loaded stays unloaded,
+    and empty where the platform has no such file."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except (OSError, IndexError):
+        return []
+    found = []
+    for path in sorted(paths, key=os.path.basename):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for pattern in _OPENBLAS_SYMBOLS:
+            try:
+                get, put, config = (
+                    getattr(lib, pattern.format(f))
+                    for f in ("get_num_threads", "set_num_threads", "get_config")
+                )
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            build = " ".join(config().decode().split())
+            found.append(OpenBlas(os.path.basename(path), build, get, put))
+            break
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS runs one thread inside; the old counts after."""
+    libs = loaded_openblas()
+    counts = [lib.get_threads() for lib in libs]
+    for lib in libs:
+        lib.set_threads(1)
+    try:
+        yield
+    finally:
+        for lib, count in zip(libs, counts):
+            lib.set_threads(count)
 
 
 # exported names by submodule, each loaded on first access (PEP 562): a chain

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import __version__, cpu_affinity, spectral
+from . import __version__, cpu_affinity, loaded_openblas, spectral
 from .disorder import TRANSFORM_MAX_P, SingleSiteDensity
 from .lattice import (
     FreeOperatorSpec,
@@ -38,7 +38,6 @@ from .montecarlo import (
     dos_derivative_curve,
     fractional_moment_profile,
     ids_curve,
-    loaded_openblas,
     smoothed_dos_curve,
     telescope_series_diagnostic,
 )

@@ -42,24 +42,21 @@ eigendecomposition, a kernel the score route does not share.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from . import cpu_affinity, fork_map
+from . import _one_blas_thread, cpu_affinity, fork_map
 from .disorder import fractional_inverse_moment, score_weights, stieltjes_transform
 from .lattice import ModelSpec
 from .spectral import CscPattern, block_coupling_poles, chain_plan, eigen_weights
-from .spectral import nested_block_traces
+from .spectral import nested_block_traces, off_diagonal_row_sums
 
 # samples per rows() call; bounds the memory of a chunk's lane stack
 _CHUNK_SAMPLES = 256
@@ -202,6 +199,12 @@ class _Volume:
         dos, dos-deriv and the telescope serve a chunk by one sweep of its lanes."""
         return chain_plan(self.h0)
 
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """spectral.off_diagonal_row_sums of h0, found once as it costs O(n^2):
+        every chunk's residual scale takes it."""
+        return off_diagonal_row_sums(self.h0)
+
     @property
     def chain(self) -> bool:
         return self.plan is not None
@@ -227,7 +230,7 @@ class _Volume:
         """
         lam = self.model.coupling
         u = block_coupling_poles(self.h0, self.diagonals(oms), zs, self.block0,
-                                 _plan=self.plan) / lam
+                                 _plan=self.plan, _row_sums=self.row_sums) / lam
         return [
             stieltjes_transform(self.model.density, j, u).sum(axis=-1) / lam
             for j in range(ell + 1)
@@ -293,73 +296,6 @@ def _estimate(
 def _each(row):
     """Rows of a chunk from a function of one sample's couplings."""
     return lambda oms: np.array([row(om) for om in oms])
-
-
-# -- one BLAS thread in the sample spans -----------------------------------------
-
-
-class OpenBlas(NamedTuple):
-    """One OpenBLAS library mapped into this process, with its thread-count
-    calls."""
-
-    name: str
-    config: str
-    get_threads: object
-    set_threads: object
-
-
-# symbol patterns of the thread-count calls: numpy's 64-bit-integer build,
-# scipy's build, and a system OpenBLAS either way
-_OPENBLAS_SYMBOLS = (
-    "scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"
-)
-
-
-def loaded_openblas() -> list[OpenBlas]:
-    """Every OpenBLAS this process has loaded, by file name, in name order.
-
-    Read from /proc/self/maps, so a library not yet loaded stays unloaded,
-    and empty where the platform has no such file."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
-    except (OSError, IndexError):
-        return []
-    found = []
-    for path in sorted(paths, key=os.path.basename):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for pattern in _OPENBLAS_SYMBOLS:
-            try:
-                get, put, config = (
-                    getattr(lib, pattern.format(f))
-                    for f in ("get_num_threads", "set_num_threads", "get_config")
-                )
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            config.argtypes, config.restype = [], ctypes.c_char_p
-            build = " ".join(config().decode().split())
-            found.append(OpenBlas(os.path.basename(path), build, get, put))
-            break
-    return found
-
-
-@contextmanager
-def _one_blas_thread():
-    """Every loaded OpenBLAS runs one thread inside; the old counts after."""
-    libs = loaded_openblas()
-    counts = [lib.get_threads() for lib in libs]
-    for lib in libs:
-        lib.set_threads(1)
-    try:
-        yield
-    finally:
-        for lib, count in zip(libs, counts):
-            lib.set_threads(count)
 
 
 def _spectral_parameters(energies, eps) -> np.ndarray:
@@ -608,7 +544,7 @@ def telescope_series_diagnostic(
         # tr[:, j] and weight[:, j] belong to the volume of ks[0] + j blocks
         diagonals = vol.diagonals(oms)
         tr = nested_block_traces(vol.h0, diagonals, z, vol.block0, prefix_sizes,
-                                 _plan=vol.plan)
+                                 _plan=vol.plan, _row_sums=vol.row_sums)
         sums = np.cumsum(model.density.log_derivatives(oms, ell), axis=-1)
         weight = score_weights(sums)[ell][:, ks[0] - 1 :] * lam_pow
         out = np.empty((len(oms), n_terms + 2), dtype=np.complex128)

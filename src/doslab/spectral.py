@@ -46,9 +46,16 @@ def _lane_stack(h0, diagonals):
     return h0, n, diags
 
 
-def _inf_norms(h0, diagonals):
-    """||h||_inf of each lane h = h0 off its diagonal, with diagonals[lane] on it."""
-    off = np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
+def off_diagonal_row_sums(h0) -> np.ndarray:
+    """sum_j |h0_ij| - |h0_ii| for each row i: h0's share of every lane's
+    ||h||_inf, in O(n^2)."""
+    return np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
+
+
+def _inf_norms(h0, diagonals, row_sums=None):
+    """||h||_inf of each lane h = h0 off its diagonal, with diagonals[lane] on
+    it; row_sums, if given, is off_diagonal_row_sums(h0)."""
+    off = off_diagonal_row_sums(h0) if row_sums is None else row_sums
     return np.max(off + np.abs(diagonals), axis=1)
 
 
@@ -317,14 +324,15 @@ def nested_block_traces(
     z,
     block_sites: Sequence[int],
     prefix_sizes: Sequence[int],
-    *, _plan=None,
+    *, _plan=None, _row_sums=None,
 ) -> np.ndarray:
     """tr(P (h[:n, :n] - z)^{-1}) per lane for each leading size n of prefix_sizes.
 
     Lane i is h = h0 + diag(diagonals[i]); the result is (lanes, len(sizes)).
     P projects onto block_sites, which must lie inside the smallest prefix.
     One pass over the largest prefix serves every smaller one.  _plan, if
-    given, is chain_plan(h0) of a chain that the caller keeps, found once.
+    given, is chain_plan(h0) of a chain that the caller keeps, found once,
+    and _row_sums, if given, off_diagonal_row_sums(h0).
 
     On a chain (chain_plan: every chain and prefix of one, ordered 0, +1,
     -1, ..., any block rank, phase or zero hopping), all lanes share one
@@ -364,7 +372,9 @@ def nested_block_traces(
         rhs[sites, np.arange(sites.size)] = 1.0
         lanes = [_dense_prefix_traces(h0, d, zc, rhs, m) for d in diags]
         tr, resid = (np.array(v) for v in zip(*lanes))
-    _check_residual(resid, _inf_norms(h0, np.diagonal(h0) + diags) + abs(zc))
+    _check_residual(
+        resid, _inf_norms(h0, np.diagonal(h0) + diags, _row_sums) + abs(zc)
+    )
     return tr[:, sizes - 1]
 
 
@@ -404,7 +414,11 @@ def _schur_pivots(ar, t2, z, res2):
 
 
 def block_coupling_poles(
-    h0: np.ndarray, diagonals: np.ndarray, zs, block_sites: Sequence[int], *, _plan=None
+    h0: np.ndarray,
+    diagonals: np.ndarray,
+    zs,
+    block_sites: Sequence[int],
+    *, _plan=None, _row_sums=None,
 ) -> np.ndarray:
     """(lanes, zs.size, r) eigenvalues mu_k of W(z) for the probe block B of r sites.
 
@@ -414,7 +428,8 @@ def block_coupling_poles(
     Sigma does not depend on d, so tr(P_B (h - z)^{-1}) = sum_k 1/(d - mu_k)
     at every d.  The numerical range of W lies in Im >= Im z, and so does
     every mu_k.  z runs over zs flattened.  _plan, if given, is
-    chain_plan(h0) of a chain that the caller keeps, found once.
+    chain_plan(h0) of a chain that the caller keeps, found once, and
+    _row_sums, if given, off_diagonal_row_sums(h0).
 
     When h0 is a chain (chain_plan) that visits B's sites in a row (every
     1-d box and prefix of one, any block rank and phase, and zero hopping in
@@ -446,7 +461,7 @@ def block_coupling_poles(
     if np.any(diags[:, sites] != d[:, None]):
         raise ValueError("each lane's diagonal must take one value on the block sites")
     ar = np.diagonal(h0).real + diags
-    scale = _inf_norms(h0, ar)[:, None] + np.abs(z)
+    scale = _inf_norms(h0, ar, _row_sums)[:, None] + np.abs(z)
     segment = _schur_segment(_plan or chain_plan(h0), sites)
     if segment is None:
         mu, tr = _eigen_poles(h0, diags, z, sites, d)

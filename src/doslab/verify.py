@@ -41,7 +41,7 @@ import numpy as np
 # out of the run
 import numpy.ma  # noqa: F401
 
-from . import cpu_affinity, fork_map
+from . import _one_blas_thread, cpu_affinity, fork_map
 from .disorder import SingleSiteDensity, score_weights, stieltjes_transform
 from .quadrature import panel_rule
 
@@ -52,8 +52,12 @@ DEFAULT_SLACK = 1e-10
 # averaging
 _DENSITY = SingleSiteDensity(3)
 
-# stencil step of the finite-difference route in verify_finite_smooth
+# verify_finite_smooth: the stencil step of the finite-difference route, the
+# quadrature nodes per chunk of both weighted sums, and the nodes per block of
+# eigenvalue decompositions inside a chunk
 _FD_STEP = 0.005
+_NODE_CHUNK = 65536
+_NODE_BLOCK = 256
 # verify_resolvent_average_bound: the fractional exponent s, the spectral
 # parameters; the check rule's LHS error target, least node count and the
 # Im z above which it resolves no finer (so all of _BOUND_Z share one grid),
@@ -80,10 +84,12 @@ _CUTOFF_TRANSITION = 0.1
 _HOELDER_S = (0.3, 0.5, 0.7)
 _HOELDER_T = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 # verify_resolvent_semigroup_identity: quadrature error allowed on top of the
-# tail bound, Gauss nodes per lambda panel, and the width of a time panel
+# tail bound, Gauss nodes per lambda panel, the width of a time panel, and the
+# time nodes per block of the Fourier factor
 _QUAD_BUDGET = 1e-7
 _LAMBDA_NODES = 16
 _T_PANEL_WIDTH = 0.5
+_T_BLOCK = 256
 # verify_spectral_averaging: the smoothing widths, and the largest relative
 # drift of the sup between consecutive widths
 _AVERAGING_EPS = (0.006, 0.003, 0.001)
@@ -295,16 +301,18 @@ def _ordered_map(calls: list[tuple]) -> list:
 
     The calls are dealt round-robin to min(cpu_affinity(), len(calls))
     processes, run by fork_map: process k runs calls k, k + workers, ...,
-    process 0 is this one, and one process runs them all inline.  A call
-    computes in a child exactly what it computes inline, so results do not
-    depend on the process count.  A call's exception reaches the caller,
-    the first of the lowest share that raised one, and every child has
-    exited when this returns.
+    process 0 is this one, and one process runs them all inline.  Every
+    OpenBLAS loaded at entry runs one thread meanwhile, so two processes do
+    not share two cores four ways.  A call computes in a child exactly what
+    it computes inline, so results do not depend on the process count.  A
+    call's exception reaches the caller, the first of the lowest share that
+    raised one, and every child has exited when this returns.
     """
     workers = min(cpu_affinity(), len(calls))
-    shares = fork_map(
-        lambda k: [fn(*args) for fn, *args in calls[k::workers]], range(workers)
-    )
+    with _one_blas_thread():
+        shares = fork_map(
+            lambda k: [fn(*args) for fn, *args in calls[k::workers]], range(workers)
+        )
     results = [None] * len(calls)
     for k, share in enumerate(shares):
         results[k::workers] = share
@@ -346,16 +354,20 @@ def _finite_smooth_curves(
 ):
     """Both derivative routes on the energy grid, from one eigenvalue pass.
 
-    Processes the tensor quadrature grid in node chunks so memory stays flat
-    even at five sites with a refined rule."""
+    The tensor quadrature grid is never formed.  Its nodes are taken in
+    chunks of _NODE_CHUNK by flat index, each chunk's points, weights and
+    scores unravelled from the 1-d rule, and a chunk's traces are filled
+    _NODE_BLOCK nodes at a time: the Hamiltonians, their eigenvalues and the
+    (block, n_sites, 5 E) resolvent terms exist for one block only.  What a
+    chunk holds is its (chunk, 5 E) complex traces, about 47 MB at 65536
+    nodes and nine energies, so memory stays flat in the node count.  Each
+    node's values and both weighted sums over a chunk are computed as a
+    whole-grid pass computes them, so the curves do not depend on the block
+    size."""
     n_sites = free.shape[0]
     pts_1d, w_1d = panel_rule(0.0, 1.0, n_nodes, 1)
     n_blocks = len(blocks)
-    grids = np.meshgrid(*([pts_1d] * n_blocks), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)  # (M, K)
-    wgrids = np.meshgrid(*([w_1d] * n_blocks), indexing="ij")
-    weights = np.prod(wgrids, axis=0).ravel() * density.eval(pts).prod(axis=1)
-    scores = score_weights(density.log_derivatives(pts, ell).sum(axis=-1))[ell]
+    n_total = n_nodes**n_blocks
 
     # 5-point central stencil for the ell-th derivative of the plain trace
     stencil = np.array(
@@ -369,25 +381,30 @@ def _finite_smooth_curves(
     form = np.zeros(len(energies), dtype=complex)
     idx = np.arange(n_sites)
     center = slice(2, zs.size, 5)
-    for start in range(0, pts.shape[0], 65536):
-        stop = min(start + 65536, pts.shape[0])
-        chunk = pts[start:stop]
-        diag = np.zeros((chunk.shape[0], n_sites))
-        for k, block in enumerate(blocks):
-            diag[:, block] = chunk[:, k : k + 1]
-        ham = np.broadcast_to(
-            free, (chunk.shape[0], n_sites, n_sites)
-        ).copy()
-        ham[:, idx, idx] += coupling * diag
-        evals = np.linalg.eigvalsh(ham)  # (m, N)
-        traces = np.sum(
-            1.0 / (evals[:, :, None] - zflat[None, None, :]), axis=1
-        )  # (m, E*5)
+    for start in range(0, n_total, _NODE_CHUNK):
+        stop = min(start + _NODE_CHUNK, n_total)
+        nodes = np.unravel_index(np.arange(start, stop), (n_nodes,) * n_blocks)
+        chunk = np.stack([pts_1d[i] for i in nodes], axis=1)  # (m, K)
+        weights = np.prod([w_1d[i] for i in nodes], axis=0)
+        weights = weights * density.eval(chunk).prod(axis=1)
+        scores = score_weights(density.log_derivatives(chunk, ell).sum(axis=-1))[ell]
+        traces = np.empty((stop - start, zs.size), dtype=complex)
+        for b0 in range(0, stop - start, _NODE_BLOCK):
+            part = chunk[b0 : b0 + _NODE_BLOCK]
+            diag = np.zeros((part.shape[0], n_sites))
+            for k, block in enumerate(blocks):
+                diag[:, block] = part[:, k : k + 1]
+            ham = np.broadcast_to(free, (part.shape[0], n_sites, n_sites)).copy()
+            ham[:, idx, idx] += coupling * diag
+            evals = np.linalg.eigvalsh(ham)  # (b, N)
+            np.sum(
+                1.0 / (evals[:, :, None] - zflat[None, None, :]),
+                axis=1,
+                out=traces[b0 : b0 + _NODE_BLOCK],
+            )
         # fixed-order sums, not BLAS, whose order moves with its thread count
-        h_vals += np.einsum("m,mk->k", weights[start:stop], traces)
-        form += np.einsum(
-            "m,mk->k", weights[start:stop] * scores[start:stop], traces[:, center]
-        )
+        h_vals += np.einsum("m,mk->k", weights, traces)
+        form += np.einsum("m,mk->k", weights * scores, traces[:, center])
     h_vals = h_vals.reshape(zs.shape)
     fd = np.einsum("ek,k->e", h_vals, stencil) / fd_step**ell
     return fd, form / coupling**ell
@@ -743,6 +760,51 @@ def verify_semigroup_hoelder(corpus: Corpus) -> CheckReport:
 # averaged resolvent as a truncated oscillatory time integral
 
 
+def _fourier_factor(ts, lam, wg) -> np.ndarray:
+    """ghat(t) = exp(i t lam) @ wg for each t of ts, _T_BLOCK rows of ts at a
+    time, so the (T, L) phase matrix never exists whole.  Each row is the
+    dot product the whole product takes for it, so the values do not depend
+    on the block size unless a block of one row is left over (a one-row
+    product takes another route); every time rule here has 8 nodes per
+    panel, and _T_BLOCK is a multiple of 8."""
+    return np.concatenate([
+        np.exp(1j * np.multiply.outer(ts[r : r + _T_BLOCK], lam)) @ wg
+        for r in range(0, len(ts), _T_BLOCK)
+    ])
+
+
+def _time_integral_terms(a, t_max: float, lam, wg):
+    """Instance a's witness fields, the operator-norm discrepancy between the
+    two sides of the identity first, and its tail bound."""
+    a = np.asarray(a, dtype=complex)
+    im_part = (a - a.conj().T) / 2j
+    q = float(np.linalg.eigvalsh(im_part)[0])
+    if q <= 0:
+        raise ValueError(f"matrix must be strictly dissipative, Im part floor {q}")
+    d = a.shape[0]
+    eye = np.eye(d)
+
+    stack = np.linalg.inv(a[None, :, :] + lam[:, None, None] * eye[None, :, :])
+    resolvent_norms = _spectral_norms(stack)
+    lhs = np.einsum("i,ijk->jk", wg, stack)
+
+    t_eff = float(min(t_max, 46.0 / q))
+    n_panels = max(4, int(math.ceil(t_eff / _T_PANEL_WIDTH)))
+    ts, wt = panel_rule(0.0, t_eff, 8, n_panels)
+    ghat = _fourier_factor(ts, lam, wg)  # (T,)
+    semigroup = _batched_expi(a, ts)
+    rhs = -1j * np.einsum("t,tjk->jk", wt * ghat, semigroup)
+
+    witness = {
+        "discrepancy": float(np.linalg.norm(lhs - rhs, 2)),
+        "dim": d,
+        "im_floor": q,
+        "t_eff": t_eff,
+        "max_resolvent_norm": float(resolvent_norms.max()),
+    }
+    return witness, math.exp(-q * t_eff) / q
+
+
 def verify_resolvent_semigroup_identity(
     instances: list[np.ndarray], t_max: float = 1e3
 ) -> CheckReport:
@@ -758,7 +820,8 @@ def verify_resolvent_semigroup_identity(
     truncated where the decay makes the tail negligible (never beyond
     t_max), and the check demands the operator-norm discrepancy stay below
     the rigorous tail bound exp(-q T)/q plus a fixed quadrature budget.
-    Doubling t_max can only shrink the discrepancy.
+    Doubling t_max can only shrink the discrepancy.  The instances are
+    evaluated by _ordered_map, each one a call.
     """
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
@@ -767,45 +830,12 @@ def verify_resolvent_semigroup_identity(
     lam, w = panel_rule(1.0, 2.0, _LAMBDA_NODES, 8)
     wg = w * _DENSITY.eval(lam - 1.0)
 
-    discrepancies = []
-    tail_bounds = []
-    worst = None
-    for a in instances:
-        a = np.asarray(a, dtype=complex)
-        im_part = (a - a.conj().T) / 2j
-        q = float(np.linalg.eigvalsh(im_part)[0])
-        if q <= 0:
-            raise ValueError(
-                f"matrix must be strictly dissipative, Im part floor {q}"
-            )
-        d = a.shape[0]
-        eye = np.eye(d)
-
-        stack = np.linalg.inv(
-            a[None, :, :] + lam[:, None, None] * eye[None, :, :]
-        )
-        resolvent_norms = _spectral_norms(stack)
-        lhs = np.einsum("i,ijk->jk", wg, stack)
-
-        t_eff = float(min(t_max, 46.0 / q))
-        n_panels = max(4, int(math.ceil(t_eff / _T_PANEL_WIDTH)))
-        ts, wt = panel_rule(0.0, t_eff, 8, n_panels)
-        ghat = np.exp(1j * np.multiply.outer(ts, lam)) @ wg  # (T,)
-        semigroup = _batched_expi(a, ts)
-        rhs = -1j * np.einsum("t,tjk->jk", wt * ghat, semigroup)
-
-        disc = float(np.linalg.norm(lhs - rhs, 2))
-        tail = math.exp(-q * t_eff) / q
-        discrepancies.append(disc)
-        tail_bounds.append(tail)
-        if worst is None or disc > worst["discrepancy"]:
-            worst = {
-                "discrepancy": disc,
-                "dim": d,
-                "im_floor": q,
-                "t_eff": t_eff,
-                "max_resolvent_norm": float(resolvent_norms.max()),
-            }
+    results = _ordered_map(
+        [(_time_integral_terms, a, t_max, lam, wg) for a in instances]
+    )
+    witnesses, tail_bounds = zip(*results)
+    discrepancies = [w["discrepancy"] for w in witnesses]
+    worst = max(witnesses, key=lambda w: w["discrepancy"])
     tol = float(max(tail_bounds)) + _QUAD_BUDGET
     max_disc = float(max(discrepancies))
     passed = max_disc <= tol + DEFAULT_SLACK

@@ -13,6 +13,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from doslab import montecarlo
+from doslab.disorder import score_weights
 from doslab.montecarlo import Estimate
 from doslab.quadrature import panel_rule
 from doslab.spectral import eigen_weights
@@ -177,3 +178,55 @@ def averaged_imag_quadrature(a, b, phi, mu, energies, eps):
         kernel = eps / ((evals[:, :, None] - energies[None, None, sl]) ** 2 + eps**2)
         out[sl] = np.einsum("t,tj,tjz->z", wt * mu.eval(t), coef, kernel, optimize=True)
     return out
+
+
+def whole_grid_finite_smooth_curves(
+    free, coupling, density, eps, ell, energies, blocks, n_nodes, fd_step
+):
+    """verify._finite_smooth_curves as a whole-grid pass: the tensor grid's
+    points, weights and scores formed at once, and each 65536-node chunk's
+    Hamiltonians, eigenvalues and (chunk, n_sites, 5 E) resolvent terms in
+    one piece.  The streamed version must return the same bits."""
+    n_sites = free.shape[0]
+    pts_1d, w_1d = panel_rule(0.0, 1.0, n_nodes, 1)
+    n_blocks = len(blocks)
+    grids = np.meshgrid(*([pts_1d] * n_blocks), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)  # (M, K)
+    wgrids = np.meshgrid(*([w_1d] * n_blocks), indexing="ij")
+    weights = np.prod(wgrids, axis=0).ravel() * density.eval(pts).prod(axis=1)
+    scores = score_weights(density.log_derivatives(pts, ell).sum(axis=-1))[ell]
+
+    # 5-point central stencil for the ell-th derivative of the plain trace
+    stencil = np.array(
+        [[0, 0, 12, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1]][ell]
+    ) / 12.0
+    offsets = np.arange(-2, 3) * fd_step
+    zs = energies[:, None] + offsets[None, :] + 1j * eps  # (E, 5)
+    zflat = zs.ravel()
+
+    h_vals = np.zeros(zs.size, dtype=complex)
+    form = np.zeros(len(energies), dtype=complex)
+    idx = np.arange(n_sites)
+    center = slice(2, zs.size, 5)
+    for start in range(0, pts.shape[0], 65536):
+        stop = min(start + 65536, pts.shape[0])
+        chunk = pts[start:stop]
+        diag = np.zeros((chunk.shape[0], n_sites))
+        for k, block in enumerate(blocks):
+            diag[:, block] = chunk[:, k : k + 1]
+        ham = np.broadcast_to(
+            free, (chunk.shape[0], n_sites, n_sites)
+        ).copy()
+        ham[:, idx, idx] += coupling * diag
+        evals = np.linalg.eigvalsh(ham)  # (m, N)
+        traces = np.sum(
+            1.0 / (evals[:, :, None] - zflat[None, None, :]), axis=1
+        )  # (m, E*5)
+        # fixed-order sums, not BLAS, whose order moves with its thread count
+        h_vals += np.einsum("m,mk->k", weights[start:stop], traces)
+        form += np.einsum(
+            "m,mk->k", weights[start:stop] * scores[start:stop], traces[:, center]
+        )
+    h_vals = h_vals.reshape(zs.shape)
+    fd = np.einsum("ek,k->e", h_vals, stencil) / fd_step**ell
+    return fd, form / coupling**ell

@@ -22,7 +22,7 @@ from doslab.cli import (
     reproduce,
     run,
 )
-from doslab.montecarlo import loaded_openblas
+from doslab import loaded_openblas
 from doslab.verify import CheckReport
 
 

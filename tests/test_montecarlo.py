@@ -943,7 +943,7 @@ def blas_threads():
     thread count for real; the old counts come back after the test."""
     import scipy.sparse.linalg  # noqa: F401
 
-    from doslab.montecarlo import loaded_openblas
+    from doslab import loaded_openblas
 
     libs = loaded_openblas()
     before = [lib.get_threads() for lib in libs]
@@ -1009,6 +1009,7 @@ def test_every_blas_a_run_calls_is_loaded_before_the_pin(route):
     # a fresh process that has loaded numpy alone: whatever BLAS the route's
     # rows call must already be mapped when _one_blas_thread looks
     script = (
+        "import doslab\n"
         "import doslab.montecarlo as mc\n"
         "from doslab.disorder import SingleSiteDensity\n"
         "from doslab.lattice import (FreeOperatorSpec, ModelSpec, ProjectionFamily,\n"
@@ -1017,12 +1018,12 @@ def test_every_blas_a_run_calls_is_loaded_before_the_pin(route):
         "model = ModelSpec(site_space=space, projections=ProjectionFamily.contiguous(25),\n"
         "    free=FreeOperatorSpec.nearest_neighbor(space), coupling=2.0,\n"
         "    density=SingleSiteDensity(2))\n"
-        "find, seen = mc.loaded_openblas, []\n"
+        "find, seen = doslab.loaded_openblas, []\n"
         "def recorded():\n"
         "    libs = find()\n"
         "    seen.append(sorted(lib.name for lib in libs))\n"
         "    return libs\n"
-        "mc.loaded_openblas = recorded\n"
+        "doslab.loaded_openblas = recorded\n"
         "plan = mc.McConfig(3, 5)\n"
         f"route = {route!r}\n"
         "if route == 'box-telescope':\n"
@@ -1084,7 +1085,7 @@ def test_blas_runs_one_thread_in_the_spans_and_gets_its_threads_back(monkeypatch
     import doslab.montecarlo as montecarlo
     import doslab.spectral as spectral
 
-    libs = montecarlo.loaded_openblas()
+    libs = doslab.loaded_openblas()
     if not libs:
         pytest.skip("no OpenBLAS loaded")
     before = [lib.get_threads() for lib in libs]
@@ -1122,7 +1123,7 @@ def test_chain_sweeps_within_one_chunk_stay_inline_with_no_blas_lookup(monkeypat
         raise AssertionError("forked or looked up the BLAS")
 
     monkeypatch.setattr(montecarlo, "cpu_affinity", lambda: 2)
-    monkeypatch.setattr(montecarlo, "loaded_openblas", refused)
+    monkeypatch.setattr(doslab, "loaded_openblas", refused)
     monkeypatch.setattr(os, "fork", refused)
     model = chain_model(8, coupling=2.0, p=4)
     mc = McConfig(n_samples=montecarlo._CHUNK_SAMPLES, master_seed=3)
@@ -1152,6 +1153,37 @@ def test_a_chain_volume_finds_its_plan_once_however_many_chunks(monkeypatch):
         lambda: telescope_series_diagnostic(model, range(2, 11), 1, 0.5, 0.2, mc),
         lambda: smoothed_dos_curve(model, 17, [0.3], 0.1, mc),
         lambda: dos_derivative_curve(model, 17, [0.3], 0.1, 1, mc),
+    ):
+        calls.clear()
+        run()
+        assert calls == ["doslab.montecarlo"]
+
+
+@pytest.mark.parametrize("box", [False, True])
+def test_a_volume_forms_its_row_sums_once_however_many_chunks(monkeypatch, box):
+    # the residual scale's off-diagonal row sums read the dense h0 in O(n^2):
+    # the volume forms them once and every chunk's solve takes them as found,
+    # on the chain sweeps and on the box's dense LU and eigh alike
+    import doslab.montecarlo as montecarlo
+    import doslab.spectral as spectral
+
+    calls = []
+
+    def counted(module):
+        real = module.off_diagonal_row_sums
+        return lambda *args: calls.append(module.__name__) or real(*args)
+
+    for module in (montecarlo, spectral):
+        monkeypatch.setattr(module, "off_diagonal_row_sums", counted(module))
+    monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", 4)
+    monkeypatch.setattr(montecarlo, "cpu_affinity", lambda: 1)
+    model = block_model(2, 2, 1, 0.0, 4) if box else chain_model(8, coupling=2.0, p=4)
+    n_sites, k_max = (25, 7) if box else (17, 10)
+    mc = McConfig(n_samples=12, master_seed=3)
+    for run in (
+        lambda: telescope_series_diagnostic(model, range(2, k_max), 1, 0.5, 0.2, mc),
+        lambda: smoothed_dos_curve(model, n_sites, [0.3], 0.1, mc),
+        lambda: dos_derivative_curve(model, n_sites, [0.3], 0.1, 1, mc),
     ):
         calls.clear()
         run()

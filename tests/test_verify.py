@@ -21,13 +21,17 @@ from doslab.verify import (
     _LHS_MIN_NODES,
     _LHS_TARGET,
     _MIN_IMAG,
+    _NODE_CHUNK,
     _REPORTED_EXTRA_NODES,
     _RHS_NODES,
+    _T_BLOCK,
     CheckReport,
     Corpus,
     _batched_expi,
     _cutoff,
     _difference_stacks,
+    _finite_smooth_curves,
+    _fourier_factor,
     _lhs_nodes,
     _spectral_norms,
     average_bound_terms,
@@ -43,7 +47,7 @@ from doslab.verify import (
     verify_spectral_averaging,
 )
 from forks import assert_no_child_left
-from oracles import averaged_imag_quadrature
+from oracles import averaged_imag_quadrature, whole_grid_finite_smooth_curves
 
 
 def random_symmetric(n, seed):
@@ -248,6 +252,69 @@ def test_finite_smooth_grouped_projections():
     )
     assert report.passed
     assert report.statistics["max_rel_discrepancy"] <= 1e-4
+
+
+# the streamed grid against the whole-grid pass: (sites, blocks, nodes per
+# direction, law, ell). 11^3 = 1331 nodes end in a part-filled node block;
+# two 4-site grids group sites into blocks, and 17^4 = 83521 nodes cross a
+# node chunk
+STREAMED_GRIDS = [
+    (n, [[i] for i in range(n)], 7 if n == 4 else 11, 4, ell)
+    for n in (1, 2, 3, 4)
+    for ell in (0, 1, 2)
+] + [
+    (4, [[0, 1], [2, 3]], 20, 2, 1),
+    (4, [[0, 2], [1], [3]], 13, 2, 1),
+    (4, [[0], [1], [2], [3]], 17, 2, 1),
+]
+
+
+@pytest.mark.parametrize(("n_sites", "blocks", "n_nodes", "p", "ell"), STREAMED_GRIDS)
+def test_streamed_curves_equal_the_whole_grid_pass(n_sites, blocks, n_nodes, p, ell):
+    args = (
+        random_symmetric(n_sites, seed=n_sites + 5), 1.3, SingleSiteDensity(p),
+        0.3, ell, np.linspace(-2.0, 3.0, 9), blocks, n_nodes, 0.005,
+    )
+    fd, form = _finite_smooth_curves(*args)
+    want_fd, want_form = whole_grid_finite_smooth_curves(*args)
+    assert np.array_equal(fd, want_fd) and np.array_equal(form, want_form)
+    if n_nodes == 17:
+        assert n_nodes ** len(blocks) > _NODE_CHUNK
+
+
+def test_finite_smooth_memory_does_not_grow_with_the_grid():
+    # five sites refined to 12 nodes per direction: 248832 nodes, four chunks.
+    # A whole-grid pass peaks near 600 MB here; the streamed one holds a
+    # chunk's traces and one node block.  The peak is the fresh process's
+    # VmHWM: its ru_maxrss would start from the RSS of the process that
+    # spawned it
+    import os
+    import subprocess
+    import sys
+
+    import doslab
+
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    script = (
+        "import numpy as np\n"
+        "from doslab.verify import verify_finite_smooth\n"
+        "g = np.random.default_rng(0).standard_normal((5, 5))\n"
+        "verify_finite_smooth((g + g.T) / 2, coupling=1.5, eps=0.3, ell=1, n_nodes=8)\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(doslab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert 12**5 > 3 * _NODE_CHUNK
+    assert int(done.stdout) / 1024 < 250  # VmHWM is in kB
 
 
 def test_finite_smooth_rejects_non_covering_projections():
@@ -565,6 +632,16 @@ def test_identity_discrepancy_non_increasing_in_t_max():
     ]
     assert discs[1] <= discs[0] + 1e-12
     assert discs[2] <= discs[1] + 1e-12
+
+
+def test_blocked_fourier_factor_equals_the_whole_product():
+    # Im A = 0.5 truncates at t = 92: 184 panels of 8 time nodes, six blocks
+    lam, w = panel_rule(1.0, 2.0, 16, 8)
+    wg = w * _DENSITY.eval(lam - 1.0)
+    ts, _ = panel_rule(0.0, 46.0 / _MIN_IMAG, 8, 184)
+    assert len(ts) > 5 * _T_BLOCK
+    whole = np.exp(1j * np.multiply.outer(ts, lam)) @ wg
+    assert np.array_equal(_fourier_factor(ts, lam, wg), whole)
 
 
 def test_identity_rejects_non_dissipative():
