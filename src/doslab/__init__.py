@@ -14,7 +14,7 @@ import signal
 from contextlib import contextmanager
 from typing import NamedTuple
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 
 def cpu_affinity() -> int:

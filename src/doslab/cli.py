@@ -514,9 +514,9 @@ def _prepare(cfg: ExperimentConfig) -> _Plan:
             plan.fracmom_targets.append((d, int(at[0])))
     elif command == "telescope":
         if cfg.dimension >= 2:
-            # a box takes the dense LU: its scipy.linalg BLAS counts as
+            # a box factors on SuperLU: loading its extension counts as
             # start-up, not as the first solve
-            import scipy.linalg  # noqa: F401
+            spectral._superlu()
         if cfg.k_max + 1 > model.n_blocks:
             raise ConfigError(
                 "run.k_max",

@@ -56,7 +56,7 @@ from . import _one_blas_thread, cpu_affinity, fork_map
 from .disorder import fractional_inverse_moment, score_weights, stieltjes_transform
 from .lattice import ModelSpec
 from .spectral import CscPattern, block_coupling_poles, chain_plan, eigen_weights
-from .spectral import nested_block_traces, off_diagonal_row_sums
+from .spectral import _superlu, nested_block_traces, off_diagonal_row_sums
 
 # samples per rows() call; bounds the memory of a chunk's lane stack
 _CHUNK_SAMPLES = 256
@@ -521,8 +521,8 @@ def telescope_series_diagnostic(
     samples, antithetic mirrors included at ell >= 1, takes one
     nested_block_traces call, which yields the trace of every nested volume
     from one pass over the largest volume (one O(n) outward bordering sweep
-    for all lanes on a chain, one LU per lane on a box), and one cumulative
-    sum of score weights over the blocks.
+    for all lanes on a chain, one SuperLU factorization in natural order per
+    lane on a box), and one cumulative sum of score weights over the blocks.
     """
     ks = [int(k) for k in k_range]
     if not ks or ks != list(range(ks[0], ks[-1] + 1)):
@@ -554,9 +554,9 @@ def telescope_series_diagnostic(
         return out
 
     if not vol.chain:
-        # the LU route runs on scipy's BLAS: loaded here, it is pinned with
-        # numpy's while the samples run
-        import scipy.linalg  # noqa: F401
+        # a box factors on SuperLU, whose OpenBLAS is scipy's: loaded here,
+        # it is pinned with numpy's while the samples run
+        _superlu()
     *terms, base, direct = _estimate(
         vol, mc, n_terms + 2, rows, shared_sweep=vol.chain, antithetic=ell > 0
     )

@@ -6,7 +6,7 @@ thousand at most); statistical estimation lives in `montecarlo`.  On a chain
 the nested-prefix traces (outward bordering) and the coupling poles (a
 two-sided Schur recursion) take O(n) sweeps over all lanes of a chunk; one
 test, chain_plan, decides for both whether a volume is a chain, and zero
-hopping is one.
+hopping is one.  Every LU factorization here is SuperLU's, through _gstrf.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 _DENSE_DIMENSION_CAP = 4096
 _RESIDUAL_REL_TOL = 1e-10
-_LU_PANEL = 32
 # most lanes x z values per pass of the two-sided Schur recursion: a chunk
 # of 256 samples at up to 64 z values is one pass, whose (z, lanes) arrays
 # take at most 128 KB each and of which about 15 are live at the peak
@@ -83,11 +82,26 @@ def _superlu():
     return module
 
 
-def _gstrf(data, indices, indptr, ilu: bool, **options):
-    # diagonal pivots as splu and spilu pass them; no .L or .U is ever built
+def _gstrf(data, indices, indptr, ilu: bool, construct=None, **options):
+    # diagonal pivots as splu and spilu pass them; .L and .U only from construct
     opts = {"DiagPivotThresh": 0.0, "SymmetricMode": True, **options}
     return _superlu().gstrf(len(indptr) - 1, len(data), data, indices, indptr,
-                            csc_construct_func=None, ilu=ilu, options=opts)
+                            csc_construct_func=construct, ilu=ilu, options=opts)
+
+
+def _csc_product(csc, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """M v, or M^T v if transpose, for the CSC matrix M = (data, indices,
+    indptr), no column of which is empty, and the (n, k) array v; entries
+    past indptr[-1] are not read, and each sum runs in entry order."""
+    data, indices, indptr = csc
+    data, indices = data[: indptr[-1]], indices[: indptr[-1]]
+    if transpose:
+        return np.add.reduceat(data[:, None] * v[indices], indptr[:-1], axis=0)
+    column = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    out = np.zeros(v.shape, dtype=np.complex128, order="F")
+    for j in range(v.shape[1]):
+        np.add.at(out[:, j], indices, data * v[column, j])
+    return out
 
 
 def _csc(rows, cols, vals, n: int):
@@ -135,7 +149,6 @@ class CscPattern:
         pos = self._position = lu.perm_c
         self.indptr, self.indices, self.data, diag = _csc(pos[rows], pos[cols], vals, n)
         self.diag = diag[pos]
-        self._column = np.repeat(ar, np.diff(self.indptr))
         # the complex data that each factorization overwrites
         self._shifted = np.zeros(len(self.data), dtype=np.complex128)
 
@@ -164,38 +177,10 @@ class CscPattern:
             y = _gstrf(a, self.indices, self.indptr, False, ColPerm="NATURAL").solve(rhs)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             y = np.full_like(rhs, np.nan)
-        # (a - z) y - rhs, column by column of the stored matrix
-        res = -rhs
-        for j in range(cols.size):
-            np.add.at(res[:, j], self.indices, a * y[self._column, j])
+        res = _csc_product((a, self.indices, self.indptr), y) - rhs
         resid = np.linalg.norm(res, axis=0)
         _check_residual(resid, np.full(resid.shape, scale), "resolvent solve")
         return y[self._position]
-
-
-def _lu_without_pivoting(a: np.ndarray) -> None:
-    """Overwrite the F-ordered square a with its LU factors, without pivoting.
-
-    Unit lower L below the diagonal, U on and above it.  Right-looking, in
-    panels of _LU_PANEL columns: a panel is eliminated column by column and
-    the trailing matrix takes one triangular solve and one gemm, both in
-    scipy's BLAS.
-    """
-    from scipy.linalg import blas
-
-    n = a.shape[0]
-    for k0 in range(0, n, _LU_PANEL):
-        k1 = min(k0 + _LU_PANEL, n)
-        for k in range(k0, k1):
-            a[k + 1 :, k] /= a[k, k]
-            a[k + 1 :, k + 1 : k1] -= a[k + 1 :, k, None] * a[k, k + 1 : k1]
-        if k1 < n:
-            a[k0:k1, k1:] = blas.ztrsm(
-                1.0, a[k0:k1, k0:k1], a[k0:k1, k1:], lower=1, diag=1
-            )
-            a[k1:, k1:] = blas.zgemm(
-                -1.0, a[k1:, k0:k1], a[k0:k1, k1:], beta=1.0, c=a[k1:, k1:]
-            )
 
 
 def _check_residual(resid: np.ndarray, scale: np.ndarray, what: str = "LU") -> None:
@@ -209,26 +194,41 @@ def _check_residual(resid: np.ndarray, scale: np.ndarray, what: str = "LU") -> N
         )
 
 
-def _dense_prefix_traces(h0, d, zc, rhs, m):
-    """Cumulative tr(P_0 G_n) of h0 + diag(d) over n = 1..m, one dense LU."""
-    from scipy.linalg import blas
+def _natural_lu_prefix_traces(h0, diags, zc, sites, m):
+    """tr(P G_n) for n = 1..m and each lane, from one SuperLU factorization
+    A = L U of the lane's A = h[:m, :m] - z in natural order, and its residual.
 
-    h = h0.copy()
-    diag = np.arange(len(d))
-    h[diag, diag] += d
-    diag = diag[:m]
-    lu = np.array(h[:m, :m], dtype=np.complex128, order="F")
-    lu[diag, diag] -= zc
-    _lu_without_pivoting(lu)
-    # L U through trmm: scipy's BLAS, as in the factorization, so numpy's
-    # own BLAS pool does not wake up to contend with it
-    prod = blas.ztrmm(1.0, lu, np.triu(lu), lower=1, diag=1)
-    prod[diag, diag] += zc
-    resid = np.max(np.abs(prod - h[:m, :m]), initial=0.0)
-    # columns of L^{-1} and, transposed, rows of U^{-1} at the block sites
-    l_inv = blas.ztrsm(1.0, lu, rhs, lower=1, diag=1)
-    u_inv = blas.ztrsm(1.0, lu, rhs, trans_a=1)
-    return np.cumsum(np.sum(u_inv * l_inv, axis=1)), resid
+    With x = A^-1 e and y = A^-T e for the block sites' unit columns e,
+    L^-1 e = U x and U^-T e = L^T y.  The residuals are those of A x = e and
+    of the triangular L (U x) = e and U^T (L^T y) = e, which bound every
+    leading block's at once.
+    """
+    ar = np.arange(m)
+    rows, cols = np.nonzero((h0[:m, :m] != 0) | np.eye(m, dtype=bool))
+    indptr, indices, data, diag = _csc(rows, cols, h0[rows, cols], m)
+    e = np.zeros((m, sites.size), dtype=np.complex128)
+    e[sites, np.arange(sites.size)] = 1.0
+    tr = np.full((len(diags), m), np.nan, dtype=np.complex128)
+    resid = np.full(len(diags), np.nan)
+    a = np.empty(len(data), dtype=np.complex128)
+    for lane, d in enumerate(diags):
+        a[:] = data
+        a[diag] += d[:m] - zc
+        try:
+            lu = _gstrf(a, indices, indptr, False, lambda csc, shape: csc, ColPerm="NATURAL")
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            continue
+        # SymmetricMode skips SuperLU's postorder of the elimination tree
+        if not (np.array_equal(lu.perm_c, ar) and np.array_equal(lu.perm_r, ar)):
+            raise RuntimeError("SuperLU reordered a natural-order factorization")
+        lower, upper = lu.L, lu.U
+        x, y = lu.solve(e), lu.solve(e, trans="T")
+        l_inv, u_inv = _csc_product(upper, x), _csc_product(lower, y, transpose=True)
+        res = np.hstack([_csc_product((a, indices, indptr), x), _csc_product(lower, l_inv),
+                         _csc_product(upper, u_inv, transpose=True)]) - np.tile(e, 3)
+        resid[lane] = np.linalg.norm(res, axis=0).max()
+        tr[lane] = np.cumsum(np.sum(u_inv * l_inv, axis=1))
+    return tr, resid
 
 
 def chain_plan(h0: np.ndarray, m: int | None = None):
@@ -337,19 +337,19 @@ def nested_block_traces(
     On a chain (chain_plan: every chain and prefix of one, ordered 0, +1,
     -1, ..., any block rank, phase or zero hopping), all lanes share one
     outward bordering sweep in O(n) (_outward_prefix_traces), whose pivots
-    are checked.  Otherwise (the 2-d and 3-d boxes) each lane takes one LU
-    factorization of h - z without pivoting: the leading n x n block of L U
-    is L_n U_n, and the leading blocks of the triangular inverses are the
-    inverses of the leading blocks, so
+    are checked.  Otherwise (the 2-d and 3-d boxes) each lane takes one
+    SuperLU factorization of h - z in natural order with diagonal pivots
+    (_natural_lu_prefix_traces): the leading n x n block of L U is L_n U_n,
+    and the leading blocks of the triangular inverses are the inverses of
+    the leading blocks, so
 
         (h_n - z)^{-1}_{ii} = sum_{j < n} (U^{-1})_{ij} (L^{-1})_{ji}
 
-    and each trace is one entry of a cumulative sum over j; its factors are
-    checked, max |L U - (h - z)|, which bounds the backward error of every
-    prefix at once.  No pivot of either route can vanish: every leading
-    block and Schur complement of h - z has imaginary part <= -Im z, so
-    every pivot has modulus >= Im z.  Each lane's residual must be
-    <= 1e-10 * (||h||_inf + |z|); NaN fails.
+    and each trace is one entry of a cumulative sum over j; the residuals of
+    its solves and triangular systems are checked.  No pivot of either route
+    can vanish: every leading block and Schur complement of h - z has
+    imaginary part <= -Im z, so every pivot has modulus >= Im z.  Each
+    lane's residual must be <= 1e-10 * (||h||_inf + |z|); NaN fails.
     """
     zc = _as_z(z)
     h0, n, diags = _lane_stack(h0, diagonals)
@@ -368,10 +368,7 @@ def nested_block_traces(
     if plan is not None:
         tr, resid = _outward_prefix_traces(h0, plan, diags, zc, sites)
     else:
-        rhs = np.zeros((m, sites.size), dtype=np.complex128)
-        rhs[sites, np.arange(sites.size)] = 1.0
-        lanes = [_dense_prefix_traces(h0, d, zc, rhs, m) for d in diags]
-        tr, resid = (np.array(v) for v in zip(*lanes))
+        tr, resid = _natural_lu_prefix_traces(h0, diags, zc, sites, m)
     _check_residual(
         resid, _inf_norms(h0, np.diagonal(h0) + diags, _row_sums) + abs(zc)
     )

@@ -293,21 +293,28 @@ def test_run_fracmom_uses_distance_abscissa(tmp_path):
     assert means[0] > means[-1] > 0.0
 
 
-@pytest.mark.parametrize("command", ["dos", "telescope", "fracmom"])
+@pytest.mark.parametrize("command", ["dos", "telescope", "fracmom", "box-telescope"])
 def test_no_command_imports_scipy_sparse(tmp_path, command):
-    # fracmom loads SuperLU's extension module alone, not the scipy.sparse
-    # package around it
-    extra = {"ell": "1"} if command == "telescope" else {}
-    cfgp = toy_config(tmp_path, command, n_samples=4, **extra)
+    # fracmom and the box telescope load SuperLU's extension module alone,
+    # not the scipy.sparse package around it, and no command loads scipy.linalg
+    kind = command.removeprefix("box-")
+    extra = {"ell": "1"} if kind == "telescope" else {}
+    cfgp = toy_config(tmp_path, kind, n_samples=4, **extra)
+    if command == "box-telescope":
+        box = Path(cfgp)
+        box.write_text(
+            box.read_text().replace("half_width = 10", "dimension = 2\nhalf_width = 2")
+        )
     script = (
         "import sys\nfrom doslab.cli import run\n"
         f"assert run(None, {cfgp!r}) == 0\n"
-        "print('scipy.sparse' in sys.modules,\n"
+        "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules,\n"
         "    'scipy.sparse.linalg._dsolve._superlu' in sys.modules)\n"
     )
     done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-2:] == ["False", str(command == "fracmom")]
+    superlu = command in ("fracmom", "box-telescope")
+    assert done.stdout.split()[-3:] == ["False", "False", str(superlu)]
 
 
 @pytest.mark.parametrize("command", ["dos", "telescope", "fracmom", "verify"])
@@ -346,9 +353,9 @@ def test_only_verify_loads_the_verify_module(tmp_path, command):
 )
 def test_only_fracmom_loads_scipy_and_all_imports_precede_the_run(tmp_path, command):
     # a module first imported inside _execute is start-up cost counted as
-    # compute: numpy.random, numpy.ma (verify's quantile), SuperLU and, for a
-    # box telescope's dense LU, scipy.linalg all load before it; only fracmom
-    # and the box telescope load scipy at all
+    # compute: numpy.random, numpy.ma (verify's quantile) and SuperLU, which
+    # fracmom and the box telescope factor on, all load before it; only those
+    # two load scipy at all
     extra = {
         "dos-deriv": {"ell": 1},
         # 13 and 6 chain sites in the largest prefix: the outward sweep either way

@@ -782,11 +782,12 @@ def test_telescope_first_order_terms_decay():
 def test_telescope_traces_carry_the_residual_guard(monkeypatch):
     import doslab.spectral as spectral
 
-    model = chain_model(3, coupling=1.0)
+    # a chain takes the outward sweep, a 2-d box SuperLU in natural order
     mc = McConfig(n_samples=2, master_seed=0)
     monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
-    with pytest.raises(RuntimeError, match="residual"):
-        telescope_series_diagnostic(model, range(2, 5), 1, 0.0, 0.5, mc)
+    for model in (chain_model(3, coupling=1.0), block_model(2, 2, 1, 0.0, 2)):
+        with pytest.raises(RuntimeError, match="residual"):
+            telescope_series_diagnostic(model, range(2, 5), 1, 0.0, 0.5, mc)
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2])
@@ -794,11 +795,11 @@ def test_telescope_terms_are_bit_stable_across_chunks_and_workers(monkeypatch, e
     import doslab.montecarlo as montecarlo
     import doslab.spectral as spectral
 
-    # 12 sites in the largest volume: the outward sweep, never the dense LU
-    def dense(*args):
-        raise AssertionError("dense route taken")
+    # 12 sites in the largest volume: the outward sweep, never the box's SuperLU
+    def box(*args):
+        raise AssertionError("box route taken")
 
-    monkeypatch.setattr(spectral, "_dense_prefix_traces", dense)
+    monkeypatch.setattr(spectral, "_natural_lu_prefix_traces", box)
     model = chain_model(8, coupling=2.0, p=4)
     default = montecarlo._CHUNK_SAMPLES
 
@@ -1163,7 +1164,7 @@ def test_a_chain_volume_finds_its_plan_once_however_many_chunks(monkeypatch):
 def test_a_volume_forms_its_row_sums_once_however_many_chunks(monkeypatch, box):
     # the residual scale's off-diagonal row sums read the dense h0 in O(n^2):
     # the volume forms them once and every chunk's solve takes them as found,
-    # on the chain sweeps and on the box's dense LU and eigh alike
+    # on the chain sweeps and on the box's SuperLU and eigh alike
     import doslab.montecarlo as montecarlo
     import doslab.spectral as spectral
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -339,14 +340,14 @@ def box_model(dimension, half_width, rank=1, phase=0.0, hopping=True):
 
 @pytest.mark.parametrize(
     "dimension, half_width, rank, phase",
-    [(1, 32, 1, 0.0), (2, 4, 3, 0.0), (2, 7, 5, 0.7), (1, 3, 1, 0.4)],
+    [(1, 32, 1, 0.0), (2, 4, 3, 0.0), (2, 7, 5, 0.7), (1, 3, 1, 0.4), (3, 2, 1, 0.3)],
 )
 def test_nested_block_traces_match_eigen_weights_on_every_prefix(
     monkeypatch, dimension, half_width, rank, phase
 ):
     # a chain takes the outward sweep whatever its length
     if dimension == 1:
-        forbid(monkeypatch, "_dense_prefix_traces")
+        forbid(monkeypatch, "_natural_lu_prefix_traces")
     model = box_model(dimension, half_width, rank, phase)
     n = len(model.site_space)
     om = draw_disorder(model, 5, 0)
@@ -420,6 +421,27 @@ def test_nested_block_traces_carry_the_residual_guard(monkeypatch):
         nested_block_traces(h, d, 0.5j, [0], [1, 6])
 
 
+def test_natural_lu_refuses_a_reordered_factor(monkeypatch):
+    # prefix traces need the factors in shell order: a factor that comes
+    # back with a row or column permutation is refused, not read as if natural
+    import doslab.spectral as spectral
+
+    h0, diagonals, block0, prefixes = box_lanes(2, box_model(2, 2))
+    real = spectral._gstrf
+    for perm in ("perm_c", "perm_r"):
+
+        def reordered(*args, **kwargs):
+            lu = real(*args, **kwargs)
+            perms = {"perm_c": lu.perm_c, "perm_r": lu.perm_r}
+            perms[perm] = perms[perm][::-1]
+            return SimpleNamespace(**perms)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_gstrf", reordered)
+            with pytest.raises(RuntimeError, match="reordered"):
+                nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
+
+
 def box_lanes(n_lanes, model):
     """h0 of a box model, a (lanes, n) stack of coupled diagonals, the sites
     of block 0 and every block prefix size."""
@@ -483,10 +505,10 @@ def assert_outward_sweep_is_exact(h0, diagonals, block, prefixes, z):
 def test_band_sweep_matches_the_dense_oracle_on_every_prefix(
     monkeypatch, rank, phase, hopping
 ):
-    # a chain's h0 is a band matrix: the outward sweep, never the dense LU
+    # a chain's h0 is a band matrix: the outward sweep, never the box's SuperLU
     h0, diagonals, block0, prefixes = chain_lanes(21, rank, phase, hopping)
     assert h0.shape == (65, 65) and np.iscomplexobj(h0) == (phase != 0.0)
-    forbid(monkeypatch, "_dense_prefix_traces")
+    forbid(monkeypatch, "_natural_lu_prefix_traces")
     assert_outward_sweep_is_exact(h0, diagonals, block0, prefixes, 0.3 + 0.1j)
 
 
@@ -497,7 +519,7 @@ def test_outward_sweep_matches_the_dense_oracle_on_short_chains(
 ):
     # down to one site, where the probe block is the whole volume
     h0, diagonals, block0, prefixes = chain_lanes(9, rank, 0.7, True, half_width)
-    forbid(monkeypatch, "_dense_prefix_traces")
+    forbid(monkeypatch, "_natural_lu_prefix_traces")
     assert_outward_sweep_is_exact(h0, diagonals, block0, prefixes, -0.4 + 0.2j)
 
 
@@ -532,7 +554,7 @@ def test_chain_route_is_chosen_from_the_end_property():
     for h0 in off_chain_matrices().values():
         diagonals = rng.uniform(-2.0, 2.0, (3, len(h0)))
         prefixes = list(range(4, len(h0) + 1, 4))
-        # the dense LU takes them, and still matches
+        # the natural-order SuperLU route takes them, and still matches
         assert spectral.chain_plan(h0) is None
         assert_matches_dense_inverse(h0, diagonals, [0], prefixes, 0.2 + 0.3j)
 
@@ -542,7 +564,7 @@ def test_band_sweep_carries_the_residual_guard(monkeypatch):
 
     for rank in (1, 3):
         h0, diagonals, block0, prefixes = chain_lanes(4, rank, half_width=5)
-        forbid(monkeypatch, "_dense_prefix_traces")
+        forbid(monkeypatch, "_natural_lu_prefix_traces")
         ok = nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
         assert np.all(np.isfinite(ok))
         # a NaN pivot past the block, or at a block site, fails the check
@@ -718,7 +740,7 @@ def test_one_route_per_volume(monkeypatch, case):
     assert vol.chain == chain
     if chain:
         forbid(monkeypatch, "_eigen_poles")
-        forbid(monkeypatch, "_dense_prefix_traces")
+        forbid(monkeypatch, "_natural_lu_prefix_traces")
     else:
         forbid(monkeypatch, "_schur_poles")
         forbid(monkeypatch, "_outward_prefix_traces")
