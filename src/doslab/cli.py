@@ -513,16 +513,17 @@ def _prepare(cfg: ExperimentConfig) -> _Plan:
                 )
             plan.fracmom_targets.append((d, int(at[0])))
     elif command == "telescope":
-        if cfg.dimension >= 2:
-            # a box factors on SuperLU: loading its extension counts as
-            # start-up, not as the first solve
-            spectral._superlu()
         if cfg.k_max + 1 > model.n_blocks:
             raise ConfigError(
                 "run.k_max",
                 f"k_max {cfg.k_max} needs {cfg.k_max + 1} blocks, "
                 f"the box only has {model.n_blocks}",
             )
+        n = model.projections.prefix_sites(cfg.k_max + 1)
+        if spectral.chain_plan(model.free.entries(n), n) is None:
+            # off a chain the largest volume factors on SuperLU: loading its
+            # extension counts as start-up, not as the first solve
+            spectral._superlu()
     return plan
 
 

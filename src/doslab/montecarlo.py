@@ -17,12 +17,13 @@ per column.  There is one entry point per quantity, on a grid of points; a
 single point is a one-point grid.  The samples are split into contiguous
 spans, one per CPU of the process's affinity set, run by the package's one
 fork map (doslab.fork_map), and sized by the route the volume takes, which
-_Volume.chain decides once (see _estimate).  Rows that loop over a chunk's
-samples through LU or eigh run every loaded OpenBLAS on one thread: two
-processes then do not share two cores four ways, and the bytes, which depend
-on the BLAS thread count, are those of a one-CPU run.  A row depends on its
-sample alone, so the table and every CSV are the same at any CPU count;
-`taskset -c 0` pins a run to one CPU.
+_Volume.chain decides once (see _estimate).  Volumes hand spectral h0's
+hopping entries, so a chain run forms no n x n matrix.  Rows that loop over
+a chunk's samples through LU or eigh run every loaded OpenBLAS on one
+thread: two processes then do not share two cores four ways, and the bytes,
+which depend on the BLAS thread count, are those of a one-CPU run.  A row
+depends on its sample alone, so the table and every CSV are the same at any
+CPU count; `taskset -c 0` pins a run to one CPU.
 
 `dos` and `dos-deriv` integrate the probe block's own coupling exactly:
 tr(P_0 G) = sum_k 1/(lambda omega_0 - mu_k), where the mu_k
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations, product
 from typing import Sequence
 
@@ -55,8 +55,8 @@ from numpy.random.bit_generator import ISeedSequence
 from . import _one_blas_thread, cpu_affinity, fork_map
 from .disorder import fractional_inverse_moment, score_weights, stieltjes_transform
 from .lattice import ModelSpec
-from .spectral import CscPattern, block_coupling_poles, chain_plan, eigen_weights
-from .spectral import _superlu, nested_block_traces, off_diagonal_row_sums
+from .spectral import CscPattern, block_coupling_poles, block_spectral_weights
+from .spectral import _superlu, chain_plan, nested_block_traces
 
 # samples per rows() call; bounds the memory of a chunk's lane stack
 _CHUNK_SAMPLES = 256
@@ -179,7 +179,8 @@ def draw_disorder(model: ModelSpec, master_seed: int, index) -> np.ndarray:
 
 
 class _Volume:
-    """Cached assembly pieces for one prefix volume of a model."""
+    """One prefix volume of a model: its blocks, h0's hopping entries, and
+    whether it is a chain, the route of dos, dos-deriv and the telescope."""
 
     def __init__(self, model: ModelSpec, n_prefix_sites: int):
         self.model = model
@@ -187,34 +188,8 @@ class _Volume:
         self.n_blocks = model.projections.blocks_for_prefix(self.n_sites)
         self.sizes = model.projections.block_sizes()[: self.n_blocks]
         self.block0 = model.projections.sites_of_block(0)
-        self._diag = np.arange(self.n_sites)
-
-    @cached_property
-    def h0(self) -> np.ndarray:
-        return self.model.free.matrix(self.n_sites)
-
-    @cached_property
-    def plan(self):
-        """spectral.chain_plan of h0, found once as it costs O(n^2): on a chain
-        dos, dos-deriv and the telescope serve a chunk by one sweep of its lanes."""
-        return chain_plan(self.h0)
-
-    @cached_property
-    def row_sums(self) -> np.ndarray:
-        """spectral.off_diagonal_row_sums of h0, found once as it costs O(n^2):
-        every chunk's residual scale takes it."""
-        return off_diagonal_row_sums(self.h0)
-
-    @property
-    def chain(self) -> bool:
-        return self.plan is not None
-
-    def hamiltonian(self, om_prefix: np.ndarray) -> np.ndarray:
-        h = self.h0.copy()
-        h[self._diag, self._diag] += self.model.coupling * np.repeat(
-            om_prefix, self.sizes
-        )
-        return h
+        self.hopping = model.free.entries(self.n_sites)
+        self.chain = chain_plan(self.hopping, self.n_sites) is not None
 
     def diagonals(self, oms: np.ndarray) -> np.ndarray:
         """(S, n_sites) coupled diagonals of a chunk of S samples' couplings."""
@@ -229,8 +204,7 @@ class _Volume:
         conditional mean of the trace itself.
         """
         lam = self.model.coupling
-        u = block_coupling_poles(self.h0, self.diagonals(oms), zs, self.block0,
-                                 _plan=self.plan, _row_sums=self.row_sums) / lam
+        u = block_coupling_poles(self.hopping, self.diagonals(oms), zs, self.block0) / lam
         return [
             stieltjes_transform(self.model.density, j, u).sum(axis=-1) / lam
             for j in range(ell + 1)
@@ -293,11 +267,6 @@ def _estimate(
     return Estimate.from_samples(values, mc.master_seed)
 
 
-def _each(row):
-    """Rows of a chunk from a function of one sample's couplings."""
-    return lambda oms: np.array([row(om) for om in oms])
-
-
 def _spectral_parameters(energies, eps) -> np.ndarray:
     """E + i*eps with eps a scalar or an array broadcast against energies."""
     eps = np.asarray(eps, dtype=float)
@@ -347,11 +316,11 @@ def ids_curve(
     vol = _Volume(model, n_prefix_sites)
     es = np.asarray(energies, dtype=float)
 
-    def row(om):
-        evals, w = eigen_weights(vol.hamiltonian(om), vol.block0)
-        return np.sum(w[:, None] * (evals[:, None] <= es[None, :]), axis=0)
+    def rows(oms):
+        lanes = block_spectral_weights(vol.hopping, vol.diagonals(oms), vol.block0)
+        return np.array([np.sum(w[:, None] * (e[:, None] <= es), axis=0) for e, w in lanes])
 
-    return _estimate(vol, mc, es.size, _each(row), shared_sweep=False, dtype=np.float64)
+    return _estimate(vol, mc, es.size, rows, shared_sweep=False, dtype=np.float64)
 
 
 def dos_derivative_curve(
@@ -433,7 +402,7 @@ def fractional_moment_profile(
             raise ValueError(f"block {t} outside the prefix volume")
     src_sites = model.projections.sites_of_block(source_block)
     tgt_sites = [model.projections.sites_of_block(t) for t in targets]
-    pattern = CscPattern(*model.free.entries(vol.n_sites), vol.n_sites)
+    pattern = CscPattern(*vol.hopping, vol.n_sites)
     rank_one = len(src_sites) == 1
     lam = model.coupling
     min_imag = complex(z).imag / lam  # a lower bound on Im c, c below
@@ -543,8 +512,7 @@ def telescope_series_diagnostic(
     def rows(oms):
         # tr[:, j] and weight[:, j] belong to the volume of ks[0] + j blocks
         diagonals = vol.diagonals(oms)
-        tr = nested_block_traces(vol.h0, diagonals, z, vol.block0, prefix_sizes,
-                                 _plan=vol.plan, _row_sums=vol.row_sums)
+        tr = nested_block_traces(vol.hopping, diagonals, z, vol.block0, prefix_sizes)
         sums = np.cumsum(model.density.log_derivatives(oms, ell), axis=-1)
         weight = score_weights(sums)[ell][:, ks[0] - 1 :] * lam_pow
         out = np.empty((len(oms), n_terms + 2), dtype=np.complex128)

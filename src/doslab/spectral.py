@@ -2,11 +2,14 @@
 coupling poles and spectral weights.
 
 Everything here is exact linear algebra at desk scale (dimension a few
-thousand at most); statistical estimation lives in `montecarlo`.  On a chain
+thousand at most); statistical estimation lives in `montecarlo`.  h0 comes
+as its hopping entries (rows, cols, vals), each with its conjugate mirror,
+as FreeOperatorSpec.entries returns them; n is the lanes' width.  On a chain
 the nested-prefix traces (outward bordering) and the coupling poles (a
 two-sided Schur recursion) take O(n) sweeps over all lanes of a chunk; one
-test, chain_plan, decides for both whether a volume is a chain, and zero
-hopping is one.  Every LU factorization here is SuperLU's, through _gstrf.
+test, chain_plan, decides for both in O(nnz) whether a volume is a chain,
+and zero hopping is one.  Every LU factorization here is SuperLU's, through
+_gstrf; only the eigh route assembles a dense h0, once per call.
 """
 
 from __future__ import annotations
@@ -26,36 +29,37 @@ _RESIDUAL_REL_TOL = 1e-10
 _RECURSION_CELLS = 1 << 14
 
 
-def _square_dimension(shape) -> int:
-    n = shape[0]
-    if tuple(shape) != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {shape}")
+def _lane_stack(hopping, diagonals):
+    """h0's hopping entries, checked to lie off the diagonal and in [0, n),
+    the lanes' width n, and diagonals as (lanes, n) floats."""
+    diags = np.asarray(diagonals, dtype=float)
+    if diags.ndim != 2:
+        raise ValueError(f"diagonals must be a (lanes, n) stack, got shape {diags.shape}")
+    n = diags.shape[1]
     if n > _DENSE_DIMENSION_CAP:
         raise ValueError(f"dimension {n} above the dense cap {_DENSE_DIMENSION_CAP}")
-    return n
+    rows, cols, vals = (np.asarray(a) for a in hopping)
+    ends = np.concatenate([rows, cols])
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise ValueError(f"hopping entry outside [0, {n})")
+    if np.any(rows == cols):
+        raise ValueError("hopping entry on the diagonal: it belongs to the diagonals")
+    return (rows, cols, vals), n, diags
 
 
-def _lane_stack(h0, diagonals):
-    """h0 as a square array, its dimension n, and diagonals as (lanes, n) floats."""
-    h0 = np.asarray(h0)
-    n = _square_dimension(h0.shape)
-    diags = np.asarray(diagonals, dtype=float)
-    if diags.ndim != 2 or diags.shape[1] != n:
-        raise ValueError(f"diagonals must be a (lanes, {n}) stack, got {diags.shape}")
-    return h0, n, diags
+def _block_sites(block_sites, n: int, where: str) -> np.ndarray:
+    """block_sites as an array, or ValueError unless non-empty, distinct and in [0, n)."""
+    sites = np.asarray(block_sites, dtype=np.int64)
+    distinct = len(set(sites.tolist())) == sites.size
+    if sites.size == 0 or not distinct or sites.min() < 0 or sites.max() >= n:
+        raise ValueError(f"block sites must be non-empty, distinct and lie {where.format(n)}")
+    return sites
 
 
-def off_diagonal_row_sums(h0) -> np.ndarray:
-    """sum_j |h0_ij| - |h0_ii| for each row i: h0's share of every lane's
-    ||h||_inf, in O(n^2)."""
-    return np.abs(h0).sum(axis=1) - np.abs(np.diagonal(h0))
-
-
-def _inf_norms(h0, diagonals, row_sums=None):
-    """||h||_inf of each lane h = h0 off its diagonal, with diagonals[lane] on
-    it; row_sums, if given, is off_diagonal_row_sums(h0)."""
-    off = off_diagonal_row_sums(h0) if row_sums is None else row_sums
-    return np.max(off + np.abs(diagonals), axis=1)
+def _inf_norms(hopping, diags):
+    """||h||_inf of each lane h = h0 + diag(diags[lane]), in O(nnz)."""
+    rows, _, vals = hopping
+    return np.max(np.bincount(rows, np.abs(vals), diags.shape[1]) + np.abs(diags), axis=1)
 
 
 def _as_z(z) -> complex:
@@ -105,8 +109,12 @@ def _csc_product(csc, v: np.ndarray, transpose: bool = False) -> np.ndarray:
 
 
 def _csc(rows, cols, vals, n: int):
-    """indptr, indices, data of the n x n matrix with these entries, duplicates
-    summed, and the index of each column's diagonal entry, which must exist."""
+    """indptr, indices, data of the n x n matrix with these entries and a zero
+    on every diagonal cell, duplicates summed, and the index of each column's
+    diagonal entry."""
+    ar = np.arange(n)
+    rows, cols = np.concatenate([rows, ar]), np.concatenate([cols, ar])
+    vals = np.concatenate([vals, np.zeros(n)])
     key = cols * n + rows
     order = np.argsort(key, kind="stable")
     first = np.flatnonzero(np.diff(key[order], prepend=-1))
@@ -134,9 +142,6 @@ class CscPattern:
     """
 
     def __init__(self, rows, cols, vals, n: int):
-        ar = np.arange(n)
-        rows, cols = np.concatenate([rows, ar]), np.concatenate([cols, ar])
-        vals = np.concatenate([vals, np.zeros(n)])
         # any matrix with this pattern yields the order; a diagonally
         # dominant one factors without breakdown, and an incomplete factor,
         # which runs the same ordering step, costs a third of a complete one
@@ -194,7 +199,7 @@ def _check_residual(resid: np.ndarray, scale: np.ndarray, what: str = "LU") -> N
         )
 
 
-def _natural_lu_prefix_traces(h0, diags, zc, sites, m):
+def _natural_lu_prefix_traces(hopping, diags, zc, sites, m):
     """tr(P G_n) for n = 1..m and each lane, from one SuperLU factorization
     A = L U of the lane's A = h[:m, :m] - z in natural order, and its residual.
 
@@ -204,8 +209,9 @@ def _natural_lu_prefix_traces(h0, diags, zc, sites, m):
     leading block's at once.
     """
     ar = np.arange(m)
-    rows, cols = np.nonzero((h0[:m, :m] != 0) | np.eye(m, dtype=bool))
-    indptr, indices, data, diag = _csc(rows, cols, h0[rows, cols], m)
+    rows, cols, vals = hopping
+    inside = (rows < m) & (cols < m)
+    indptr, indices, data, diag = _csc(rows[inside], cols[inside], vals[inside], m)
     e = np.zeros((m, sites.size), dtype=np.complex128)
     e[sites, np.arange(sites.size)] = 1.0
     tr = np.full((len(diags), m), np.nan, dtype=np.complex128)
@@ -231,9 +237,9 @@ def _natural_lu_prefix_traces(h0, diags, zc, sites, m):
     return tr, resid
 
 
-def chain_plan(h0: np.ndarray, m: int | None = None):
-    """The outward sweep of the leading m sites of h0 (all of them by default),
-    or None where h0 is not a chain there.
+def chain_plan(hopping, m: int):
+    """The outward sweep of the leading m sites of h0, or None where h0 is not
+    a chain there; hopping is h0's (rows, cols, vals) entries, read in O(nnz).
 
     h0 is a chain when each site couples to at most one earlier site, a
     current end of the volume: the ends start at site 0, and site q replaces
@@ -244,14 +250,13 @@ def chain_plan(h0: np.ndarray, m: int | None = None):
     This one test decides both chain routes: the outward sweep of
     nested_block_traces and the Schur recursion of block_coupling_poles.
     """
-    h0 = np.asarray(h0)
-    m = len(h0) if m is None else m
-    off = h0[:m, :m] != 0
-    later, earlier = np.nonzero(np.tril(off | off.T, -1))
-    hop = np.abs(h0[later, earlier]).tolist()
-    attach = dict(zip(later.tolist(), zip(earlier.tolist(), hop)))
-    if len(attach) < later.size:
+    rows, cols, vals = hopping
+    lower = (rows > cols) & (rows < m) & (vals != 0)
+    later = rows[lower]
+    if np.bincount(later, minlength=1).max() > 1:
         return None
+    hop = np.abs(vals[lower]).tolist()
+    attach = dict(zip(later.tolist(), zip(cols[lower].tolist(), hop)))
     plan, ends = [], [0, 0]
     for q in range(1, m):
         e, t = attach.get(q, (ends[0], 0.0))
@@ -263,7 +268,7 @@ def chain_plan(h0: np.ndarray, m: int | None = None):
     return plan
 
 
-def _outward_prefix_traces(h0, plan, diags, zc, sites):
+def _outward_prefix_traces(plan, diags, zc, sites):
     """tr(P G_n) for n = 1..m and every lane by the outward sweep of plan,
     the chain_plan of the leading m sites.
 
@@ -283,7 +288,7 @@ def _outward_prefix_traces(h0, plan, diags, zc, sites):
     m = len(plan) + 1
     lanes, r = len(diags), sites.size
     slot = {p: k for k, p in enumerate(sites.tolist())}
-    az = np.add(np.diagonal(h0)[:m, None], diags[:, :m].T, order="C") - zc
+    az = np.subtract(diags[:, :m].T, zc, order="C")
     piv, tg = az.copy(), np.zeros_like(az)
     # inc[q, k] is P_k's share of what site q adds to the trace
     inc = np.zeros((m, r, lanes), dtype=np.complex128)
@@ -319,20 +324,18 @@ def _outward_prefix_traces(h0, plan, diags, zc, sites):
 
 
 def nested_block_traces(
-    h0: np.ndarray,
+    hopping,
     diagonals: np.ndarray,
     z,
     block_sites: Sequence[int],
     prefix_sizes: Sequence[int],
-    *, _plan=None, _row_sums=None,
 ) -> np.ndarray:
     """tr(P (h[:n, :n] - z)^{-1}) per lane for each leading size n of prefix_sizes.
 
-    Lane i is h = h0 + diag(diagonals[i]); the result is (lanes, len(sizes)).
-    P projects onto block_sites, which must lie inside the smallest prefix.
-    One pass over the largest prefix serves every smaller one.  _plan, if
-    given, is chain_plan(h0) of a chain that the caller keeps, found once,
-    and _row_sums, if given, off_diagonal_row_sums(h0).
+    Lane i is h = h0 + diag(diagonals[i]), h0 given by its hopping entries;
+    the result is (lanes, len(sizes)).  P projects onto block_sites, which
+    must lie inside the smallest prefix.  One pass over the largest prefix
+    serves every smaller one.
 
     On a chain (chain_plan: every chain and prefix of one, ordered 0, +1,
     -1, ..., any block rank, phase or zero hopping), all lanes share one
@@ -352,26 +355,18 @@ def nested_block_traces(
     lane's residual must be <= 1e-10 * (||h||_inf + |z|); NaN fails.
     """
     zc = _as_z(z)
-    h0, n, diags = _lane_stack(h0, diagonals)
+    hopping, n, diags = _lane_stack(hopping, diagonals)
     sizes = np.asarray(prefix_sizes, dtype=np.int64)
     if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.max() > n:
         raise ValueError(f"prefix sizes must be a non-empty list in [1, {n}]")
-    sites = np.asarray(block_sites, dtype=np.int64)
-    distinct = len(set(sites.tolist())) == sites.size
-    if sites.size == 0 or not distinct or sites.min() < 0 or sites.max() >= sizes.min():
-        raise ValueError(
-            "block sites must be non-empty, distinct and lie inside the smallest "
-            f"prefix of {sizes.min()} sites"
-        )
+    sites = _block_sites(block_sites, sizes.min(), "inside the smallest prefix of {} sites")
     m = int(sizes.max())
-    plan = _plan or chain_plan(h0, m)
+    plan = chain_plan(hopping, m)
     if plan is not None:
-        tr, resid = _outward_prefix_traces(h0, plan, diags, zc, sites)
+        tr, resid = _outward_prefix_traces(plan, diags, zc, sites)
     else:
-        tr, resid = _natural_lu_prefix_traces(h0, diags, zc, sites, m)
-    _check_residual(
-        resid, _inf_norms(h0, np.diagonal(h0) + diags, _row_sums) + abs(zc)
-    )
+        tr, resid = _natural_lu_prefix_traces(hopping, diags, zc, sites, m)
+    _check_residual(resid, _inf_norms(hopping, diags) + abs(zc))
     return tr[:, sizes - 1]
 
 
@@ -411,22 +406,20 @@ def _schur_pivots(ar, t2, z, res2):
 
 
 def block_coupling_poles(
-    h0: np.ndarray,
+    hopping,
     diagonals: np.ndarray,
     zs,
     block_sites: Sequence[int],
-    *, _plan=None, _row_sums=None,
 ) -> np.ndarray:
     """(lanes, zs.size, r) eigenvalues mu_k of W(z) for the probe block B of r sites.
 
-    Lane i is h = h0 + diag(diagonals[i]), whose diagonal takes one value d
-    on B: the block's coupling.  By the Schur complement
-    P_B (h - z)^{-1} P_B = (d - W)^{-1} with W = z - h0[B, B] + Sigma(z), and
-    Sigma does not depend on d, so tr(P_B (h - z)^{-1}) = sum_k 1/(d - mu_k)
-    at every d.  The numerical range of W lies in Im >= Im z, and so does
-    every mu_k.  z runs over zs flattened.  _plan, if given, is
-    chain_plan(h0) of a chain that the caller keeps, found once, and
-    _row_sums, if given, off_diagonal_row_sums(h0).
+    Lane i is h = h0 + diag(diagonals[i]), h0 given by its hopping entries,
+    whose diagonal takes one value d on B: the block's coupling.  By the
+    Schur complement P_B (h - z)^{-1} P_B = (d - W)^{-1} with
+    W = z - h0[B, B] + Sigma(z), and Sigma does not depend on d, so
+    tr(P_B (h - z)^{-1}) = sum_k 1/(d - mu_k) at every d.  The numerical
+    range of W lies in Im >= Im z, and so does every mu_k.  z runs over zs
+    flattened.
 
     When h0 is a chain (chain_plan) that visits B's sites in a row (every
     1-d box and prefix of one, any block rank and phase, and zero hopping in
@@ -448,22 +441,18 @@ def block_coupling_poles(
     residual scale can move a trace whose resolvent has norm <= 1 / Im z.
     NaN fails both checks.
     """
-    h0, n, diags = _lane_stack(h0, diagonals)
+    hopping, n, diags = _lane_stack(hopping, diagonals)
     z = np.array([_as_z(v) for v in np.ravel(zs)])
-    sites = np.asarray(block_sites, dtype=np.int64)
-    distinct = len(set(sites.tolist())) == sites.size
-    if sites.size == 0 or not distinct or sites.min() < 0 or sites.max() >= n:
-        raise ValueError(f"block sites must be non-empty, distinct and lie in [0, {n})")
+    sites = _block_sites(block_sites, n, "in [0, {})")
     d = diags[:, sites[0]]
     if np.any(diags[:, sites] != d[:, None]):
         raise ValueError("each lane's diagonal must take one value on the block sites")
-    ar = np.diagonal(h0).real + diags
-    scale = _inf_norms(h0, ar, _row_sums)[:, None] + np.abs(z)
-    segment = _schur_segment(_plan or chain_plan(h0), sites)
+    scale = _inf_norms(hopping, diags)[:, None] + np.abs(z)
+    segment = _schur_segment(chain_plan(hopping, n), sites)
     if segment is None:
-        mu, tr = _eigen_poles(h0, diags, z, sites, d)
+        mu, tr = _eigen_poles(hopping, diags, z, sites, d)
     else:
-        mu, tr = _schur_poles(h0, ar, z, *segment, scale)
+        mu, tr = _schur_poles(hopping, diags, z, *segment, scale)
     gap = np.abs(np.sum(1.0 / (d[:, None, None] - mu), axis=-1) - tr)
     _check_residual(
         (gap * z.imag**2 / sites.size).ravel(), scale.ravel(), "block trace"
@@ -493,14 +482,24 @@ def _schur_segment(plan, sites):
     return path, int(pos[0]), int(pos[-1])
 
 
-def _schur_poles(h0, ar, z, path, p0, p1, scale):
+def _schur_poles(hopping, ar, z, path, p0, p1, scale):
     """mu and tr(P_B G) per lane and z by the two-sided Schur recursion.
 
     ar is the (lanes, n) real diagonal of h; B sits at path positions p0..p1.
     """
     n, r, lanes = len(path), p1 - p0 + 1, len(ar)
-    ar, t2 = ar.T[path], (h0[path[:-1], path[1:]] * h0[path[1:], path[:-1]]).real
-    seg = h0[np.ix_(path[p0 : p1 + 1], path[p0 : p1 + 1])]
+    rows, cols, vals = hopping
+    at = np.argsort(path)  # each site's position on the path
+    pr, pc = at[rows], at[cols]
+    # h0[path[k], path[k + 1]]; a chain couples path neighbours only
+    fwd = pc == pr + 1
+    ahead = np.zeros(n - 1, dtype=vals.dtype)
+    ahead[pr[fwd]] = vals[fwd]
+    ar, t2 = ar.T[path], (ahead * ahead.conj()).real
+    # h0[B, B] in path order
+    seg = np.zeros((r, r), dtype=vals.dtype)
+    inside = (np.minimum(pr, pc) >= p0) & (np.maximum(pr, pc) <= p1)
+    seg[pr[inside] - p0, pc[inside] - p0] = vals[inside]
     er, ay = z.real[:, None], -z.imag[:, None]
     mu = np.empty((lanes, z.size, r), dtype=np.complex128)
     tr = np.zeros((lanes, z.size), dtype=np.complex128)
@@ -536,16 +535,24 @@ def _schur_poles(h0, ar, z, path, p0, p1, scale):
     return mu, tr
 
 
-def _eigen_poles(h0, diags, z, sites, d):
+def _lane_eigh(hopping, diags, sites):
+    """Each lane's eigenvalues and block-site eigenvector rows, from one dense h0."""
+    rows, cols, vals = hopping
+    n = diags.shape[1]
+    h0 = np.zeros((n, n), dtype=vals.dtype)
+    h0[rows, cols] = vals
+    for d in diags:
+        h = h0.copy()
+        h[np.arange(n), np.arange(n)] += d
+        evals, vecs = np.linalg.eigh(h)
+        yield evals, vecs[sites]
+
+
+def _eigen_poles(hopping, diags, z, sites, d):
     """mu and tr(P_B G) per lane and z from one eigendecomposition per lane."""
-    n = len(h0)
     mu = np.empty((len(diags), z.size, sites.size), dtype=np.complex128)
     tr = np.empty((len(diags), z.size), dtype=np.complex128)
-    for lane, dl in enumerate(diags):
-        h = h0.copy()
-        h[np.arange(n), np.arange(n)] += dl
-        evals, vecs = np.linalg.eigh(h)
-        vb = vecs[sites]
+    for lane, (evals, vb) in enumerate(_lane_eigh(hopping, diags, sites)):
         # P_B G P_B = V_B diag(1 / (E - z)) V_B^*, one r x r matrix per z;
         # each entry is summed along its own contiguous row, so its bytes do
         # not depend on how many z share the call
@@ -557,13 +564,12 @@ def _eigen_poles(h0, diags, z, sites, d):
     return mu, tr
 
 
-def eigen_weights(h: np.ndarray, block_sites: Sequence[int]):
-    """(eigenvalues, tr(P psi psi*) weights) for the block projection P.
-
-    Shared workhorse: traces of functions of h against P are then plain
-    weighted sums over the spectrum.
-    """
-    evals, evecs = np.linalg.eigh(np.asarray(h))
-    idx = np.asarray(block_sites, dtype=np.int64)
-    weights = np.sum(np.abs(evecs[idx, :]) ** 2, axis=0)
-    return evals, weights
+def block_spectral_weights(hopping, diagonals: np.ndarray, block_sites: Sequence[int]):
+    """(eigenvalues, tr(P psi psi*) weights) of each lane h = h0 + diag(diagonals[lane])
+    for the block projection P, h0 given by its hopping entries; traces of
+    functions of h against P are then plain weighted sums over a lane's
+    spectrum.  One lane's eigenvectors are held at a time."""
+    hopping, n, diags = _lane_stack(hopping, diagonals)
+    sites = _block_sites(block_sites, n, "in [0, {})")
+    lanes = _lane_eigh(hopping, diags, sites)
+    return [(evals, np.sum(np.abs(vb) ** 2, axis=0)) for evals, vb in lanes]

@@ -16,7 +16,6 @@ from doslab import montecarlo
 from doslab.disorder import score_weights
 from doslab.montecarlo import Estimate
 from doslab.quadrature import panel_rule
-from doslab.spectral import eigen_weights
 
 
 def assemble_hamiltonian(model, omega: np.ndarray, n_prefix_sites: int) -> np.ndarray:
@@ -43,6 +42,29 @@ def assemble_hamiltonian(model, omega: np.ndarray, n_prefix_sites: int) -> np.nd
     diag = np.repeat(om, sizes) * model.coupling
     h[np.arange(n_prefix_sites), np.arange(n_prefix_sites)] += diag
     return h
+
+
+def entries_and_lanes(h: np.ndarray, diagonals: np.ndarray):
+    """A dense Hermitian h and a stack of diagonals as spectral takes them:
+    h's nonzero off-diagonal entries (rows, cols, vals), and each lane's
+    diagonal with h's own diagonal added."""
+    h = np.asarray(h)
+    rows, cols = np.nonzero((h != 0) & ~np.eye(len(h), dtype=bool))
+    return (rows, cols, h[rows, cols]), np.diagonal(h).real + diagonals
+
+
+def eigen_weights(h: np.ndarray, block_sites):
+    """(eigenvalues, tr(P psi psi*) weights) of a dense h for the block
+    projection P: the dense reference for spectral.block_spectral_weights."""
+    evals, evecs = np.linalg.eigh(np.asarray(h))
+    idx = np.asarray(block_sites, dtype=np.int64)
+    weights = np.sum(np.abs(evecs[idx, :]) ** 2, axis=0)
+    return evals, weights
+
+
+def each_sample(row):
+    """Rows of a chunk from a function of one sample's couplings."""
+    return lambda oms: np.array([row(om) for om in oms])
 
 
 def site_distance(space, i: int, j: int) -> int:
@@ -124,7 +146,7 @@ def resolvent_power_curve(model, n_prefix_sites, energies, eps, ell, mc):
         return fac * weighted_resolvent_power(evals, w, zs, ell + 1)
 
     return montecarlo._estimate(
-        vol, mc, zs.size, montecarlo._each(row), shared_sweep=False
+        vol, mc, zs.size, each_sample(row), shared_sweep=False
     )
 
 
@@ -156,7 +178,7 @@ def source_averaged_fractional_moments(
         return np.array([np.sum(w * v**s) for v in norms])
 
     return montecarlo._estimate(
-        vol, mc, len(tgts), montecarlo._each(row), shared_sweep=False, dtype=np.float64
+        vol, mc, len(tgts), each_sample(row), shared_sweep=False, dtype=np.float64
     )
 
 

@@ -348,28 +348,32 @@ def test_only_verify_loads_the_verify_module(tmp_path, command):
     "command",
     [
         "dos", "dos-deriv", "telescope", "fracmom", "verify", "box-telescope",
-        "short-telescope",
+        "short-telescope", "free-box-telescope",
     ],
 )
 def test_only_fracmom_loads_scipy_and_all_imports_precede_the_run(tmp_path, command):
     # a module first imported inside _execute is start-up cost counted as
     # compute: numpy.random, numpy.ma (verify's quantile) and SuperLU, which
     # fracmom and the box telescope factor on, all load before it; only those
-    # two load scipy at all
+    # two load scipy at all.  A box without hopping is a chain: its telescope
+    # takes the outward sweep and loads no scipy
     extra = {
         "dos-deriv": {"ell": 1},
         # 13 and 6 chain sites in the largest prefix: the outward sweep either way
         "telescope": {"ell": 1, "k_max": 12},
         "short-telescope": {"ell": 1, "k_max": 5},
         "box-telescope": {"ell": 1, "k_max": 8},
+        "free-box-telescope": {"ell": 1, "k_max": 8},
     }.get(command, {})
-    kind = command.removeprefix("box-").removeprefix("short-")
+    kind = command.removeprefix("free-").removeprefix("box-").removeprefix("short-")
     cfgp = toy_config(tmp_path, kind, n_samples=4, **extra)
-    if command == "box-telescope":
+    if command.endswith("box-telescope"):
         box = Path(cfgp)
         box.write_text(
             box.read_text().replace("half_width = 10", "dimension = 2\nhalf_width = 2")
         )
+    if command == "free-box-telescope":
+        box.write_text(box.read_text().replace("hopping = 1.0", "hopping = 0"))
     script = (
         "import io, sys\nfrom doslab import cli\n"
         "execute, seen = cli._execute, []\n"

@@ -564,8 +564,6 @@ def test_fractional_moment_shrinks_with_stronger_coupling():
 
 
 def test_fractional_moment_matches_dense_oracle_without_dense_assembly(monkeypatch):
-    import doslab.montecarlo as montecarlo
-
     space = build_box_enumeration(2, 3)
     model = ModelSpec(
         site_space=space,
@@ -588,7 +586,6 @@ def test_fractional_moment_matches_dense_oracle_without_dense_assembly(monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("dense n x n assembly on the fracmom path")
 
-    monkeypatch.setattr(montecarlo._Volume, "hamiltonian", refuse)
     monkeypatch.setattr(FreeOperatorSpec, "matrix", refuse)
     profile = fractional_moment_profile(model, n, z, 0, targets, s, mc)
     for est, want in zip(profile, np.mean(oracle, axis=0)):
@@ -1133,59 +1130,18 @@ def test_chain_sweeps_within_one_chunk_stay_inline_with_no_blas_lookup(monkeypat
     dos_derivative_curve(model, 17, [0.3], 0.1, 1, mc)
 
 
-def test_a_chain_volume_finds_its_plan_once_however_many_chunks(monkeypatch):
-    # chain_plan reads the dense h0 in O(n^2): the volume finds it once and
-    # every chunk's sweep takes it as found
-    import doslab.montecarlo as montecarlo
-    import doslab.spectral as spectral
+def test_chain_runs_and_sparse_routes_form_no_dense_h0(monkeypatch):
+    # spectral takes h0 as its hopping entries: the chain routes (sweep and
+    # Schur recursion), the box's natural-order SuperLU and fracmom's
+    # pattern never assemble the n x n free.matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense n x n h0 assembled")
 
-    calls = []
-
-    def counted(module):
-        real = module.chain_plan
-        return lambda *args: calls.append(module.__name__) or real(*args)
-
-    for module in (montecarlo, spectral):
-        monkeypatch.setattr(module, "chain_plan", counted(module))
-    monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", 4)
-    monkeypatch.setattr(montecarlo, "cpu_affinity", lambda: 1)
-    model, mc = chain_model(8, coupling=2.0, p=4), McConfig(n_samples=12, master_seed=3)
-    for run in (
-        lambda: telescope_series_diagnostic(model, range(2, 11), 1, 0.5, 0.2, mc),
-        lambda: smoothed_dos_curve(model, 17, [0.3], 0.1, mc),
-        lambda: dos_derivative_curve(model, 17, [0.3], 0.1, 1, mc),
-    ):
-        calls.clear()
-        run()
-        assert calls == ["doslab.montecarlo"]
-
-
-@pytest.mark.parametrize("box", [False, True])
-def test_a_volume_forms_its_row_sums_once_however_many_chunks(monkeypatch, box):
-    # the residual scale's off-diagonal row sums read the dense h0 in O(n^2):
-    # the volume forms them once and every chunk's solve takes them as found,
-    # on the chain sweeps and on the box's SuperLU and eigh alike
-    import doslab.montecarlo as montecarlo
-    import doslab.spectral as spectral
-
-    calls = []
-
-    def counted(module):
-        real = module.off_diagonal_row_sums
-        return lambda *args: calls.append(module.__name__) or real(*args)
-
-    for module in (montecarlo, spectral):
-        monkeypatch.setattr(module, "off_diagonal_row_sums", counted(module))
-    monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", 4)
-    monkeypatch.setattr(montecarlo, "cpu_affinity", lambda: 1)
-    model = block_model(2, 2, 1, 0.0, 4) if box else chain_model(8, coupling=2.0, p=4)
-    n_sites, k_max = (25, 7) if box else (17, 10)
+    monkeypatch.setattr(FreeOperatorSpec, "matrix", refuse)
+    chain, box = chain_model(8, coupling=2.0, p=4), block_model(2, 2, 1, 0.0, 4)
     mc = McConfig(n_samples=12, master_seed=3)
-    for run in (
-        lambda: telescope_series_diagnostic(model, range(2, k_max), 1, 0.5, 0.2, mc),
-        lambda: smoothed_dos_curve(model, n_sites, [0.3], 0.1, mc),
-        lambda: dos_derivative_curve(model, n_sites, [0.3], 0.1, 1, mc),
-    ):
-        calls.clear()
-        run()
-        assert calls == ["doslab.montecarlo"]
+    smoothed_dos_curve(chain, 17, [0.3], 0.1, mc)
+    dos_derivative_curve(chain, 17, [0.3], 0.1, 1, mc)
+    for model, n_sites, k_max in ((chain, 17, 10), (box, 25, 7)):
+        telescope_series_diagnostic(model, range(2, k_max), 1, 0.5, 0.2, mc)
+        fractional_moment_profile(model, n_sites, 0.5 + 0.1j, 0, [1, 2], 0.3, mc)

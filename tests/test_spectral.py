@@ -22,10 +22,10 @@ from doslab.montecarlo import McConfig, draw_disorder, ids_curve
 from doslab.spectral import (
     CscPattern,
     block_coupling_poles,
-    eigen_weights,
+    block_spectral_weights,
     nested_block_traces,
 )
-from oracles import assemble_hamiltonian
+from oracles import assemble_hamiltonian, eigen_weights, entries_and_lanes
 
 
 def random_hermitian(n, seed, complex_entries=False):
@@ -121,7 +121,12 @@ def test_spectral_projector_trace_counts_closed_interval():
 def test_eigen_weights_sum_to_block_rank():
     h = random_hermitian(16, seed=21, complex_entries=True)
     for block in ([0], [3, 4, 5], list(range(16))):
-        evals, weights = eigen_weights(h, block)
+        [(evals, weights)] = block_spectral_weights(
+            *entries_and_lanes(h, np.zeros((1, 16))), block
+        )
+        want_evals, want_weights = eigen_weights(h, block)
+        assert_allclose(evals, want_evals, rtol=1e-12, atol=1e-12)
+        assert_allclose(weights, want_weights, atol=1e-12)
         assert evals.shape == (16,) and weights.shape == (16,)
         assert np.all(np.diff(evals) >= 0)
         assert np.sum(weights) == pytest.approx(len(block), abs=1e-12)
@@ -356,7 +361,7 @@ def test_nested_block_traces_match_eigen_weights_on_every_prefix(
     block0 = model.projections.sites_of_block(0)
     sizes = [model.projections.prefix_sites(k) for k in range(1, model.n_blocks + 1)]
     z = 0.3 + 0.1j
-    got = nested_block_traces(h, np.zeros((1, n)), z, block0, sizes)[0]
+    got = nested_block_traces(*entries_and_lanes(h, np.zeros((1, n))), z, block0, sizes)[0]
     for size, tr in zip(sizes, got):
         evals, w = eigen_weights(h[:size, :size], block0)
         want = np.sum(w / (evals - z))
@@ -364,13 +369,14 @@ def test_nested_block_traces_match_eigen_weights_on_every_prefix(
     if n < 9:
         # a short chain's largest prefix may have any length
         for m in range(1, len(sizes) + 1):
-            alone = nested_block_traces(h, np.zeros((1, n)), z, block0, sizes[:m])
+            alone = nested_block_traces(
+                *entries_and_lanes(h, np.zeros((1, n))), z, block0, sizes[:m]
+            )
             assert_allclose(alone[0], got[:m], rtol=1e-12)
 
 
 def test_nested_block_traces_validation():
-    h = random_hermitian(6, seed=4)
-    d = np.zeros((2, 6))
+    h, d = entries_and_lanes(random_hermitian(6, seed=4), np.zeros((2, 6)))
     z = 0.5j
     with pytest.raises(ValueError, match="smallest prefix"):
         nested_block_traces(h, d, z, [0, 2], [2, 4, 6])
@@ -385,14 +391,22 @@ def test_nested_block_traces_validation():
         nested_block_traces(h, d, z, [0], [3, 7])
     with pytest.raises(ValueError, match="prefix sizes"):
         nested_block_traces(h, d, z, [0], [])
-    with pytest.raises(ValueError, match="square"):
-        nested_block_traces(h[:, :5], d, z, [0], [3])
     with pytest.raises(ValueError, match="positive imaginary"):
         nested_block_traces(h, d, 0.5, [0], [3])
     with pytest.raises(ValueError, match="lanes"):
         nested_block_traces(h, np.zeros(6), z, [0], [3])
-    with pytest.raises(ValueError, match="lanes"):
+    # the lanes' width is n: entries of a 6-site h0 do not fit 5-site lanes
+    with pytest.raises(ValueError, match="outside"):
         nested_block_traces(h, np.zeros((2, 5)), z, [0], [3])
+    rows, cols, vals = h
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="outside"):
+            nested_block_traces((np.append(rows, bad), np.append(cols, 0),
+                                 np.append(vals, 1.0)), d, z, [0], [3])
+    # a diagonal entry belongs to the lanes' diagonals
+    with pytest.raises(ValueError, match="diagonal"):
+        nested_block_traces((np.append(rows, 2), np.append(cols, 2), np.append(vals, 1.0)),
+                            d, z, [0], [3])
 
 
 def test_nested_block_traces_respect_the_dense_cap(monkeypatch):
@@ -401,21 +415,22 @@ def test_nested_block_traces_respect_the_dense_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_DENSE_DIMENSION_CAP", 5)
     with pytest.raises(ValueError, match="dense cap"):
         nested_block_traces(
-            random_hermitian(6, seed=4), np.zeros((1, 6)), 0.5j, [0], [6]
+            *entries_and_lanes(random_hermitian(6, seed=4), np.zeros((1, 6))),
+            0.5j, [0], [6],
         )
 
 
 def test_nested_block_traces_carry_the_residual_guard(monkeypatch):
     import doslab.spectral as spectral
 
-    h = random_hermitian(6, seed=4)
-    d = np.zeros((1, 6))
+    dense = random_hermitian(6, seed=4)
+    h, d = entries_and_lanes(dense, np.zeros((1, 6)))
     assert np.all(np.isfinite(nested_block_traces(h, d, 0.5j, [0], [1, 6])))
     # a NaN residual fails the check instead of slipping past a ">" test
-    bad = h.copy()
+    bad = dense.copy()
     bad[3, 3] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
-        nested_block_traces(bad, d, 0.5j, [0], [1, 6])
+        nested_block_traces(*entries_and_lanes(bad, np.zeros((1, 6))), 0.5j, [0], [1, 6])
     monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
     with pytest.raises(RuntimeError, match="residual"):
         nested_block_traces(h, d, 0.5j, [0], [1, 6])
@@ -427,6 +442,7 @@ def test_natural_lu_refuses_a_reordered_factor(monkeypatch):
     import doslab.spectral as spectral
 
     h0, diagonals, block0, prefixes = box_lanes(2, box_model(2, 2))
+    hopping, diagonals = entries_and_lanes(h0, diagonals)
     real = spectral._gstrf
     for perm in ("perm_c", "perm_r"):
 
@@ -439,12 +455,12 @@ def test_natural_lu_refuses_a_reordered_factor(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "_gstrf", reordered)
             with pytest.raises(RuntimeError, match="reordered"):
-                nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
+                nested_block_traces(hopping, diagonals, 0.5j, block0, prefixes)
 
 
 def box_lanes(n_lanes, model):
-    """h0 of a box model, a (lanes, n) stack of coupled diagonals, the sites
-    of block 0 and every block prefix size."""
+    """Dense h0 of a box model, a (lanes, n) stack of coupled diagonals, the
+    sites of block 0 and every block prefix size."""
     sizes = model.projections.block_sizes()
     diagonals = np.array(
         [2.0 * np.repeat(draw_disorder(model, 8, i), sizes) for i in range(n_lanes)]
@@ -470,7 +486,7 @@ def forbid(monkeypatch, name):
 
 def assert_matches_dense_inverse(h0, diagonals, block, prefixes, z):
     """Every lane and prefix within 1e-12 of a dense inverse; returns the traces."""
-    got = nested_block_traces(h0, diagonals, z, block, prefixes)
+    got = nested_block_traces(*entries_and_lanes(h0, diagonals), z, block, prefixes)
     assert got.shape == (len(diagonals), len(prefixes))
     for lane, d in zip(got, diagonals):
         h = h0 + np.diag(d)
@@ -485,16 +501,17 @@ def assert_outward_sweep_is_exact(h0, diagonals, block, prefixes, z):
     """The dense oracle, and a lane's bytes depend neither on the batching of
     the lanes nor on the prefixes asked for."""
     got = assert_matches_dense_inverse(h0, diagonals, block, prefixes, z)
+    hopping, diagonals = entries_and_lanes(h0, diagonals)
     for batch in (7, 1):
         parts = [
-            nested_block_traces(h0, diagonals[i : i + batch], z, block, prefixes)
+            nested_block_traces(hopping, diagonals[i : i + batch], z, block, prefixes)
             for i in range(0, len(diagonals), batch)
         ]
         assert np.array_equal(np.concatenate(parts), got)
     for k, size in enumerate(prefixes):
-        alone = nested_block_traces(h0, diagonals, z, block, [size])
+        alone = nested_block_traces(hopping, diagonals, z, block, [size])
         assert np.array_equal(alone[:, 0], got[:, k])
-    backwards = nested_block_traces(h0, diagonals, z, block, prefixes[::-1])
+    backwards = nested_block_traces(hopping, diagonals, z, block, prefixes[::-1])
     assert np.array_equal(backwards, got[:, ::-1])
 
 
@@ -555,7 +572,7 @@ def test_chain_route_is_chosen_from_the_end_property():
         diagonals = rng.uniform(-2.0, 2.0, (3, len(h0)))
         prefixes = list(range(4, len(h0) + 1, 4))
         # the natural-order SuperLU route takes them, and still matches
-        assert spectral.chain_plan(h0) is None
+        assert spectral.chain_plan(entries_and_lanes(h0, diagonals)[0], len(h0)) is None
         assert_matches_dense_inverse(h0, diagonals, [0], prefixes, 0.2 + 0.3j)
 
 
@@ -564,6 +581,7 @@ def test_band_sweep_carries_the_residual_guard(monkeypatch):
 
     for rank in (1, 3):
         h0, diagonals, block0, prefixes = chain_lanes(4, rank, half_width=5)
+        h0, diagonals = entries_and_lanes(h0, diagonals)
         forbid(monkeypatch, "_natural_lu_prefix_traces")
         ok = nested_block_traces(h0, diagonals, 0.5j, block0, prefixes)
         assert np.all(np.isfinite(ok))
@@ -645,33 +663,34 @@ def test_schur_recursion_matches_the_dense_oracle(
     h0, diagonals = h0[:size, :size], diagonals[:, :size]
     block = [s for s in block0 if s < size]
     forbid(monkeypatch, "_eigen_poles")
-    got = block_coupling_poles(h0, diagonals, ZS, block)
+    hopping, lanes = entries_and_lanes(h0, diagonals)
+    got = block_coupling_poles(hopping, lanes, ZS, block)
     assert_poles_match_dense(h0, diagonals, ZS, block, got)
     # per-lane values do not depend on how lanes or z values are batched
     for batch in (4, 1):
         parts = [
-            block_coupling_poles(h0, diagonals[i : i + batch], ZS, block)
+            block_coupling_poles(hopping, lanes[i : i + batch], ZS, block)
             for i in range(0, 9, batch)
         ]
         assert np.array_equal(np.concatenate(parts), got)
     for j, z in enumerate(ZS.ravel()):
-        alone = block_coupling_poles(h0, diagonals, [z], block)
+        alone = block_coupling_poles(hopping, lanes, [z], block)
         assert np.array_equal(alone[:, 0], got[:, j])
     # nor on how many lanes x z share one pass of the recursion
     monkeypatch.setattr(spectral, "_RECURSION_CELLS", 7)
-    assert np.array_equal(block_coupling_poles(h0, diagonals, ZS, block), got)
+    assert np.array_equal(block_coupling_poles(hopping, lanes, ZS, block), got)
 
 
 def test_rank_one_pole_without_hopping_is_z():
     # a lone site on the Schur route: W = z - h0_pp exactly, no eigvals call
     h0, diagonals, _, _ = chain_lanes(3, half_width=0)
-    mu = block_coupling_poles(h0, diagonals, ZS, [0])
+    mu = block_coupling_poles(*entries_and_lanes(h0, diagonals), ZS, [0])
     assert np.array_equal(mu[..., 0], np.broadcast_to(ZS.ravel(), (3, ZS.size)))
     # a 9-site chain without hopping: nothing couples to the block, so
     # W = z on it and every pole is z, at rank 1 and rank 3
     for rank in (1, 3):
         h0, diagonals, block0, _ = chain_lanes(3, rank, hopping=False, half_width=4)
-        mu = block_coupling_poles(h0, diagonals, ZS, block0)
+        mu = block_coupling_poles(*entries_and_lanes(h0, diagonals), ZS, block0)
         assert np.array_equal(mu, np.broadcast_to(ZS.ravel()[:, None], mu.shape))
 
 
@@ -693,10 +712,11 @@ def test_eigh_route_is_taken_off_a_path(monkeypatch, case):
         )
         block = list(model.projections.sites_of_block(0))
     forbid(monkeypatch, "_schur_pivots")
-    got = block_coupling_poles(h0, diagonals, ZS, block)
+    hopping, lanes = entries_and_lanes(h0, diagonals)
+    got = block_coupling_poles(hopping, lanes, ZS, block)
     assert_poles_match_dense(h0, diagonals, ZS, block, got)
     for j, z in enumerate(ZS.ravel()):
-        alone = block_coupling_poles(h0, diagonals, [z], block)
+        alone = block_coupling_poles(hopping, lanes, [z], block)
         assert np.array_equal(alone[:, 0], got[:, j])
 
 
@@ -746,12 +766,32 @@ def test_one_route_per_volume(monkeypatch, case):
         forbid(monkeypatch, "_outward_prefix_traces")
     oms = np.random.default_rng(5).random((3, vol.n_blocks))
     diagonals = vol.diagonals(oms)
-    block_coupling_poles(vol.h0, diagonals, ZS, vol.block0)
-    nested_block_traces(vol.h0, diagonals, 0.2 + 0.3j, vol.block0, [vol.n_sites])
+    block_coupling_poles(vol.hopping, diagonals, ZS, vol.block0)
+    nested_block_traces(vol.hopping, diagonals, 0.2 + 0.3j, vol.block0, [vol.n_sites])
+
+
+@pytest.mark.parametrize(
+    "box", [(1, 10, 3, 0.4), (2, 2, 1, 0.0)], ids=["chain-rank3-phase", "box2d"]
+)
+def test_shuffled_entries_give_the_same_bits(box):
+    # h0 is a set of entries: their order reaches neither a route nor a bit,
+    # on the chain's sweep and Schur recursion or the box's SuperLU and eigh
+    model = box_model(*box)
+    _, diagonals, block0, prefixes = box_lanes(5, model)
+    entries = model.free.entries(len(model.site_space))
+    order = np.random.default_rng(4).permutation(len(entries[0]))
+    shuffled = tuple(a[order] for a in entries)
+
+    def bits(hopping):
+        traces = nested_block_traces(hopping, diagonals, 0.3 + 0.1j, block0, prefixes)
+        poles = block_coupling_poles(hopping, diagonals, ZS, block0)
+        return traces.tobytes(), poles.tobytes()
+
+    assert bits(shuffled) == bits(entries)
 
 
 def test_block_coupling_poles_validation():
-    h0, diagonals, _, _ = chain_lanes(2, half_width=3)
+    h0, diagonals = entries_and_lanes(*chain_lanes(2, half_width=3)[:2])
     with pytest.raises(ValueError, match="lanes"):
         block_coupling_poles(h0, diagonals[0], ZS, [0])
     with pytest.raises(ValueError, match="block sites"):
@@ -769,22 +809,29 @@ def test_block_coupling_poles_validation():
     # the block's coupling is one value per lane
     with pytest.raises(ValueError, match="one value"):
         block_coupling_poles(h0, diagonals, ZS, [0, 1])
+    rows, cols, vals = h0
+    with pytest.raises(ValueError, match="outside"):
+        block_coupling_poles((rows, cols, vals), diagonals[:, :6], ZS, [0])
+    with pytest.raises(ValueError, match="diagonal"):
+        block_coupling_poles((np.append(rows, 4), np.append(cols, 4), np.append(vals, 1.0)),
+                             diagonals, ZS, [0])
 
 
 def test_schur_recursion_carries_the_residual_guard(monkeypatch):
     import doslab.spectral as spectral
 
     h0, diagonals, block0, _ = chain_lanes(4, half_width=5)
+    hopping, lanes = entries_and_lanes(h0, diagonals)
     forbid(monkeypatch, "_eigen_poles")
-    assert np.all(np.isfinite(block_coupling_poles(h0, diagonals, ZS, block0)))
+    assert np.all(np.isfinite(block_coupling_poles(hopping, lanes, ZS, block0)))
     # a NaN residual fails the check instead of slipping past a ">" test
     bad = h0.copy()
     bad[5, 7] = bad[7, 5] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
-        block_coupling_poles(bad, diagonals, ZS, block0)
+        block_coupling_poles(*entries_and_lanes(bad, diagonals), ZS, block0)
     monkeypatch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
     with pytest.raises(RuntimeError, match="residual"):
-        block_coupling_poles(h0, diagonals, ZS, block0)
+        block_coupling_poles(hopping, lanes, ZS, block0)
 
 
 @pytest.mark.parametrize("route", ["_schur_poles", "_eigen_poles"])
@@ -807,4 +854,4 @@ def test_block_trace_guard_fails_a_planted_nan(monkeypatch, route):
 
     monkeypatch.setattr(spectral, route, planted)
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="block trace"):
-        block_coupling_poles(h0, diagonals, ZS, block)
+        block_coupling_poles(*entries_and_lanes(h0, diagonals), ZS, block)
