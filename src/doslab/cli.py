@@ -612,17 +612,14 @@ def _execute(plan: _Plan) -> tuple[dict[str, bytes], dict, str | None]:
     elif command == "fracmom":
         dists = [d for d, _ in plan.fracmom_targets]
         blocks = [b for _, b in plan.fracmom_targets]
-        index = 0
-        for energy in cfg.energies:
-            for eps in cfg.eps_values:
-                ests = fractional_moment_profile(
-                    model, n_prefix, complex(energy, eps), 0, blocks, cfg.s, mc
-                )
-                # abscissa is the block distance, not a spectral energy
-                add_curve(
-                    index, [(float(d), eps, 0, est) for d, est in zip(dists, ests)]
-                )
-                index += 1
+        # one pass over the samples for the whole grid, energy-major as the
+        # curves are numbered
+        zs = np.asarray(cfg.energies)[:, None] + 1j * np.asarray(cfg.eps_values)
+        ests = fractional_moment_profile(model, n_prefix, zs, 0, blocks, cfg.s, mc)
+        for index, eps in enumerate(cfg.eps_values * len(cfg.energies)):
+            curve = ests[index * len(blocks) : (index + 1) * len(blocks)]
+            # abscissa is the block distance, not a spectral energy
+            add_curve(index, [(float(d), eps, 0, est) for d, est in zip(dists, curve)])
     elif command == "telescope":
         (energy,), (eps,) = cfg.energies, cfg.eps_values
         report = telescope_series_diagnostic(

@@ -13,10 +13,11 @@ Every estimator is one row function of a chunk of samples' couplings
 handed to one driver, `_estimate`: it draws a chunk, slices the draws to
 the volume, averages the rows with their antithetic mirrors where the route
 asks for it, fills a (n_samples, width) table and reduces it to one Estimate
-per column.  There is one entry point per quantity, on a grid of points; a
-single point is a one-point grid.  The samples are split into contiguous
-spans, one per CPU of the process's affinity set, run by the package's one
-fork map (doslab.fork_map), and sized by the route the volume takes, which
+per column.  There is one entry point per quantity, on a grid of points
+(a single point is a one-point grid); only telescope_series_diagnostic
+takes a single point.  The samples are split into contiguous spans, one
+per CPU of the process's affinity set, run by the package's one fork map
+(doslab.fork_map), and sized by the route the volume takes, which
 _Volume.chain decides once (see _estimate).  Volumes hand spectral h0's
 hopping entries, so a chain run forms no n x n matrix.  Rows that loop over
 a chunk's samples through LU or eigh run every loaded OpenBLAS on one
@@ -55,8 +56,8 @@ from numpy.random.bit_generator import ISeedSequence
 from . import _one_blas_thread, cpu_affinity, fork_map
 from .disorder import fractional_inverse_moment, score_weights, stieltjes_transform
 from .lattice import ModelSpec
-from .spectral import CscPattern, block_coupling_poles, block_spectral_weights
-from .spectral import _superlu, chain_plan, nested_block_traces
+from .spectral import _as_zs, _superlu, block_coupling_poles, block_spectral_weights
+from .spectral import chain_plan, nested_block_traces, resolvent_columns
 
 # samples per rows() call; bounds the memory of a chunk's lane stack
 _CHUNK_SAMPLES = 256
@@ -234,9 +235,9 @@ def _estimate(
     chunks of _CHUNK_SAMPLES from its first sample.  Unless a shared sweep
     runs as one span, and so inline with no BLAS lookup, every OpenBLAS
     loaded at entry runs one thread throughout: a caller whose rows first
-    load a BLAS must load it before the call.  The table depends neither on
-    the chunk size nor on the span count, so reductions over it are
-    bit-stable.
+    load a BLAS, as fracmom's and a box telescope's load SuperLU's, must
+    load it before the call.  The table depends neither on the chunk size
+    nor on the span count, so reductions over it are bit-stable.
     """
     n = mc.n_samples
     values = np.empty((n, width), dtype=dtype)
@@ -369,32 +370,33 @@ def dos_derivative_curve(
 def fractional_moment_profile(
     model: ModelSpec,
     n_prefix_sites: int,
-    z,
+    zs,
     source_block: int,
     target_blocks: Sequence[int],
     s: float,
     mc: McConfig,
 ) -> list[Estimate]:
-    """E[ ||P_t (h - z)^{-1} P_src||^s ] for each target block t.
+    """E[ ||P_t (h - z)^{-1} P_src||^s ] for each z of zs and target block t.
 
-    One sparse factorization per sample serves every target, so the
-    per-distance estimates share their disorder realizations.  The pattern of
-    h0 plus the diagonal and its fill-reducing order are built once; a sample
-    only rewrites the diagonal entries of a copy of its data, so no dense
-    matrix is assembled.
+    zs is a grid, a scalar a one-point grid; estimates come z-major, in the
+    flattened (C) order of zs.  Each chunk of samples takes one
+    resolvent_columns call for the whole grid, one sparse factorization per
+    sample and z serving every target, so all estimates share their samples
+    and each z gets the bytes a call with that z alone would give.
 
     A source block of one site a has its coupling integrated exactly: with
     G^ the resolvent at omega_src = 0 and g = G^(a, a), the rank-one
     resolvent identity gives G(., a) = G^(., a) / (1 + lambda omega_src g),
     so a sample factors h - z at omega_src = 0 and its row is
     ||P_t G^ P_a||^s J with J = integral rho(x) |1 + lambda x g|^(-s) dx,
-    one scalar shared by every target (fractional_inverse_moment, at the
-    peak c = -1 / (lambda g), whose Im c >= Im z / lambda).  A source block
-    of rank r > 1 keeps the sampled omega_src: the 2-norm of an r x r block
-    has kinks in omega_src, which no fixed rule integrates exactly.
+    one scalar per z shared by every target (fractional_inverse_moment, at
+    the peak c = -1 / (lambda g), whose Im c >= Im z / lambda).  A source
+    block of rank r > 1 keeps the sampled omega_src: the 2-norm of an r x r
+    block has kinks in omega_src, which no fixed rule integrates exactly.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional exponent s={s} outside (0, 1)")
+    zs = _as_zs(zs)
     vol = _Volume(model, n_prefix_sites)
     targets = [int(t) for t in target_blocks]
     for t in [source_block, *targets]:
@@ -402,36 +404,36 @@ def fractional_moment_profile(
             raise ValueError(f"block {t} outside the prefix volume")
     src_sites = model.projections.sites_of_block(source_block)
     tgt_sites = [model.projections.sites_of_block(t) for t in targets]
-    pattern = CscPattern(*vol.hopping, vol.n_sites)
+    # G's rows: the source's first site, then each target's sites
+    at = np.cumsum([1] + [len(idx) for idx in tgt_sites])
+    g_rows = np.concatenate([src_sites[:1], *tgt_sites])
     rank_one = len(src_sites) == 1
     lam = model.coupling
-    min_imag = complex(z).imag / lam  # a lower bound on Im c, c below
 
     def rows(oms):
         if rank_one:
             oms = oms.copy()
             oms[:, source_block] = 0.0
-        norms = np.empty((len(oms), len(targets)))
-        g = np.empty(len(oms), dtype=np.complex128)
-        for i, om in enumerate(oms):
-            data = pattern.data.copy()
-            data[pattern.diag] += lam * np.repeat(om, vol.sizes)
-            cols = pattern.resolvent_columns(data, z, src_sites)
-            g[i] = cols[src_sites[0], 0]
-            for j, idx in enumerate(tgt_sites):
-                block = cols[idx, :]
-                if block.shape == (1, 1):
-                    norms[i, j] = abs(block[0, 0])
-                else:
-                    norms[i, j] = np.linalg.norm(block, 2)
-        out = norms**s
+        g = resolvent_columns(vol.hopping, vol.diagonals(oms), zs, src_sites, g_rows)
+        out = np.empty((len(oms), zs.size, len(targets)))
+        for j, block in enumerate(np.split(g, at[:-1], axis=2)[1:]):
+            if block.shape[-2:] == (1, 1):
+                # abs of one complex, bit for bit; np.abs of an array may differ
+                out[:, :, j] = np.hypot(block.real, block.imag)[..., 0, 0]
+            else:
+                out[:, :, j] = np.linalg.norm(block, 2, axis=(-2, -1))
+        out **= s
         if rank_one:
-            c = -1.0 / (lam * g)
-            moment = fractional_inverse_moment(model.density, s, c, min_imag)
-            out *= (np.abs(c) ** s * moment)[:, None]
-        return out
+            for k, z in enumerate(zs):
+                c = -1.0 / (lam * g[:, k, 0, 0])
+                moment = fractional_inverse_moment(model.density, s, c, z.imag / lam)
+                out[:, k] *= (np.abs(c) ** s * moment)[:, None]
+        return out.reshape(len(oms), -1)
 
-    return _estimate(vol, mc, len(targets), rows, shared_sweep=False, dtype=np.float64)
+    # load SuperLU and scipy's OpenBLAS here, so that the spans pin it with numpy's
+    _superlu()
+    width = zs.size * len(targets)
+    return _estimate(vol, mc, width, rows, shared_sweep=False, dtype=np.float64)
 
 
 def fit_decay(pairs: Sequence[tuple[float, Estimate]]) -> DecayFit:

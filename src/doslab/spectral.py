@@ -62,11 +62,12 @@ def _inf_norms(hopping, diags):
     return np.max(np.bincount(rows, np.abs(vals), diags.shape[1]) + np.abs(diags), axis=1)
 
 
-def _as_z(z) -> complex:
-    zc = complex(z)
-    if not zc.imag > 0.0:
-        raise ValueError(f"spectral parameter needs positive imaginary part, got {zc}")
-    return zc
+def _as_zs(zs) -> np.ndarray:
+    """zs flattened to complex, or ValueError unless every Im z > 0."""
+    z = np.ravel(np.asarray(zs, dtype=complex))
+    if not np.all(z.imag > 0.0):
+        raise ValueError(f"spectral parameters need a positive imaginary part, got {z}")
+    return z
 
 
 def _superlu():
@@ -124,68 +125,64 @@ def _csc(rows, cols, vals, n: int):
     return indptr, (key % n).astype(np.intc), np.add.reduceat(vals[order], first), diag
 
 
-class CscPattern:
-    """Compressed-column pattern of an n x n matrix, every diagonal entry stored.
+def _fill_order(hopping, n: int) -> np.ndarray:
+    """SuperLU's minimum-degree order on the pattern of A^T + A, A h0's
+    entries plus every diagonal cell, from an incomplete gstrf: entry k is
+    the position of site k.
 
-    Built once from (rows, cols, vals) entries, duplicates summed.  The
-    fill-reducing order of the factorization depends on the pattern alone,
-    so it is computed here, once: SuperLU's minimum-degree order on the
-    pattern of A^T + A, from an incomplete gstrf.  The pattern and data,
-    rows sorted in each column, are stored in that order, as P a P^T, with
-    site i in position _position[i].  data[diag[i]] is the diagonal entry of
-    site i, so a shift or a disorder draw touches only the entries data[diag].
-
-    A pattern serves one caller at a time: resolvent_columns writes every
-    factorization's input into the one shared array _shifted, so two
-    threads on one pattern corrupt each other's solves (the residual check
-    then fails).  A forked process holds its own copy and may use it freely.
+    The order depends on the pattern alone, so any matrix with it yields the
+    order; a diagonally dominant one factors without breakdown, and an
+    incomplete factor, which runs the same ordering step, costs a third of a
+    complete one.
     """
+    indptr, indices, _, diag = _csc(*hopping, n)
+    ones = np.ones(len(indices))
+    ones[diag] = np.diff(indptr) + 1.0
+    lu = _gstrf(ones, indices, indptr, True, ILU_DropTol=0.9, ILU_FillFactor=1.0,
+                ColPerm="MMD_AT_PLUS_A")
+    return lu.perm_c
 
-    def __init__(self, rows, cols, vals, n: int):
-        # any matrix with this pattern yields the order; a diagonally
-        # dominant one factors without breakdown, and an incomplete factor,
-        # which runs the same ordering step, costs a third of a complete one
-        indptr, indices, _, diag = _csc(rows, cols, vals, n)
-        ones = np.ones(len(indices))
-        ones[diag] = np.diff(indptr) + 1.0
-        lu = _gstrf(ones, indices, indptr, True, ILU_DropTol=0.9, ILU_FillFactor=1.0,
-                    ColPerm="MMD_AT_PLUS_A")
-        # perm_c[k] is the position of site k
-        pos = self._position = lu.perm_c
-        self.indptr, self.indices, self.data, diag = _csc(pos[rows], pos[cols], vals, n)
-        self.diag = diag[pos]
-        # the complex data that each factorization overwrites
-        self._shifted = np.zeros(len(self.data), dtype=np.complex128)
 
-    def resolvent_columns(self, data: np.ndarray, z, columns) -> np.ndarray:
-        """Columns of (a - z)^{-1}, a the Hermitian matrix with this pattern and data.
+def resolvent_columns(hopping, diagonals: np.ndarray, zs, columns, rows) -> np.ndarray:
+    """(lanes, zs.size, len(rows), len(columns)) entries G(rows, columns) of
+    G = (h - z)^{-1}, for each lane h = h0 + diag(diagonals[lane]), h0 given
+    by its hopping entries, and each z of zs flattened.
 
-        One SuperLU factorization of P (a - z) P^T, in the stored order and
-        with pivots on the diagonal, serves every column.  No pivot can
-        vanish: every leading block of P (a - z) P^T has imaginary part
-        <= -Im z, so every pivot has modulus >= Im z.  Each column is checked
-        against ||(a - z) x - e|| <= 1e-10 * (||a||_inf + |z|), which a failed
-        factorization or solve fails too.
-        """
-        zc, n = _as_z(z), len(self.diag)
-        cols = np.asarray(columns, dtype=np.int64)
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
-            raise ValueError("column index outside the matrix")
-        scale = np.bincount(self.indices, np.abs(data), n).max(initial=0.0) + abs(zc)
-        a = self._shifted
-        a[:] = data
-        a[self.diag] -= zc
-        # right-hand sides and solutions in the stored order
-        rhs = np.zeros((n, cols.size), dtype=np.complex128)
-        rhs[self._position[cols], np.arange(cols.size)] = 1.0
-        try:
-            y = _gstrf(a, self.indices, self.indptr, False, ColPerm="NATURAL").solve(rhs)
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            y = np.full_like(rhs, np.nan)
-        res = _csc_product((a, self.indices, self.indptr), y) - rhs
-        resid = np.linalg.norm(res, axis=0)
-        _check_residual(resid, np.full(resid.shape, scale), "resolvent solve")
-        return y[self._position]
+    The fill-reducing order is computed once per call (_fill_order); each
+    lane and z takes one SuperLU factorization of P (h - z) P^T in that
+    order, with pivots on the diagonal, which serves every column.  No pivot
+    can vanish: every leading block of P (h - z) P^T has imaginary part
+    <= -Im z, so every pivot has modulus >= Im z.  Each column is checked
+    against ||(h - z) x - e|| <= 1e-10 * (||h||_inf + |z|), which a failed
+    factorization or solve fails too.
+    """
+    hopping, n, diags = _lane_stack(hopping, diagonals)
+    z = _as_zs(zs)
+    cols, rows = (np.asarray(a, dtype=np.int64) for a in (columns, rows))
+    if any(a.size and (a.min() < 0 or a.max() >= n) for a in (cols, rows)):
+        raise ValueError(f"row or column outside [0, {n})")
+    pos = _fill_order(hopping, n)
+    i, j, vals = hopping
+    indptr, indices, data, diag = _csc(pos[i], pos[j], vals, n)
+    diag = diag[pos]
+    scale = _inf_norms(hopping, diags)[:, None] + np.abs(z)
+    # right-hand sides and solutions in the factored order
+    rhs = np.zeros((n, cols.size), dtype=np.complex128)
+    rhs[pos[cols], np.arange(cols.size)] = 1.0
+    out = np.empty((len(diags), z.size, rows.size, cols.size), dtype=np.complex128)
+    a = np.empty(len(data), dtype=np.complex128)
+    for lane, d in enumerate(diags):
+        for k, zc in enumerate(z):
+            a[:] = data
+            a[diag] = d - zc
+            try:
+                y = _gstrf(a, indices, indptr, False, ColPerm="NATURAL").solve(rhs)
+            except RuntimeError:  # SuperLU: "Factor is exactly singular"
+                y = np.full_like(rhs, np.nan)
+            resid = np.linalg.norm(_csc_product((a, indices, indptr), y) - rhs, axis=0)
+            _check_residual(resid, np.full(resid.shape, scale[lane, k]), "resolvent solve")
+            out[lane, k] = y[pos[rows]]
+    return out
 
 
 def _check_residual(resid: np.ndarray, scale: np.ndarray, what: str = "LU") -> None:
@@ -286,27 +283,34 @@ def _outward_prefix_traces(plan, diags, zc, sites):
     A lane's residual is its largest |s + t^2 G(e, e) - (h_qq - z)|.
     """
     m = len(plan) + 1
-    lanes, r = len(diags), sites.size
+    lanes = len(diags)
     slot = {p: k for k, p in enumerate(sites.tolist())}
-    az = np.subtract(diags[:, :m].T, zc, order="C")
-    piv, tg = az.copy(), np.zeros_like(az)
-    # inc[q, k] is P_k's share of what site q adds to the trace
-    inc = np.zeros((m, r, lanes), dtype=np.complex128)
+    az = diags[:, 0] - zc
     # col[j][k] = G(P_k, e_j), diag[j] = G(e_j, e_j), cross = G(e_0, e_1): one
     # flat array of lanes each, so every product takes the same loop
     # whatever the number of lanes, and a lane's bytes do not depend on it
-    inv = 1.0 / az[0]
-    col = [[np.zeros(lanes, dtype=np.complex128)] * r for _ in range(2)]
+    inv, zero = 1.0 / az, np.zeros(lanes, dtype=np.complex128)
+    col = [[zero] * sites.size for _ in range(2)]
     diag, cross = [inv, inv], inv
+    # the trace as one running sum, term by term in (site, P_k) order: no
+    # reduction whose order could depend on the number of lanes
+    tr = np.empty((m, lanes), dtype=np.complex128)
+    tr[0] = running = inv if 0 in slot else zero
     if 0 in slot:
-        col[0][slot[0]] = col[1][slot[0]] = inc[0, slot[0]] = inv
+        col[0][slot[0]] = col[1][slot[0]] = inv
+    # site 0's pivot is h_00 - z itself: residual 0, or NaN
+    resid = np.abs(az - az)
     for q, (j, t) in enumerate(plan, start=1):
         o, t2 = 1 - j, t * t
-        np.multiply(diag[j], t2, out=tg[q])
-        inv = 1.0 / np.subtract(az[q], tg[q], out=piv[q])
+        az, tg = diags[:, q] - zc, diag[j] * t2
+        piv = az - tg
+        inv = 1.0 / piv
+        np.maximum(resid, np.abs(piv + tg - az), out=resid)
         f = t2 * inv
-        for x, out in zip(col[j], inc[q]):
-            np.multiply(np.square(x), f, out=out)
+        # P_k's share of what site q adds to the trace
+        for k, x in enumerate(col[j]):
+            running = running + (inv if slot.get(q) == k else np.square(x) * f)
+        tr[q] = running
         c = f * cross
         col[o] = [x + y * c for x, y in zip(col[o], col[j])]
         diag[o] = diag[o] + cross * c
@@ -315,12 +319,8 @@ def _outward_prefix_traces(plan, diags, zc, sites):
         cross, diag[j] = cross * scale_j, inv
         if q in slot:
             k = slot[q]
-            col[j][k], col[o][k], inc[q, k] = inv, cross, inv
-    # one running sum, term by term: no reduction whose order could depend
-    # on the number of lanes
-    running = inc.reshape(-1, lanes)
-    tr = np.cumsum(running, axis=0, out=running)[r - 1 :: r].T
-    return tr, np.abs(piv + tg - az).max(axis=0)
+            col[j][k], col[o][k] = inv, cross
+    return tr.T, resid
 
 
 def nested_block_traces(
@@ -354,7 +354,7 @@ def nested_block_traces(
     imaginary part <= -Im z, so every pivot has modulus >= Im z.  Each
     lane's residual must be <= 1e-10 * (||h||_inf + |z|); NaN fails.
     """
-    zc = _as_z(z)
+    (zc,) = _as_zs(z)
     hopping, n, diags = _lane_stack(hopping, diagonals)
     sizes = np.asarray(prefix_sizes, dtype=np.int64)
     if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.max() > n:
@@ -442,7 +442,7 @@ def block_coupling_poles(
     NaN fails both checks.
     """
     hopping, n, diags = _lane_stack(hopping, diagonals)
-    z = np.array([_as_z(v) for v in np.ravel(zs)])
+    z = _as_zs(zs)
     sites = _block_sites(block_sites, n, "in [0, {})")
     d = diags[:, sites[0]]
     if np.any(diags[:, sites] != d[:, None]):

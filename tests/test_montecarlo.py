@@ -321,11 +321,15 @@ EPS_GRID = (0.4, 0.15, 0.05)
 
 @pytest.mark.parametrize("chunk", [1, 3])
 @pytest.mark.parametrize("energies", [[-0.7, 0.0, 0.4, 1.1], [0.3]])
-@pytest.mark.parametrize("route", ["dos", "score-1", "score-2", "resolvent-1"])
+@pytest.mark.parametrize(
+    "route", ["dos", "score-1", "score-2", "resolvent-1", "fracmom-1", "fracmom-3"]
+)
 def test_eps_grid_in_one_pass_equals_per_eps_calls(monkeypatch, route, energies, chunk):
     # a column of eps against a row of energies must give, bit for bit, the
     # estimates of one call per eps, at any chunk size; 13 sites, because
-    # numpy sums 8 or more terms of a lone column pairwise
+    # numpy sums 8 or more terms of a lone column pairwise. fracmom takes the
+    # grid as z = E + i eps, with three targets per z and a source of rank 1
+    # (its coupling integrated) or of rank 3 (sampled)
     import doslab.montecarlo as montecarlo
 
     monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
@@ -335,6 +339,16 @@ def test_eps_grid_in_one_pass_equals_per_eps_calls(monkeypatch, route, energies,
 
         def curve(eps):
             return smoothed_dos_curve(model, 13, energies, eps, mc)
+
+    elif route.startswith("fracmom"):
+        if route == "fracmom-1":
+            model, n = chain_model(6, coupling=2.0), 13
+        else:
+            model, n = block_model(1, 7, 3, 0.4, 2), 15
+
+        def curve(eps):
+            zs = np.asarray(energies) + 1j * np.asarray(eps)
+            return fractional_moment_profile(model, n, zs, 0, [0, 1, 3], 0.5, mc)
 
     else:
         kind, ell = route.split("-")
@@ -346,9 +360,10 @@ def test_eps_grid_in_one_pass_equals_per_eps_calls(monkeypatch, route, energies,
             return estimator(model, 13, energies, eps, ell, mc)
 
     grid = curve(np.array(EPS_GRID)[:, None])
-    assert len(grid) == len(EPS_GRID) * len(energies)
+    width = len(energies) * (3 if route.startswith("fracmom") else 1)
+    assert len(grid) == len(EPS_GRID) * width
     for j, eps in enumerate(EPS_GRID):
-        row = grid[j * len(energies) : (j + 1) * len(energies)]
+        row = grid[j * width : (j + 1) * width]
         single = curve(eps)
         assert [e.mean for e in row] == [e.mean for e in single], eps
         assert [e.stderr for e in row] == [e.stderr for e in single], eps

@@ -20,7 +20,6 @@ from doslab.lattice import (
 )
 from doslab.montecarlo import McConfig, draw_disorder, ids_curve
 from doslab.spectral import (
-    CscPattern,
     block_coupling_poles,
     block_spectral_weights,
     nested_block_traces,
@@ -37,10 +36,10 @@ def random_hermitian(n, seed, complex_entries=False):
 
 
 def resolvent_columns(h, z, columns):
-    """Columns of (h - z)^{-1} through a CscPattern of h's nonzeros, as in fracmom."""
-    rows, cols = np.nonzero(h)
-    pattern = CscPattern(rows, cols, h[rows, cols], h.shape[0])
-    return pattern.resolvent_columns(pattern.data, z, columns)
+    """Columns of (h - z)^{-1}, every row, through spectral.resolvent_columns
+    on h's entries as one lane and one z, as in fracmom."""
+    hopping, lanes = entries_and_lanes(h, np.zeros((1, len(h))))
+    return spectral.resolvent_columns(hopping, lanes, z, columns, np.arange(len(h)))[0, 0]
 
 
 def test_resolvent_columns_match_dense_inverse():
@@ -58,6 +57,24 @@ def test_resolvent_rejects_real_energy():
         resolvent_columns(h, 0.5, [0])
     with pytest.raises(ValueError, match="imaginary"):
         resolvent_columns(h, 0.5 - 0.1j, [0])
+    # one bad point of a grid is refused too, and so are rows or columns
+    # outside [0, n) and hopping entries on the diagonal
+    (rows, cols, vals), d = entries_and_lanes(h, np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="imaginary"):
+        spectral.resolvent_columns((rows, cols, vals), d, [0.5j, 0.3], [0], [0])
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match="outside"):
+            spectral.resolvent_columns((rows, cols, vals), d, 0.5j, [bad], [0])
+        with pytest.raises(ValueError, match="outside"):
+            spectral.resolvent_columns((rows, cols, vals), d, 0.5j, [0], [1, bad])
+        with pytest.raises(ValueError, match="outside"):
+            spectral.resolvent_columns((np.append(rows, bad), np.append(cols, 0),
+                                        np.append(vals, 1.0)), d, 0.5j, [0], [0])
+    with pytest.raises(ValueError, match="diagonal"):
+        spectral.resolvent_columns((np.append(rows, 2), np.append(cols, 2),
+                                    np.append(vals, 1.0)), d, 0.5j, [0], [0])
+    with pytest.raises(ValueError, match="lanes"):
+        spectral.resolvent_columns((rows, cols, vals), d[0], 0.5j, [0], [0])
 
 
 def test_kernel_block_entries_and_orientation():
@@ -198,7 +215,8 @@ def test_resolvent_columns_match_dense_solve(box):
 
 
 # -- SuperLU without scipy.sparse: the same order and bytes as scipy's own calls --
-# CscPattern calls the private extension behind scipy's spilu and splu; these
+# _fill_order and resolvent_columns call the private extension behind scipy's
+# spilu and splu; these
 # references are what catches a scipy whose extension has changed
 
 
@@ -211,22 +229,18 @@ SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 def box_entries(request):
     model = box_model(*request.param)
     n = len(model.site_space)
-    rows, cols, vals = model.free.entries(n)
-    ar = np.arange(n)
-    # the entries CscPattern stores: h0's and a zero on every diagonal
-    full = (
-        np.concatenate([rows, ar]), np.concatenate([cols, ar]),
-        np.concatenate([vals, np.zeros(n)]),
-    )
-    return CscPattern(rows, cols, vals, n), full, n
+    return model.free.entries(n), n
 
 
 def test_pattern_order_is_spilus_minimum_degree_order(box_entries):
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import spilu
 
-    pattern, (rows, cols, vals), n = box_entries
-    probe = csc_array((vals, (rows, cols)), shape=(n, n))
+    (rows, cols, vals), n = box_entries
+    ar = np.arange(n)
+    # the pattern _fill_order orders: h0's entries and a zero on every diagonal
+    full = (np.concatenate([rows, ar]), np.concatenate([cols, ar]))
+    probe = csc_array((np.concatenate([vals, np.zeros(n)]), full), shape=(n, n))
     probe.sum_duplicates()
     diag = np.flatnonzero(probe.indices == np.repeat(np.arange(n), np.diff(probe.indptr)))
     probe.data[:] = 1.0
@@ -235,25 +249,27 @@ def test_pattern_order_is_spilus_minimum_degree_order(box_entries):
         probe, drop_tol=0.9, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0, options={"SymmetricMode": True},
     )
-    assert np.array_equal(pattern._position, lu.perm_c)
+    assert np.array_equal(spectral._fill_order((rows, cols, vals), n), lu.perm_c)
 
 
 def test_resolvent_columns_are_splus_solve_bit_for_bit(box_entries):
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
-    pattern, _, n = box_entries
-    data = pattern.data.copy()
-    data[pattern.diag] += 2.0 * np.random.default_rng(5).uniform(size=n)
+    hopping, n = box_entries
+    d = 2.0 * np.random.default_rng(5).uniform(size=(1, n))
     z, columns = 0.2 + 0.05j, [0, n // 2, n - 1]
-    got = pattern.resolvent_columns(data, z, columns)
-    # the same permuted matrix through scipy's public route
-    a = csc_array((data.astype(np.complex128), pattern.indices, pattern.indptr), shape=(n, n))
-    a.data[pattern.diag] -= z
+    got = spectral.resolvent_columns(hopping, d, z, columns, np.arange(n))[0, 0]
+    # the same matrix in the fill order through scipy's public route
+    pos = spectral._fill_order(hopping, n)
+    rows, cols, vals = hopping
+    indptr, indices, data, diag = spectral._csc(pos[rows], pos[cols], vals, n)
+    a = csc_array((data.astype(np.complex128), indices, indptr), shape=(n, n))
+    a.data[diag[pos]] = d[0] - z
     rhs = np.zeros((n, len(columns)), dtype=np.complex128)
-    rhs[pattern._position[columns], np.arange(len(columns))] = 1.0
+    rhs[pos[columns], np.arange(len(columns))] = 1.0
     lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    want = lu.solve(rhs)[pattern._position]
+    want = lu.solve(rhs)[pos]
     assert got.tobytes() == want.tobytes()
 
 
@@ -603,6 +619,12 @@ def test_band_sweep_carries_the_residual_guard(monkeypatch):
         patch.setattr(spectral, "_RESIDUAL_REL_TOL", -1.0)
         with pytest.raises(RuntimeError, match="residual"):
             nested_block_traces(h0, diagonals, 0.5j, block0, [3])
+    # the sweep's own residual covers site 0's pivot, also on a one-site volume
+    bad = diagonals.copy()
+    bad[2, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        _, resid = spectral._outward_prefix_traces([], bad, 0.5j, np.array([0]))
+    assert np.isnan(resid).tolist() == [lane == 2 for lane in range(len(bad))]
 
 
 # -- probe-block coupling poles ----------------------------------------------------
